@@ -29,16 +29,12 @@ from .errors import (
 from .linalg import (
     PosDefMatrix,
     as_posdef,
-    complex_power,
     draw_posdef,
-    half_power_pair,
     hermitian_fn,
     hermitize,
     kron_all,
     logarithmic_ratio,
-    matrix_fn,
     random_commuting_family,
-    random_posdef,
     real_trace,
 )
 from .report import TrialReport, identity_report, inequality_report
@@ -47,8 +43,6 @@ from .quadrature import (
     beta_density,
     beta_normalization_gap,
     half_line_rule,
-    integrate_beta,
-    integrate_halfline,
     real_line_rule,
     scalar_identity_check,
     scalar_log_kernel,
@@ -68,11 +62,9 @@ from .combinatorics import (
 from .entangle import (
     DIM_CAP,
     EntangledProjector,
-    EntangledState,
     FactorLayout,
     MidSlot,
     build_layout,
-    omega,
     omega_vector,
     pairing_check,
     projector,
@@ -123,4 +115,9 @@ from .campaign import (
     write_reports,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import types as _types
+
+# every public name imported above, but not the submodules themselves
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

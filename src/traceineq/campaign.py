@@ -6,6 +6,10 @@ tasks, run (optionally across processes; every trial is pure), and
 reduced to a CampaignSummary plus report files. Reports carry no
 wall-clock data, so rerunning the same configuration reproduces the
 bytes exactly; runtime lives only on the in-memory summary.
+
+Every check is one row of the CHECKS table: its id, suite, chain
+length, runner, description and formula. Adding a check means adding
+one row.
 """
 from __future__ import annotations
 
@@ -14,15 +18,16 @@ import io
 import json
 import os
 import time
+import types
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .combinatorics import thue_morse_prefix
-from .entangle import pairing_check
-from .errors import ConfigError, TraceIneqError, UnknownCheck
+from .entangle import build_layout, pairing_check
+from .errors import ConfigError, DimensionCap, TraceIneqError, UnknownCheck
 from .frechet import power_average_identity_check
 from .inequalities import (
     check_equivalence,
@@ -97,6 +102,14 @@ class CampaignConfig:
                 if cid not in CHECKS:
                     raise UnknownCheck(f"no check named {cid!r}; known: "
                                        f"{', '.join(sorted(CHECKS))}")
+        for spec in selected_checks(self):
+            if not spec.layout_aware:
+                continue
+            for n in _lengths(spec, self):
+                try:
+                    build_layout(n, self.local_dim)
+                except DimensionCap as exc:
+                    raise ConfigError(f"{spec.check_id} at n = {n}: {exc}") from exc
         return self
 
     def echo(self) -> dict:
@@ -130,9 +143,19 @@ class _Ctx:
         return [draw_posdef(rng, self.d, self.lam_range) for _ in range(n)]
 
 
-# ------------------------------------------------------------------ runners
-# Each runner maps (ctx, n, seed) to a list of TrialReports. Deterministic
-# checks ignore the seed and run exactly once per campaign.
+# ------------------------------------------------------------------ checks
+# A runner maps (ctx, n, seed) to a list of TrialReports, where n is the
+# task's chain length (None for checks without one). Deterministic checks
+# ignore the seed and run exactly once per campaign. Most rows wrap their
+# library call in _drawn; only checks that build their own inputs have a
+# named runner here. Library functions are looked up as module globals
+# at call time, never captured when the table is built.
+
+def _drawn(call):
+    """Runner that draws the task's chain of n matrices and passes it to
+    call(ctx, chain, seed)."""
+    return lambda ctx, n, seed: [call(ctx, ctx.draw_chain(n, seed), seed)]
+
 
 def _run_beta_normalization(ctx, n, seed):
     gap = beta_normalization_gap(ctx.beta_rule)
@@ -140,16 +163,6 @@ def _run_beta_normalization(ctx, n, seed):
                             seed=seed,
                             params={"nodes": ctx.beta_rule.node_count,
                                     "half_width": ctx.beta_rule.half_width})]
-
-
-def _run_scalar_identity(ctx, n, seed):
-    return [scalar_identity_check(x, y, ctx.beta_rule)
-            for x in SCALAR_GRID for y in SCALAR_GRID]
-
-
-def _run_power_average(ctx, n, seed):
-    a1, a2 = ctx.draw_chain(2, seed)
-    return [power_average_identity_check(a1.matrix, a2, ctx.beta_rule, seed=seed)]
 
 
 def _run_pairing(ctx, n, seed):
@@ -163,32 +176,11 @@ def _run_pairing(ctx, n, seed):
     return out
 
 
-def _run_key_identity(ctx, n, seed):
-    return [check_key_identity(ctx.draw_chain(n, seed), seed=seed)]
-
-
-def _run_equivalence(ctx, n, seed):
-    return [check_equivalence(ctx.draw_chain(n, seed), ctx.beta_rule, seed=seed)]
-
-
-def _run_lieb_equivalence(ctx, n, seed):
-    return [check_lieb_equivalence(ctx.draw_chain(3, seed), ctx.beta_rule, seed=seed)]
-
-
-def _run_commutator_chain(ctx, n, seed):
-    a1, a2 = ctx.draw_chain(2, seed)
-    return [check_commutator_chain(a1, a2, ctx.beta_rule, ctx.half_rule, seed=seed)]
-
-
 def _run_commutator_commuting(ctx, n, seed):
     a1, a2 = random_commuting_family(ctx.d, 2, seed, ctx.lam_range)
     return [check_commutator_chain(a1, a2, ctx.beta_rule, ctx.half_rule,
                                    atol=1e-12, seed=seed,
                                    check_id="commutator_chain_commuting")]
-
-
-def _run_derivative_form(ctx, n, seed):
-    return [check_derivative_form(ctx.draw_chain(4, seed), seed=seed)]
 
 
 def _run_penalized_limit(ctx, n, seed):
@@ -214,142 +206,112 @@ def _run_commuting_equality(ctx, n, seed):
                             n=n, seed=seed, params={"forms": len(values)})]
 
 
-def _run_golden_thompson(ctx, n, seed):
-    a1, a2 = ctx.draw_chain(2, seed)
-    return [check_golden_thompson(a1, a2, seed=seed)]
-
-
-def _run_lieb_three(ctx, n, seed):
-    return [check_lieb_three(*ctx.draw_chain(3, seed), seed=seed)]
-
-
-def _run_power_integral(ctx, n, seed):
-    return [check_power_integral(ctx.draw_chain(n, seed), ctx.beta_rule, seed=seed)]
-
-
-def _run_tensor_resolvent(ctx, n, seed):
-    return [check_tensor_resolvent(ctx.draw_chain(n, seed), seed=seed)]
-
-
-def _run_scaled_exponential(ctx, n, seed):
-    return [check_scaled_exponential(ctx.draw_chain(4, seed), seed=seed)]
-
-
-def _run_jensen(ctx, n, seed):
-    return [check_jensen_trace(ctx.draw_chain(n, seed), seed=seed)]
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     check_id: str
     suite: str
+    length: int | str | None  # fixed chain length, "n" = the n grid, None = no chain
     runner: object
-    n_policy: str  # "grid", "fixed", "none"
-    fixed_n: int | None = None
+    description: str
+    formula: str
     deterministic: bool = False
-    description: str = ""
-    formula: str = ""
-    layout_aware: bool = False
+    layout_aware: bool = False  # builds the tensor layout
 
 
-CHECKS: dict[str, CheckSpec] = {}
+CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
+    CheckSpec("beta_normalization", "identities", None, _run_beta_normalization,
+        deterministic=True,
+        description="The hyperbolic weight integrates to one on the truncated line.",
+        formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
+    CheckSpec("scalar_power_identity", "identities", None,
+        lambda ctx, n, seed: [scalar_identity_check(x, y, ctx.beta_rule)
+                              for x in SCALAR_GRID for y in SCALAR_GRID],
+        deterministic=True,
+        description="Scalar conjugated-power average equals the inverse log kernel "
+                    "on a fixed grid.",
+        formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
+    CheckSpec("power_average_identity", "identities", 2,
+        _drawn(lambda ctx, c, seed: power_average_identity_check(
+            c[0].matrix, c[1], ctx.beta_rule, seed=seed)),
+        description="Matrix beta-average of conjugated powers equals the "
+                    "log-derivative operator at the inverse base.",
+        formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"),
+    CheckSpec("pairing_identity", "identities", None, _run_pairing,
+        description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
+        formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
+    CheckSpec("key_identity", "identities", "n",
+        _drawn(lambda ctx, c, seed: check_key_identity(c, seed=seed)),
+        layout_aware=True,
+        description="Pointwise in t: the sandwiched chain trace equals the "
+                    "entangled pairing of the slotted tensor powers.",
+        formula="Tr[A_n A_{n-1}^{s+} .. A_1 .. A_{n-1}^{s-}] = "
+                "<Omega| W^{s+} B W^{s-} |Omega>"),
+    CheckSpec("equivalence_integral_tensor", "identities", "n",
+        _drawn(lambda ctx, c, seed: check_equivalence(c, ctx.beta_rule, seed=seed)),
+        layout_aware=True,
+        description="The integrated power form equals the tensor log-derivative "
+                    "form on the same chain.",
+        formula="avg_t Tr[chain(t)] = <Omega| T_A(B) |Omega>"),
+    CheckSpec("lieb_equivalence", "identities", 3,
+        _drawn(lambda ctx, c, seed: check_lieb_equivalence(c, ctx.beta_rule,
+                                                           seed=seed)),
+        description="For triples the integral form collapses to the three-matrix "
+                    "log-derivative bound.",
+        formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
+    CheckSpec("commutator_chain", "identities", 2,
+        _drawn(lambda ctx, c, seed: check_commutator_chain(
+            *c, ctx.beta_rule, ctx.half_rule, seed=seed)),
+        description="Four operator expressions for the deviation of the "
+                    "conjugated-power average from the plain product.",
+        formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
+                "int R X [A1, A2] X R^2 dtau"),
+    CheckSpec("commutator_chain_commuting", "identities", 2, _run_commutator_commuting,
+        description="The same chain vanishes identically on commuting pairs.",
+        formula="[A1, A2] = 0  =>  all four expressions = 0"),
+    CheckSpec("derivative_form", "identities", 4,
+        _drawn(lambda ctx, c, seed: check_derivative_form(c, seed=seed)),
+        layout_aware=True,
+        description="The tensor bound is the directional derivative of a "
+                    "trace functional along B.",
+        formula="d/dr Tr[P exp(log(A + r B) - log A)] |_{r=0} = "
+                "<Omega| T_A(B) |Omega>"),
+    CheckSpec("penalized_trace_limit", "identities", None, _run_penalized_limit,
+        description="Rank-one penalties collapse the trace exponential to the "
+                    "Rayleigh quotient of the kernel direction.",
+        formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
+    CheckSpec("commuting_equality", "identities", "n", _run_commuting_equality,
+        layout_aware=True,
+        description="Commuting chains make every right side equal the left side.",
+        formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
 
-
-def _register(spec: CheckSpec):
-    CHECKS[spec.check_id] = spec
-
-
-_register(CheckSpec(
-    "beta_normalization", "identities", _run_beta_normalization, "none",
-    deterministic=True,
-    description="The hyperbolic weight integrates to one on the truncated line.",
-    formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"))
-_register(CheckSpec(
-    "scalar_power_identity", "identities", _run_scalar_identity, "none",
-    deterministic=True,
-    description="Scalar conjugated-power average equals the inverse log kernel "
-                "on a fixed grid.",
-    formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"))
-_register(CheckSpec(
-    "power_average_identity", "identities", _run_power_average, "none",
-    description="Matrix beta-average of conjugated powers equals the "
-                "log-derivative operator at the inverse base.",
-    formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"))
-_register(CheckSpec(
-    "pairing_identity", "identities", _run_pairing, "none",
-    description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
-    formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"))
-_register(CheckSpec(
-    "key_identity", "identities", _run_key_identity, "grid", layout_aware=True,
-    description="Pointwise in t: the sandwiched chain trace equals the "
-                "entangled pairing of the slotted tensor powers.",
-    formula="Tr[A_n A_{n-1}^{s+} .. A_1 .. A_{n-1}^{s-}] = "
-            "<Omega| W^{s+} B W^{s-} |Omega>"))
-_register(CheckSpec(
-    "equivalence_integral_tensor", "identities", _run_equivalence, "grid",
-    layout_aware=True,
-    description="The integrated power form equals the tensor log-derivative "
-                "form on the same chain.",
-    formula="avg_t Tr[chain(t)] = <Omega| T_A(B) |Omega>"))
-_register(CheckSpec(
-    "lieb_equivalence", "identities", _run_lieb_equivalence, "fixed", fixed_n=3,
-    description="For triples the integral form collapses to the three-matrix "
-                "log-derivative bound.",
-    formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"))
-_register(CheckSpec(
-    "commutator_chain", "identities", _run_commutator_chain, "fixed", fixed_n=2,
-    description="Four operator expressions for the deviation of the "
-                "conjugated-power average from the plain product.",
-    formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
-            "int R X [A1, A2] X R^2 dtau"))
-_register(CheckSpec(
-    "commutator_chain_commuting", "identities", _run_commutator_commuting,
-    "fixed", fixed_n=2,
-    description="The same chain vanishes identically on commuting pairs.",
-    formula="[A1, A2] = 0  =>  all four expressions = 0"))
-_register(CheckSpec(
-    "derivative_form", "identities", _run_derivative_form, "fixed", fixed_n=4,
-    layout_aware=True,
-    description="The tensor bound is the directional derivative of a "
-                "trace functional along B.",
-    formula="d/dr Tr[P exp(log(A + r B) - log A)] |_{r=0} = "
-            "<Omega| T_A(B) |Omega>"))
-_register(CheckSpec(
-    "penalized_trace_limit", "identities", _run_penalized_limit, "none",
-    description="Rank-one penalties collapse the trace exponential to the "
-                "Rayleigh quotient of the kernel direction.",
-    formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"))
-_register(CheckSpec(
-    "commuting_equality", "identities", _run_commuting_equality, "grid",
-    description="Commuting chains make every right side equal the left side.",
-    formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"))
-
-_register(CheckSpec(
-    "golden_thompson", "inequalities", _run_golden_thompson, "fixed", fixed_n=2,
-    description="Two-matrix exponential product bound.",
-    formula="Tr exp(log A1 + log A2) <= Tr[A1 A2]"))
-_register(CheckSpec(
-    "lieb_three", "inequalities", _run_lieb_three, "fixed", fixed_n=3,
-    description="Three-matrix bound through the log-derivative operator.",
-    formula="Tr exp(log A1 + log A2 + log A3) <= Tr[A3 T_{A2^{-1}}(A1)]"))
-_register(CheckSpec(
-    "power_integral", "inequalities", _run_power_integral, "grid",
-    description="n-matrix bound by the beta-averaged complex-power chain.",
-    formula="Tr exp(sum log A_k) <= avg_t Tr[A_n .. A_2^{s+} A1 A_2^{s-} ..]"))
-_register(CheckSpec(
-    "tensor_resolvent", "inequalities", _run_tensor_resolvent, "grid",
-    layout_aware=True,
-    description="The same bound in closed tensor form.",
-    formula="Tr exp(sum log A_k) <= <Omega| T_A(B) |Omega>"))
-_register(CheckSpec(
-    "scaled_exponential", "inequalities", _run_scaled_exponential, "fixed",
-    fixed_n=4, layout_aware=True,
-    description="Dimension-scaled refinement for quadruples.",
-    formula="d exp((1/d) Tr sum log A_k) <= <Omega| T_A(B) |Omega>"))
-_register(CheckSpec(
-    "jensen_trace", "inequalities", _run_jensen, "grid",
-    description="Convexity baseline relating the two left-side scalings.",
-    formula="d exp((1/d) Tr M) <= Tr exp M,  M = sum log A_k"))
+    CheckSpec("golden_thompson", "inequalities", 2,
+        _drawn(lambda ctx, c, seed: check_golden_thompson(*c, seed=seed)),
+        description="Two-matrix exponential product bound.",
+        formula="Tr exp(log A1 + log A2) <= Tr[A1 A2]"),
+    CheckSpec("lieb_three", "inequalities", 3,
+        _drawn(lambda ctx, c, seed: check_lieb_three(*c, seed=seed)),
+        description="Three-matrix bound through the log-derivative operator.",
+        formula="Tr exp(log A1 + log A2 + log A3) <= Tr[A3 T_{A2^{-1}}(A1)]"),
+    CheckSpec("power_integral", "inequalities", "n",
+        _drawn(lambda ctx, c, seed: check_power_integral(c, ctx.beta_rule,
+                                                         seed=seed)),
+        description="n-matrix bound by the beta-averaged complex-power chain.",
+        formula="Tr exp(sum log A_k) <= avg_t Tr[A_n .. A_2^{s+} A1 A_2^{s-} ..]"),
+    CheckSpec("tensor_resolvent", "inequalities", "n",
+        _drawn(lambda ctx, c, seed: check_tensor_resolvent(c, seed=seed)),
+        layout_aware=True,
+        description="The same bound in closed tensor form.",
+        formula="Tr exp(sum log A_k) <= <Omega| T_A(B) |Omega>"),
+    CheckSpec("scaled_exponential", "inequalities", 4,
+        _drawn(lambda ctx, c, seed: check_scaled_exponential(c, seed=seed)),
+        layout_aware=True,
+        description="Dimension-scaled refinement for quadruples.",
+        formula="d exp((1/d) Tr sum log A_k) <= <Omega| T_A(B) |Omega>"),
+    CheckSpec("jensen_trace", "inequalities", "n",
+        _drawn(lambda ctx, c, seed: check_jensen_trace(c, seed=seed)),
+        description="Convexity baseline relating the two left-side scalings.",
+        formula="d exp((1/d) Tr M) <= Tr exp M,  M = sum log A_k"),
+)}
 
 
 def selected_checks(cfg: CampaignConfig) -> list[CheckSpec]:
@@ -366,19 +328,21 @@ def selected_checks(cfg: CampaignConfig) -> list[CheckSpec]:
 
 # ------------------------------------------------------------------ running
 
+def _lengths(spec: CheckSpec, cfg: CampaignConfig) -> tuple:
+    """The chain lengths a check runs at; (None,) when it has no chain."""
+    return cfg.n_values if spec.length == "n" else (spec.length,)
+
+
 def _expand_tasks(cfg: CampaignConfig):
     """(check_id, n, seed_list) triples; deterministic checks get one seed."""
     tasks = []
     for spec in selected_checks(cfg):
         if spec.deterministic:
-            tasks.append((spec.check_id, None, [cfg.seed]))
-            continue
-        seeds = [cfg.seed + i for i in range(cfg.trials)]
-        if spec.n_policy == "grid":
-            for n in cfg.n_values:
-                tasks.append((spec.check_id, n, seeds))
+            seeds = [cfg.seed]
         else:
-            tasks.append((spec.check_id, spec.fixed_n, seeds))
+            seeds = [cfg.seed + i for i in range(cfg.trials)]
+        for n in _lengths(spec, cfg):
+            tasks.append((spec.check_id, n, seeds))
     return tasks
 
 
@@ -389,12 +353,11 @@ def _run_block(cfg: CampaignConfig, check_id: str, n, seeds) -> list[TrialReport
     for seed in seeds:
         try:
             out.extend(runner(ctx, n, seed))
-        except TraceIneqError as exc:
+        except (TraceIneqError, np.linalg.LinAlgError) as exc:
             # an unevaluable trial is a failed trial, not a dead campaign
             out.append(TrialReport(check_id, "error", 0.0, 0.0, 0.0, 0.0,
-                                   0.0, 0.0, False,
-                                   n=n if isinstance(n, int) else None,
-                                   seed=seed, params={"error": str(exc)}))
+                                   0.0, 0.0, False, n=n, seed=seed,
+                                   params={"error": f"{type(exc).__name__}: {exc}"}))
     return out
 
 
@@ -549,15 +512,21 @@ def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
 
 # -------------------------------------------------------------- config file
 
-_INT_KEYS = {"trials", "seed", "local_dim", "parallel", "beta_nodes", "half_nodes"}
-_FLOAT_KEYS = {"lam_lo", "lam_hi", "half_width"}
-_STR_KEYS = {"suite", "out", "fmt"}
-_LIST_KEYS = {"n_values", "checks"}
+def _parser(hint):
+    """Text-to-value parser for one CampaignConfig field type."""
+    if isinstance(hint, types.UnionType):  # "X | None" reads as X
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:  # comma- or space-separated items
+        item = get_args(hint)[0]
+        return lambda text: tuple(item(p) for p in text.replace(",", " ").split())
+    return hint
 
 
 def load_config_file(path: str) -> dict:
-    """Plain key = value lines; '#' starts a comment. Returns a dict of
-    CampaignConfig field overrides."""
+    """Plain key = value lines; '#' starts a comment. The keys are the
+    CampaignConfig field names. Returns a dict of field overrides."""
+    parsers = {name: _parser(hint)
+               for name, hint in get_type_hints(CampaignConfig).items()}
     out = {}
     try:
         with open(path) as fh:
@@ -571,27 +540,12 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{idx}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_KEYS:
-            try:
-                out[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{idx}: {key} needs an integer") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                out[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{idx}: {key} needs a number") from exc
-        elif key in _STR_KEYS:
-            out[key] = value
-        elif key == "n_values":
-            try:
-                out[key] = tuple(int(p) for p in value.replace(",", " ").split())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{idx}: n_values needs integers") from exc
-        elif key == "checks":
-            out[key] = tuple(p for p in value.replace(",", " ").split())
-        else:
+        if key not in parsers:
             raise ConfigError(f"{path}:{idx}: unknown key {key!r}")
+        try:
+            out[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{idx}: bad {key} value: {exc}") from exc
     return out
 
 

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .campaign import (
     CHECKS,
+    FORMATS,
+    SUITES,
     CampaignConfig,
     config_from,
     load_config_file,
@@ -81,22 +84,16 @@ def _perm_text(n: int) -> list[str]:
     return lines
 
 
+def _flag_overrides(args) -> dict:
+    """CampaignConfig overrides from the verify flags, whose dests are the
+    field names. Unset flags stay None; lists become tuples."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(CampaignConfig)}
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+
+
 def _cmd_verify(args) -> int:
     file_overrides = load_config_file(args.config) if args.config else {}
-    flag_overrides = {
-        "suite": args.suite,
-        "checks": tuple(args.check) if args.check else None,
-        "n_values": tuple(args.n) if args.n else None,
-        "local_dim": args.d,
-        "trials": args.trials,
-        "seed": args.seed,
-        "lam_lo": args.lam_min,
-        "lam_hi": args.lam_max,
-        "out": args.out,
-        "fmt": args.format,
-        "parallel": args.parallel,
-    }
-    cfg = config_from(file_overrides, flag_overrides)
+    cfg = config_from(file_overrides, _flag_overrides(args))
     summary = run_campaign(cfg)
     print(summary.to_text())
     if cfg.out:
@@ -114,12 +111,13 @@ def _cmd_explain(args) -> int:
     print(f"  {spec.formula}")
     print()
     print(f"{spec.description}")
-    if spec.n_policy == "fixed":
-        print(f"chain length: fixed at n = {spec.fixed_n}")
-    elif spec.n_policy == "grid":
+    fixed_n = spec.length if isinstance(spec.length, int) else None
+    if fixed_n:
+        print(f"chain length: fixed at n = {fixed_n}")
+    elif spec.length == "n":
         print("chain length: runs over the configured n grid")
     if spec.layout_aware:
-        n = args.n if args.n is not None else (spec.fixed_n or 4)
+        n = args.n if args.n is not None else (fixed_n or 4)
         print()
         for line in _layout_text(n, args.d):
             print(line)
@@ -141,26 +139,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument("--suite", choices=("identities", "inequalities", "all"),
+    # dests are CampaignConfig field names; see _flag_overrides
+    p.add_argument("--suite", choices=SUITES,
                    default=None, help="which family of checks to run")
-    p.add_argument("--check", action="append", metavar="ID",
+    p.add_argument("--check", action="append", metavar="ID", dest="checks",
                    help="restrict to a named check (repeatable)")
-    p.add_argument("--n", type=int, nargs="+", metavar="N",
+    p.add_argument("--n", type=int, nargs="+", metavar="N", dest="n_values",
                    help="chain lengths for the n-dependent checks (3..6)")
-    p.add_argument("--d", type=int, default=None, metavar="D",
+    p.add_argument("--d", type=int, default=None, metavar="D", dest="local_dim",
                    help="local matrix dimension")
     p.add_argument("--trials", type=int, default=None,
                    help="random trials per check and chain length")
     p.add_argument("--seed", type=int, default=None,
                    help="base seed; trial i uses seed + i")
-    p.add_argument("--lam-min", type=float, default=None,
+    p.add_argument("--lam-min", type=float, dest="lam_lo", metavar="LAM_MIN",
                    help="smallest eigenvalue drawn")
-    p.add_argument("--lam-max", type=float, default=None,
+    p.add_argument("--lam-max", type=float, dest="lam_hi", metavar="LAM_MAX",
                    help="largest eigenvalue drawn")
     p.add_argument("--out", default=None, metavar="PREFIX",
                    help="report file prefix (default: $TRACEINEQ_OUT/report "
                         "when the variable is set, else no files)")
-    p.add_argument("--format", choices=("jsonl", "csv"), default=None,
+    p.add_argument("--format", choices=FORMATS, default=None, dest="fmt",
                    help="per-trial report format")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key = value configuration file; flags override it")

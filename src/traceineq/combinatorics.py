@@ -7,18 +7,12 @@ how middle factors interleave when the chain length doubles.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatch, InvalidRange
 
 MAX_N = 10  # validated range for the doubling construction
-
-
-def ceil_pos(x) -> int:
-    """Ceiling clamped to at least 1; ceil_pos(0) = 1."""
-    return max(1, math.ceil(x))
 
 
 def thue_morse(k: int) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .combinatorics import shape_params, slot_sources, thue_morse
 from .errors import DimensionCap, DimensionMismatch
-from .report import TrialReport, identity_report
+from .report import TrialReport
 
 DIM_CAP = 512  # total tensor dimension ceiling
 
@@ -31,23 +31,12 @@ def omega_vector(local_dim: int, copies: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EntangledState:
-    local_dim: int
-    copies: int
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class EntangledProjector:
     """Rank-one pairing operator, trace d^m, squares to d^m times itself."""
 
     local_dim: int
     copies: int
     matrix: np.ndarray
-
-
-def omega(local_dim: int, copies: int) -> EntangledState:
-    return EntangledState(local_dim, copies, omega_vector(local_dim, copies))
 
 
 def projector(local_dim: int, copies: int) -> EntangledProjector:

@@ -112,11 +112,7 @@ def conjugated_power_average(a1, a2, rule: QuadratureRule | None = None) -> np.n
     a2 = as_posdef(a2)
     a1 = _conformable(a2, np.asarray(a1, dtype=complex))
     rule = rule or real_line_rule()
-    lam = a2.spectral.eigenvalues
-    vec = a2.spectral.eigenvectors
-    z = 0.5 * (1.0 + 1j * rule.nodes)  # (T,)
-    powers = np.exp(z[:, None] * np.log(lam)[None, :])  # (T, d)
-    stack = np.einsum("ij,tj,kj->tik", vec, powers, vec.conj())
+    stack = a2.power_stack(0.5 * (1.0 + 1j * rule.nodes))
     sandwiched = stack @ a1[None, :, :] @ stack.conj().transpose(0, 2, 1)
     w = rule.weights * beta_density(rule.nodes)
     return np.einsum("t,tij->ij", w, sandwiched)

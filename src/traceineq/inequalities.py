@@ -82,30 +82,16 @@ def rhs_lieb_three(a1, a2, a3) -> float:
                       context="three-matrix bound")
 
 
-def _power_stacks(chain, rule):
-    """Stacked A_k^{(1+it)/2} over all nodes, one eigh per matrix.
-
-    Returns a list indexed like the middle of the chain (k = 2..n-1 in
-    1-based terms). The (1-it)/2 power is the conjugate transpose.
-    """
-    z = 0.5 * (1.0 + 1j * rule.nodes)
-    stacks = []
-    for m in chain[1:-1]:
-        lam = m.spectral.eigenvalues
-        vec = m.spectral.eigenvectors
-        powers = np.exp(z[:, None] * np.log(lam)[None, :])
-        stacks.append(np.einsum("ij,tj,kj->tik", vec, powers, vec.conj()))
-    return stacks
-
-
 def rhs_power_integral(mats, rule: QuadratureRule | None = None) -> float:
     """Beta-average of Tr[A_n A_{n-1}^{(1+it)/2} .. A_2^{(1+it)/2} A_1
     A_2^{(1-it)/2} .. A_{n-1}^{(1-it)/2}]."""
     chain = _coerce_chain(mats)
     rule = rule or real_line_rule()
-    stacks = _power_stacks(chain, rule)
+    z = 0.5 * (1.0 + 1j * rule.nodes)
     mid = np.broadcast_to(chain[0].matrix, (rule.node_count,) + chain[0].matrix.shape)
-    for stack in stacks:
+    # middle matrices k = 2..n-1; the (1-it)/2 power is the conjugate transpose
+    for m in chain[1:-1]:
+        stack = m.power_stack(z)
         mid = stack @ mid @ stack.conj().transpose(0, 2, 1)
     traces = np.einsum("ij,tji->t", chain[-1].matrix, mid)
     val = np.dot(rule.weights * beta_density(rule.nodes), traces)

@@ -101,6 +101,14 @@ class PosDefMatrix:
         dec = self.spectral
         return (dec.eigenvectors * np.exp(z * np.log(dec.eigenvalues))) @ dec.eigenvectors.conj().T
 
+    def power_stack(self, z: np.ndarray) -> np.ndarray:
+        """Stacked spectral powers A^{z_t} for an array of exponents,
+        shape (len(z), dim, dim), from the one cached decomposition."""
+        dec = self.spectral
+        powers = np.exp(z[:, None] * np.log(dec.eigenvalues)[None, :])
+        return np.einsum("ij,tj,kj->tik", dec.eigenvectors, powers,
+                         dec.eigenvectors.conj())
+
     def inverse(self) -> np.ndarray:
         return self.spectral.apply(lambda x: 1.0 / x)
 
@@ -112,11 +120,6 @@ def as_posdef(a) -> PosDefMatrix:
     return a if isinstance(a, PosDefMatrix) else PosDefMatrix(a)
 
 
-def matrix_fn(a, f) -> np.ndarray:
-    """Apply a scalar function to a positive-definite matrix spectrally."""
-    return as_posdef(a).spectral.apply(f)
-
-
 def hermitian_fn(h, f) -> np.ndarray:
     """Apply a scalar function to a Hermitian (not necessarily positive)
     matrix. Used for exponentials of logarithm sums, which are Hermitian
@@ -124,20 +127,6 @@ def hermitian_fn(h, f) -> np.ndarray:
     h = hermitize(h)
     lam, vec = np.linalg.eigh(h)
     return (vec * f(lam)) @ vec.conj().T
-
-
-def complex_power(a, z: complex) -> np.ndarray:
-    return as_posdef(a).power(z)
-
-
-def half_power_pair(a, t: float):
-    """The pair (A^{(1+it)/2}, A^{(1-it)/2}) from a single decomposition.
-
-    For Hermitian positive A the second element is the conjugate
-    transpose of the first.
-    """
-    p = as_posdef(a).power(0.5 * (1.0 + 1j * t))
-    return p, p.conj().T
 
 
 def kron_all(mats) -> np.ndarray:
@@ -195,11 +184,6 @@ def draw_posdef(rng: np.random.Generator, dim: int, lam_range=(0.1, 10.0)) -> Po
     q, _ = np.linalg.qr(g)
     lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
     return PosDefMatrix((q * lam) @ q.conj().T)
-
-
-def random_posdef(dim: int, seed: int, lam_range=(0.1, 10.0)) -> PosDefMatrix:
-    """Seeded positive-definite sample; (dim, 42, (1, 1)) gives the identity."""
-    return draw_posdef(np.random.default_rng(seed), dim, lam_range)
 
 
 def random_commuting_family(dim: int, count: int, seed: int, lam_range=(0.1, 10.0)):

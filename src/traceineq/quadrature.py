@@ -81,32 +81,6 @@ def doubled(rule: QuadratureRule) -> QuadratureRule:
     return half_line_rule(2 * rule.node_count)
 
 
-def integrate_beta(f, rule: QuadratureRule | None = None) -> complex:
-    """Integral of f(t) beta(t) dt over the truncated real line.
-
-    f is called on the node array first; scalar-only callables fall
-    back to a python loop.
-    """
-    rule = rule or real_line_rule()
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=complex)
-        if vals.shape != rule.nodes.shape:
-            raise ValueError
-    except Exception:
-        vals = np.asarray([f(t) for t in rule.nodes], dtype=complex)
-    return complex(np.dot(rule.weights * beta_density(rule.nodes), vals))
-
-
-def integrate_halfline(g, rule: QuadratureRule | None = None):
-    """Integral of a scalar- or matrix-valued g(tau) over (0, infinity)."""
-    rule = rule or half_line_rule()
-    acc = None
-    for tau, w in zip(rule.nodes, rule.weights):
-        term = w * np.asarray(g(tau))
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def beta_normalization_gap(rule: QuadratureRule | None = None) -> float:
     rule = rule or real_line_rule()
     return abs(float(np.dot(rule.weights, beta_density(rule.nodes))) - 1.0)

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from traceineq import CHECKS, CampaignConfig, ConfigError, UnknownCheck, run_campaign
 from traceineq.campaign import config_from, load_config_file, selected_checks
+from traceineq.cli import _flag_overrides, build_parser
 
 
 def _cfg(**kw):
@@ -39,6 +41,19 @@ def test_config_validation():
         _cfg(checks=("nope",)).validate()
     with pytest.raises(ConfigError):
         _cfg(fmt="xml").validate()
+
+
+def test_config_rejects_tensor_layout_over_cap():
+    # 5^4 = 625 exceeds the 512 cap of the n = 5 tensor layout
+    for cid in ("tensor_resolvent", "commuting_equality"):
+        with pytest.raises(ConfigError, match=cid):
+            _cfg(suite="all", checks=(cid,), local_dim=5, n_values=(5,)).validate()
+    # fixed-length checks are held to their own n: 23^2 = 529 at n = 4
+    with pytest.raises(ConfigError, match="derivative_form at n = 4"):
+        _cfg(checks=("derivative_form",), local_dim=23).validate()
+    # checks without the tensor layout still accept the configuration
+    _cfg(suite="all", checks=("golden_thompson", "power_integral"),
+         local_dim=5, n_values=(5,)).validate()
 
 
 def test_selected_checks_filters():
@@ -120,12 +135,31 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
 
     monkeypatch.setitem(
         camp.CHECKS, "beta_normalization",
-        camp.CheckSpec("beta_normalization", "identities", boom, "none",
+        camp.CheckSpec("beta_normalization", "identities", None, boom,
                        deterministic=True, description="x", formula="y"))
     summary = run_campaign(_cfg(checks=("beta_normalization",)))
     assert not summary.passed
     assert summary.reports[0].kind == "error"
     assert "synthetic failure" in summary.reports[0].params["error"]
+
+
+def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
+    from traceineq import campaign as camp
+
+    def singular(ctx, n, seed):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(
+        camp.CHECKS, "jensen_trace",
+        camp.CheckSpec("jensen_trace", "inequalities", "n", singular,
+                       description="x", formula="y"))
+    summary = run_campaign(_cfg(suite="inequalities", checks=("jensen_trace",),
+                                n_values=(3, 4)))
+    assert not summary.passed
+    assert summary.failure_count == summary.trial_count == 4
+    assert [r.kind for r in summary.reports] == ["error"] * 4
+    assert [r.n for r in summary.reports] == [3, 3, 4, 4]
+    assert summary.reports[0].params["error"] == "LinAlgError: Singular matrix"
 
 
 def test_load_config_file(tmp_path):
@@ -143,6 +177,49 @@ def test_load_config_file(tmp_path):
     bad.write_text("trials = many\n")
     with pytest.raises(ConfigError):
         load_config_file(str(bad))
+
+
+def test_config_file_keys_are_the_config_fields(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "suite = all\nchecks = golden_thompson, lieb_three\nn_values = 3 4\n"
+        "local_dim = 3\ntrials = 7\nseed = 11\nlam_lo = 0.5\nlam_hi = 2\n"
+        "half_width = 10.5\nbeta_nodes = 300\nhalf_nodes = 150\n"
+        "parallel = 1\nout = reports/run\nfmt = csv\n")
+    overrides = load_config_file(str(path))
+    assert overrides == {
+        "suite": "all", "checks": ("golden_thompson", "lieb_three"),
+        "n_values": (3, 4), "local_dim": 3, "trials": 7, "seed": 11,
+        "lam_lo": 0.5, "lam_hi": 2.0, "half_width": 10.5, "beta_nodes": 300,
+        "half_nodes": 150, "parallel": 1, "out": "reports/run", "fmt": "csv"}
+    assert set(overrides) == set(CampaignConfig.__dataclass_fields__)
+    assert isinstance(overrides["lam_hi"], float)
+    assert CampaignConfig(**overrides).validate().half_nodes == 150
+
+
+@pytest.mark.parametrize("line", ["beta_nodes = 3.5", "half_width = wide",
+                                  "n_values = 3, four"])
+def test_config_file_bad_value_names_line(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# header\ntrials = 2\n{line}\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:3: "):
+        load_config_file(str(path))
+
+
+def test_verify_flags_map_onto_config_fields():
+    args = build_parser().parse_args(
+        ["verify", "--d", "3", "--n", "3", "5", "--check", "golden_thompson",
+         "--check", "lieb_three", "--lam-min", "0.5", "--lam-max", "4",
+         "--format", "csv"])
+    assert (args.local_dim, args.n_values, args.checks) == \
+        (3, [3, 5], ["golden_thompson", "lieb_three"])
+    assert (args.lam_lo, args.lam_hi, args.fmt) == (0.5, 4.0, "csv")
+    overrides = _flag_overrides(args)
+    assert set(overrides) == set(CampaignConfig.__dataclass_fields__)
+    assert overrides["n_values"] == (3, 5)
+    assert overrides["checks"] == ("golden_thompson", "lieb_three")
+    assert overrides["half_width"] is None
+    assert overrides["trials"] is None
 
 
 def test_config_from_precedence(tmp_path, monkeypatch):
@@ -203,6 +280,17 @@ def test_cli_bad_inputs_exit_two(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
     assert _run("verify", "--config", str(bad)).returncode == 2
+
+
+def test_cli_tensor_layout_over_cap_exits_two():
+    proc = _run("verify", "--check", "tensor_resolvent", "--check",
+                "commuting_equality", "--d", "5", "--n", "5", "--trials", "1",
+                "--parallel", "1")
+    assert proc.returncode == 2
+    assert "exceeds cap 512" in proc.stderr
+    proc = _run("verify", "--check", "golden_thompson", "--d", "5", "--n", "5",
+                "--trials", "1", "--parallel", "1")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_explain_layout():

@@ -14,17 +14,6 @@ from traceineq import (
     thue_morse,
     thue_morse_prefix,
 )
-from traceineq.combinatorics import ceil_pos
-
-
-def test_ceil_pos():
-    assert ceil_pos(1 / 2) == 1
-    assert ceil_pos(2 / 2) == 1
-    assert ceil_pos(3 / 2) == 2
-    assert ceil_pos(7 / 4) == 2
-    # clamp: values at or below zero round up to one
-    assert ceil_pos(0) == 1
-    assert ceil_pos(-3) == 1
 
 
 def test_thue_morse_prefix_frozen():

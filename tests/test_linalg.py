@@ -11,13 +11,11 @@ from traceineq import (
     PosDefMatrix,
     as_posdef,
     draw_posdef,
-    half_power_pair,
     hermitian_fn,
     hermitize,
     kron_all,
     logarithmic_ratio,
     random_commuting_family,
-    random_posdef,
     real_trace,
 )
 
@@ -69,10 +67,20 @@ def test_complex_power_unitary_direction(rng):
 
 def test_half_power_pair_conjugate_exponents(rng):
     a = draw_posdef(rng, 3)
-    plus, minus = half_power_pair(a, 0.9)
+    plus = a.power(0.5 * (1 + 0.9j))
+    minus = a.power(0.5 * (1 - 0.9j))
     assert np.allclose(minus, plus.conj().T)
     # s+ + s- = 1, so the two powers multiply back to A
     assert np.allclose(plus @ minus, a.matrix, atol=1e-12)
+
+
+def test_power_stack_matches_power(rng):
+    a = draw_posdef(rng, 3)
+    z = 0.5 * (1.0 + 1j * np.array([-3.0, 0.0, 0.9, 7.5]))
+    stack = a.power_stack(z)
+    assert stack.shape == (4, 3, 3)
+    for zt, p in zip(z, stack):
+        assert np.allclose(p, a.power(zt), atol=1e-12)
 
 
 def test_log_inverse_consistency(rng):
@@ -124,8 +132,8 @@ def test_draw_posdef_spectrum_in_range(rng):
 
 
 def test_random_posdef_deterministic_in_seed():
-    a = random_posdef(3, seed=5)
-    b = random_posdef(3, seed=5)
+    a = draw_posdef(np.random.default_rng(5), 3)
+    b = draw_posdef(np.random.default_rng(5), 3)
     assert np.array_equal(a.matrix, b.matrix)
 
 

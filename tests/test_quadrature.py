@@ -6,8 +6,6 @@ from traceineq import (
     beta_density,
     beta_normalization_gap,
     half_line_rule,
-    integrate_beta,
-    integrate_halfline,
     real_line_rule,
     scalar_identity_check,
     scalar_log_kernel,
@@ -63,30 +61,20 @@ def test_tail_bound_matches_decay(beta_rule):
     assert tail_mass == pytest.approx(exact_tail, rel=1e-3)
 
 
-def test_integrate_beta_constant_is_one(beta_rule):
-    assert integrate_beta(lambda t: np.ones_like(t), beta_rule) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_integrate_beta_loop_fallback_matches(beta_rule):
-    # scalar-only integrand exercises the non-vectorized path
-    vec = integrate_beta(lambda t: np.cos(t), beta_rule)
-    loop = integrate_beta(lambda t: float(np.cos(t)) if np.isscalar(t) or t.ndim == 0 else (_ for _ in ()).throw(TypeError), beta_rule)
-    assert loop == pytest.approx(vec, abs=1e-12)
-
-
 def test_doubled_rule_refines(beta_rule):
     fine = doubled(beta_rule)
     assert fine.node_count == 2 * beta_rule.node_count
     assert fine.half_width == beta_rule.half_width
-    coarse_val = integrate_beta(lambda t: t * t, beta_rule)
-    fine_val = integrate_beta(lambda t: t * t, fine)
+    coarse_val = np.dot(beta_rule.weights * beta_density(beta_rule.nodes),
+                        beta_rule.nodes ** 2)
+    fine_val = np.dot(fine.weights * beta_density(fine.nodes), fine.nodes ** 2)
     assert fine_val == pytest.approx(coarse_val, abs=1e-9)
 
 
 def test_half_line_rule_integrates_rational():
     rule = half_line_rule()
     # int_0^inf dtau / (1 + tau)^2 = 1
-    val = integrate_halfline(lambda tau: 1.0 / (1.0 + tau) ** 2, rule)
+    val = np.dot(rule.weights, 1.0 / (1.0 + rule.nodes) ** 2)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
