@@ -61,7 +61,6 @@ from .combinatorics import (
 )
 from .entangle import (
     DIM_CAP,
-    EntangledProjector,
     FactorLayout,
     MidSlot,
     build_layout,

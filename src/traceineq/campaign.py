@@ -95,6 +95,9 @@ class CampaignConfig:
         if not (0 < self.lam_lo <= self.lam_hi):
             raise ConfigError(f"eigenvalue range must satisfy 0 < lo <= hi, "
                               f"got ({self.lam_lo}, {self.lam_hi})")
+        if not (self.half_width > 0 and min(self.beta_nodes, self.half_nodes) >= 2):
+            raise ConfigError(f"need half_width > 0 and beta_nodes, half_nodes >= 2, got "
+                              f"({self.half_width}, {self.beta_nodes}, {self.half_nodes})")
         if self.parallel < 0:
             raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
         if self.checks:

@@ -30,18 +30,11 @@ def omega_vector(local_dim: int, copies: int) -> np.ndarray:
     return np.eye(local_dim ** copies, dtype=complex).reshape(-1)
 
 
-@dataclass(frozen=True)
-class EntangledProjector:
-    """Rank-one pairing operator, trace d^m, squares to d^m times itself."""
-
-    local_dim: int
-    copies: int
-    matrix: np.ndarray
-
-
-def projector(local_dim: int, copies: int) -> EntangledProjector:
+def projector(local_dim: int, copies: int) -> np.ndarray:
+    """Rank-one pairing operator |Omega_m><Omega_m|, trace d^m, squares
+    to d^m times itself."""
     v = omega_vector(local_dim, copies)
-    return EntangledProjector(local_dim, copies, np.outer(v, v))
+    return np.outer(v, v)
 
 
 def pairing_check(x, y, copies: int = 1, atol: float = 1e-12,
@@ -101,16 +94,16 @@ class FactorLayout:
     outer_copies: int
 
 
-def build_layout(n: int, local_dim: int, dim_cap: int = DIM_CAP) -> FactorLayout:
+def build_layout(n: int, local_dim: int) -> FactorLayout:
     """Factor placement for an n-matrix chain at local dimension d."""
     if local_dim < 2:
         raise DimensionMismatch(f"local dimension must be >= 2, got {local_dim}")
     shape = shape_params(n)
     total = local_dim ** shape.factor_count
-    if total > dim_cap:
+    if total > DIM_CAP:
         raise DimensionCap(
             f"total dimension {local_dim}^{shape.factor_count} = {total} "
-            f"exceeds cap {dim_cap}")
+            f"exceeds cap {DIM_CAP}")
     slots = tuple(
         MidSlot(slot=j + 2, source=src,
                 conjugate=bool(thue_morse(j + 2)) if src is not None else False)

@@ -200,16 +200,14 @@ def check_penalized_trace_limit(a, v=None, t_grid=(1e2, 1e3, 1e4),
 
 # ----------------------------------------------------------- derivative form
 
-def derivative_form_value(mats, step: float = 1e-3,
-                          dim_cap: int | None = None) -> float:
-    """Central difference of r -> Tr[P exp(log(A + r B) - log A)] at 0.
+def derivative_form_value(big_a, big_b, outer, step: float) -> float:
+    """Central difference of r -> Tr[P exp(log(A + r B) - log A)] at 0,
+    on the operands returned by ``tensor_operands``.
 
     The exponent vanishes at r = 0, so the derivative equals the tensor
     right side Tr[P (T_A(B))] exactly; the quotient converges at
     second order in the step.
     """
-    kwargs = {} if dim_cap is None else {"dim_cap": dim_cap}
-    big_a, big_b, outer = tensor_operands(mats, **kwargs)
     lam_min = float(big_a.spectral.eigenvalues[0])
     norm_b = float(np.linalg.norm(big_b, 2))
     if step * norm_b >= 0.5 * lam_min:
@@ -242,13 +240,13 @@ def check_derivative_form(mats, step: float | None = None, atol: float = 1e-5,
     taken as given and may raise StepTooLarge.
     """
     exact = rhs_tensor_resolvent(mats)
+    big_a, big_b, outer = tensor_operands(mats)
     if step is None:
-        big_a, big_b, _ = tensor_operands(mats)
         lam_min = float(big_a.spectral.eigenvalues[0])
         norm_b = float(np.linalg.norm(big_b, 2))
         step = min(1e-3, 0.05 * lam_min / norm_b)
-    fd_full = derivative_form_value(mats, step)
-    fd_half = derivative_form_value(mats, step / 2.0)
+    fd_full = derivative_form_value(big_a, big_b, outer, step)
+    fd_half = derivative_form_value(big_a, big_b, outer, step / 2.0)
     err_full = abs(fd_full - exact)
     err_half = abs(fd_half - exact)
     ratio = err_half / err_full if err_full > 0 else 0.0

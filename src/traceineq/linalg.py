@@ -85,7 +85,7 @@ class PosDefMatrix:
     def spectral(self) -> SpectralDecomposition:
         lam, vec = np.linalg.eigh(self.matrix)
         floor = POSITIVITY_FLOOR * float(lam[-1])
-        if lam[0] <= floor:
+        if not lam[0] > floor:  # also catches NaN
             raise NonPositiveEigenvalue(
                 f"min eigenvalue {lam[0]:.3e} at or below floor {floor:.3e}"
             )

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import traceineq
 from traceineq import CHECKS, CampaignConfig, ConfigError, UnknownCheck, run_campaign
 from traceineq.campaign import config_from, load_config_file, selected_checks
 from traceineq.cli import _flag_overrides, build_parser
@@ -41,6 +42,15 @@ def test_config_validation():
         _cfg(checks=("nope",)).validate()
     with pytest.raises(ConfigError):
         _cfg(fmt="xml").validate()
+
+
+@pytest.mark.parametrize("field, value", [("half_width", 0.0),
+                                          ("beta_nodes", 1),
+                                          ("half_nodes", 1)])
+def test_config_rejects_unrunnable_quadrature(field, value):
+    # these would raise InvalidRange only when a worker builds the rules
+    with pytest.raises(ConfigError, match=r"half_width > 0"):
+        _cfg(**{field: value}).validate()
 
 
 def test_config_rejects_tensor_layout_over_cap():
@@ -244,6 +254,10 @@ CLI = [sys.executable, "-m", "traceineq.cli"]
 def _run(*args, env=None):
     full_env = dict(os.environ)
     full_env.pop("TRACEINEQ_OUT", None)
+    # the child runs the same copy of the package as this process
+    src = os.path.dirname(os.path.dirname(traceineq.__file__))
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,

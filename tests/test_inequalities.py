@@ -28,8 +28,10 @@ from traceineq import (
     rhs_power_integral,
     rhs_tensor_resolvent,
     scaled_exponential_lhs,
+    tensor_operands,
     tensor_pair_trace,
 )
+from traceineq import inequalities
 
 
 def test_lhs_permutation_invariant(make_chain):
@@ -56,7 +58,7 @@ def test_lieb_three_holds(make_chain):
 
 
 def test_power_integral_and_tensor_hold(make_chain, beta_rule):
-    for n in (3, 4, 5, 6):
+    for n in range(3, 11):
         mats = make_chain(100 + n, n)
         lhs = lhs_exp_sum_log(mats)
         ri = rhs_power_integral(mats, beta_rule)
@@ -68,13 +70,28 @@ def test_power_integral_and_tensor_hold(make_chain, beta_rule):
 
 
 def test_key_identity_pointwise(make_chain):
-    for n in (3, 5, 7):
+    for n in range(3, 11):
         mats = make_chain(200 + n, n)
         for t in (0.0, 0.7, -2.0):
             lhs = chain_product_trace(mats, t)
             rhs = tensor_pair_trace(mats, t)
             assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-12
         assert check_key_identity(mats, seed=n).passed
+
+
+@pytest.mark.parametrize("nan_at", [None, 2.0])
+def test_key_identity_nan_fails(make_chain, monkeypatch, nan_at):
+    # None: NaN at every t; otherwise NaN at that t only
+    real = inequalities.tensor_pair_trace
+
+    def patched(mats, t):
+        return float("nan") if nan_at in (None, t) else real(mats, t)
+
+    monkeypatch.setattr(inequalities, "tensor_pair_trace", patched)
+    rep = check_key_identity(make_chain(201, 3), seed=201)
+    assert not rep.passed
+    assert np.isnan(rep.rhs)
+    assert rep.params["t_worst"] == (2.0 if nan_at else -2.0)
 
 
 def test_chain_product_trace_real_at_zero(make_chain):
@@ -206,7 +223,7 @@ def test_derivative_form_converges(make_chain):
     assert rep.passed
     assert rep.params["halving_ratio"] == pytest.approx(0.25, abs=0.05)
     exact = rhs_tensor_resolvent(mats)
-    val = derivative_form_value(mats, step=1e-4)
+    val = derivative_form_value(*tensor_operands(mats), step=1e-4)
     assert val == pytest.approx(exact, rel=1e-6)
 
 

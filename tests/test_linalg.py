@@ -49,6 +49,11 @@ def test_posdef_requires_positive_spectrum():
         PosDefMatrix(a).spectral
 
 
+def test_posdef_rejects_nan_spectrum():
+    with pytest.raises(NonPositiveEigenvalue):
+        PosDefMatrix(np.diag([np.nan, 1.0])).log()
+
+
 def test_power_matches_integer_products(rng):
     a = draw_posdef(rng, 4)
     m = a.matrix
