@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     ImaginaryResidue,
     InvalidRange,
+    NonFinite,
     NonPositiveEigenvalue,
     NotHermitian,
     StepTooLarge,

@@ -10,6 +10,8 @@ bytes exactly; runtime lives only on the in-memory summary.
 Every check is one row of the CHECKS table: its id, suite, chain
 length, runner, description and formula. Adding a check means adding
 one row.
+Trials run in chunks of CHUNK seeds from the configured seed, drawn as
+one stack of chains; pool blocks split at chunk boundaries.
 """
 from __future__ import annotations
 
@@ -62,6 +64,7 @@ SUITES = ("identities", "inequalities", "all")
 FORMATS = ("jsonl", "csv")
 SCALAR_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 OUT_ENV = "TRACEINEQ_OUT"
+CHUNK = 16  # trials per chunk
 
 
 @dataclass(frozen=True)
@@ -135,29 +138,37 @@ class _Ctx:
     """Per-process evaluation context: rules and ranges, built once."""
 
     def __init__(self, cfg: CampaignConfig):
-        self.cfg = cfg
         self.d = cfg.local_dim
         self.lam_range = (cfg.lam_lo, cfg.lam_hi)
         self.beta_rule = real_line_rule(cfg.half_width, cfg.beta_nodes)
         self.half_rule = half_line_rule(cfg.half_nodes)
 
-    def draw_chain(self, n, seed):
-        rng = np.random.default_rng(seed)
-        return [draw_posdef(rng, self.d, self.lam_range) for _ in range(n)]
-
 
 # ------------------------------------------------------------------ checks
-# A runner maps (ctx, n, seed) to a list of TrialReports, where n is the
-# task's chain length (None for checks without one). Deterministic checks
-# ignore the seed and run exactly once per campaign. Most rows wrap their
-# library call in _drawn; only checks that build their own inputs have a
-# named runner here. Library functions are looked up as module globals
-# at call time, never captured when the table is built.
+# A runner maps (ctx, n, seeds) to a list of TrialReports, where n is the
+# task's chain length (None for checks without one) and seeds one chunk of
+# trial seeds. Deterministic checks ignore the seed and run exactly once
+# per campaign. Most rows wrap their library call in _drawn; checks that
+# build their own inputs have a named runner of one seed, wrapped in
+# _each. Library functions are looked up as module globals at call time,
+# never captured when the table is built.
 
-def _drawn(call):
-    """Runner that draws the task's chain of n matrices and passes it to
-    call(ctx, chain, seed)."""
-    return lambda ctx, n, seed: [call(ctx, ctx.draw_chain(n, seed), seed)]
+def _drawn(call, stacked=True):
+    """Runner that draws the chunk's chains as one stack for a stacked
+    call(ctx, chains, seeds), or else iterates call(ctx, chain, seed)."""
+    def run(ctx, n, seeds):
+        chains = draw_posdef([np.random.default_rng(seed) for seed in seeds],
+                             ctx.d, ctx.lam_range, count=n)
+        if stacked:
+            return call(ctx, chains, seeds)
+        return [call(ctx, [chains[i, k] for k in range(n)], seed)
+                for i, seed in enumerate(seeds)]
+    return run
+
+
+def _each(runner):
+    """A chunk runner from a runner of one seed."""
+    return lambda ctx, n, seeds: [r for seed in seeds for r in runner(ctx, n, seed)]
 
 
 def _run_beta_normalization(ctx, n, seed):
@@ -222,96 +233,98 @@ class CheckSpec:
 
 
 CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
-    CheckSpec("beta_normalization", "identities", None, _run_beta_normalization,
+    CheckSpec("beta_normalization", "identities", None, _each(_run_beta_normalization),
         deterministic=True,
         description="The hyperbolic weight integrates to one on the truncated line.",
         formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
     CheckSpec("scalar_power_identity", "identities", None,
-        lambda ctx, n, seed: [scalar_identity_check(x, y, ctx.beta_rule)
-                              for x in SCALAR_GRID for y in SCALAR_GRID],
+        lambda ctx, n, seeds: [scalar_identity_check(x, y, ctx.beta_rule)
+                               for x in SCALAR_GRID for y in SCALAR_GRID],
         deterministic=True,
         description="Scalar conjugated-power average equals the inverse log kernel "
                     "on a fixed grid.",
         formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
     CheckSpec("power_average_identity", "identities", 2,
         _drawn(lambda ctx, c, seed: power_average_identity_check(
-            c[0].matrix, c[1], ctx.beta_rule, seed=seed)),
+            c[0].matrix, c[1], ctx.beta_rule, seed=seed), stacked=False),
         description="Matrix beta-average of conjugated powers equals the "
                     "log-derivative operator at the inverse base.",
         formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"),
-    CheckSpec("pairing_identity", "identities", None, _run_pairing,
+    CheckSpec("pairing_identity", "identities", None, _each(_run_pairing),
         description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
         formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
     CheckSpec("key_identity", "identities", "n",
-        _drawn(lambda ctx, c, seed: check_key_identity(c, seed=seed)),
+        _drawn(lambda ctx, c, seed: check_key_identity(c, seed=seed), stacked=False),
         layout_aware=True,
         description="Pointwise in t: the sandwiched chain trace equals the "
                     "entangled pairing of the slotted tensor powers.",
         formula="Tr[A_n A_{n-1}^{s+} .. A_1 .. A_{n-1}^{s-}] = "
                 "<Omega| W^{s+} B W^{s-} |Omega>"),
     CheckSpec("equivalence_integral_tensor", "identities", "n",
-        _drawn(lambda ctx, c, seed: check_equivalence(c, ctx.beta_rule, seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_equivalence(c, ctx.beta_rule, seed=seeds)),
         layout_aware=True,
         description="The integrated power form equals the tensor log-derivative "
                     "form on the same chain.",
         formula="avg_t Tr[chain(t)] = <Omega| T_A(B) |Omega>"),
     CheckSpec("lieb_equivalence", "identities", 3,
-        _drawn(lambda ctx, c, seed: check_lieb_equivalence(c, ctx.beta_rule,
-                                                           seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_lieb_equivalence(c, ctx.beta_rule,
+                                                            seed=seeds)),
         description="For triples the integral form collapses to the three-matrix "
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("commutator_chain", "identities", 2,
         _drawn(lambda ctx, c, seed: check_commutator_chain(
-            *c, ctx.beta_rule, ctx.half_rule, seed=seed)),
+            *c, ctx.beta_rule, ctx.half_rule, seed=seed), stacked=False),
         description="Four operator expressions for the deviation of the "
                     "conjugated-power average from the plain product.",
         formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
                 "int R X [A1, A2] X R^2 dtau"),
-    CheckSpec("commutator_chain_commuting", "identities", 2, _run_commutator_commuting,
+    CheckSpec("commutator_chain_commuting", "identities", 2,
+        _each(_run_commutator_commuting),
         description="The same chain vanishes identically on commuting pairs.",
         formula="[A1, A2] = 0  =>  all four expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
-        _drawn(lambda ctx, c, seed: check_derivative_form(c, seed=seed)),
+        _drawn(lambda ctx, c, seed: check_derivative_form(c, seed=seed), stacked=False),
         layout_aware=True,
         description="The tensor bound is the directional derivative of a "
                     "trace functional along B.",
         formula="d/dr Tr[P exp(log(A + r B) - log A)] |_{r=0} = "
                 "<Omega| T_A(B) |Omega>"),
-    CheckSpec("penalized_trace_limit", "identities", None, _run_penalized_limit,
+    CheckSpec("penalized_trace_limit", "identities", None, _each(_run_penalized_limit),
         description="Rank-one penalties collapse the trace exponential to the "
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
-    CheckSpec("commuting_equality", "identities", "n", _run_commuting_equality,
+    CheckSpec("commuting_equality", "identities", "n", _each(_run_commuting_equality),
         layout_aware=True,
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
 
     CheckSpec("golden_thompson", "inequalities", 2,
-        _drawn(lambda ctx, c, seed: check_golden_thompson(*c, seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_golden_thompson(c[:, 0], c[:, 1], seed=seeds)),
         description="Two-matrix exponential product bound.",
         formula="Tr exp(log A1 + log A2) <= Tr[A1 A2]"),
     CheckSpec("lieb_three", "inequalities", 3,
-        _drawn(lambda ctx, c, seed: check_lieb_three(*c, seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_lieb_three(c[:, 0], c[:, 1], c[:, 2],
+                                                      seed=seeds)),
         description="Three-matrix bound through the log-derivative operator.",
         formula="Tr exp(log A1 + log A2 + log A3) <= Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("power_integral", "inequalities", "n",
-        _drawn(lambda ctx, c, seed: check_power_integral(c, ctx.beta_rule,
-                                                         seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_power_integral(c, ctx.beta_rule,
+                                                          seed=seeds)),
         description="n-matrix bound by the beta-averaged complex-power chain.",
         formula="Tr exp(sum log A_k) <= avg_t Tr[A_n .. A_2^{s+} A1 A_2^{s-} ..]"),
     CheckSpec("tensor_resolvent", "inequalities", "n",
-        _drawn(lambda ctx, c, seed: check_tensor_resolvent(c, seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_tensor_resolvent(c, seed=seeds)),
         layout_aware=True,
         description="The same bound in closed tensor form.",
         formula="Tr exp(sum log A_k) <= <Omega| T_A(B) |Omega>"),
     CheckSpec("scaled_exponential", "inequalities", 4,
-        _drawn(lambda ctx, c, seed: check_scaled_exponential(c, seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_scaled_exponential(c, seed=seeds)),
         layout_aware=True,
         description="Dimension-scaled refinement for quadruples.",
         formula="d exp((1/d) Tr sum log A_k) <= <Omega| T_A(B) |Omega>"),
     CheckSpec("jensen_trace", "inequalities", "n",
-        _drawn(lambda ctx, c, seed: check_jensen_trace(c, seed=seed)),
+        _drawn(lambda ctx, c, seeds: check_jensen_trace(c, seed=seeds)),
         description="Convexity baseline relating the two left-side scalings.",
         formula="d exp((1/d) Tr M) <= Tr exp M,  M = sum log A_k"),
 )}
@@ -350,17 +363,22 @@ def _expand_tasks(cfg: CampaignConfig):
 
 
 def _run_block(cfg: CampaignConfig, check_id: str, n, seeds) -> list[TrialReport]:
+    """One task's trials, CHUNK at a time from a chunk boundary. A chunk
+    that raises runs again a trial at a time, so errors land on their seeds."""
     ctx = _Ctx(cfg)
     runner = CHECKS[check_id].runner
     out = []
-    for seed in seeds:
+    for chunk in (seeds[i:i + CHUNK] for i in range(0, len(seeds), CHUNK)):
         try:
-            out.extend(runner(ctx, n, seed))
+            out.extend(runner(ctx, n, chunk))
         except (TraceIneqError, np.linalg.LinAlgError) as exc:
-            # an unevaluable trial is a failed trial, not a dead campaign
-            out.append(TrialReport(check_id, "error", 0.0, 0.0, 0.0, 0.0,
-                                   0.0, 0.0, False, n=n, seed=seed,
-                                   params={"error": f"{type(exc).__name__}: {exc}"}))
+            if len(chunk) > 1:
+                for seed in chunk:
+                    out.extend(_run_block(cfg, check_id, n, [seed]))
+            else:  # an unevaluable trial is a failed trial, not a dead campaign
+                out.append(TrialReport(check_id, "error", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                       False, n=n, seed=chunk[0], params={
+                                           "error": f"{type(exc).__name__}: {exc}"}))
     return out
 
 
@@ -401,9 +419,9 @@ def _summarize(cfg, reports, runtime_s) -> CampaignSummary:
                                           "worst_rel_gap": 0.0})
         row["trials"] += 1
         row["failures"] += 0 if r.passed else 1
-        # worst gap only meaningful as magnitude; inequalities report slack
-        row["worst_abs_gap"] = max(row["worst_abs_gap"], abs(r.abs_gap))
-        row["worst_rel_gap"] = max(row["worst_rel_gap"], abs(r.rel_gap))
+        # magnitudes (inequalities report slack); np.maximum keeps NaN as worst
+        row["worst_abs_gap"] = float(np.maximum(row["worst_abs_gap"], abs(r.abs_gap)))
+        row["worst_rel_gap"] = float(np.maximum(row["worst_rel_gap"], abs(r.rel_gap)))
     per_rows = [per[k] for k in sorted(per)]
     failures = sum(row["failures"] for row in per_rows)
     return CampaignSummary(
@@ -427,12 +445,14 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         for check_id, n, seeds in tasks:
             reports.extend(_run_block(cfg, check_id, n, seeds))
     else:
-        # split seed lists so the pool has enough blocks to balance
+        # split seed lists at chunk boundaries, at most one block per worker
         blocks = []
         for check_id, n, seeds in tasks:
-            chunk = max(1, len(seeds) // workers)
-            for i in range(0, len(seeds), chunk):
-                blocks.append((check_id, n, seeds[i:i + chunk]))
+            step = CHUNK * -(-len(seeds) // (workers * CHUNK))
+            for i in range(0, len(seeds), step):
+                blocks.append((check_id, n, seeds[i:i + step]))
+        real_line_rule(cfg.half_width, cfg.beta_nodes)  # cached; forked workers inherit
+        half_line_rule(cfg.half_nodes)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_block, cfg, *b) for b in blocks]
             for f in futures:

@@ -33,6 +33,10 @@ class DimensionCap(TraceIneqError):
     """Tensor-product dimension exceeds the configured ceiling."""
 
 
+class NonFinite(TraceIneqError):
+    """A matrix entry or a trace is NaN or inf."""
+
+
 class ImaginaryResidue(TraceIneqError):
     """A nominally real trace came back with too much imaginary part."""
 

@@ -43,22 +43,24 @@ class TOperatorResult:
 
 def _conformable(x: PosDefMatrix, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
-    if y.shape != (x.dim, x.dim):
+    if y.shape != x.matrix.shape:
         raise DimensionMismatch(f"direction shape {y.shape} does not match "
-                                f"base dimension {x.dim}")
+                                f"base shape {x.matrix.shape}")
     return y
 
 
 def log_derivative_closed(x, y) -> TOperatorResult:
     """Divided-difference kernel: in the eigenbasis of X the entries of
-    T_X(Y) are Y_ij (log li - log lj) / (li - lj), diagonal 1 / li."""
+    T_X(Y) are Y_ij (log li - log lj) / (li - lj), diagonal 1 / li;
+    stacks of X and Y of one shape (..., d, d) pair up matrix by matrix."""
     x = as_posdef(x)
     y = _conformable(x, y)
     lam = x.spectral.eigenvalues
     vec = x.spectral.eigenvectors
-    ytil = vec.conj().T @ y @ vec
-    phi = logarithmic_ratio(lam[:, None], lam[None, :])
-    return TOperatorResult(vec @ (ytil * phi) @ vec.conj().T, "closed")
+    vec_h = vec.conj().swapaxes(-1, -2)
+    ytil = vec_h @ y @ vec
+    phi = logarithmic_ratio(lam[..., :, None], lam[..., None, :])
+    return TOperatorResult(vec @ (ytil * phi) @ vec_h, "closed")
 
 
 def log_derivative_quadrature(x, y, rule: QuadratureRule | None = None) -> TOperatorResult:

@@ -2,7 +2,8 @@
 connecting their different formulations.
 
 Chains are passed as python lists [A1, ..., An] of positive-definite
-matrices; index comments follow the 1-based convention of the math.
+matrices, or K at once as a PosDefMatrix (K, n, d, d) (one chain only
+for check_key_identity); index comments are 1-based as in the math.
 For a chain of length n the comparisons are
 
     Tr exp(sum_k log A_k)  <=  integral form  ==  tensor form,
@@ -15,6 +16,8 @@ checked pointwise in t (before integration) and after integration.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .entangle import build_layout, omega_vector, projector
@@ -22,7 +25,6 @@ from .errors import DimensionMismatch
 from .frechet import log_derivative_closed
 from .linalg import (
     PosDefMatrix,
-    as_posdef,
     hermitian_fn,
     kron_all,
     logarithmic_ratio,
@@ -31,82 +33,120 @@ from .linalg import (
 from .quadrature import QuadratureRule, beta_density, real_line_rule
 from .report import TrialReport, identity_report, inequality_report
 
+STACK_BUDGET = 1 << 16  # complex entries per intermediate of a stacked evaluation
 
-def _coerce_chain(mats, min_len=3):
-    chain = [as_posdef(m) for m in mats]
-    if len(chain) < min_len:
-        raise DimensionMismatch(f"chain needs at least {min_len} matrices, "
-                                f"got {len(chain)}")
-    dim = chain[0].dim
-    if any(m.dim != dim for m in chain):
-        raise DimensionMismatch("chain matrices must share one dimension")
-    return chain
+
+def _coerce_chain(mats, min_len=3, exact=None):
+    """(chain, single): the chains as one PosDefMatrix of shape
+    (K, n, d, d), and whether they came as one chain, the case K = 1. A
+    list of n stacks of shape (K, d, d) is a stack of chains too."""
+    if not isinstance(mats, PosDefMatrix):
+        mats = [getattr(m, "matrix", m) for m in mats]
+        if len({np.shape(m) for m in mats}) != 1:
+            raise DimensionMismatch(f"chain matrices must share one shape, got "
+                                    f"{[np.shape(m) for m in mats]}")
+        mats = PosDefMatrix(np.stack(mats, axis=-3))
+    single = mats.matrix.ndim == 3
+    chain = mats[None] if single else mats
+    if (chain.matrix.ndim != 4 or chain.matrix.shape[1] < min_len
+            or exact not in (None, chain.matrix.shape[1])):
+        raise DimensionMismatch(f"need chains of {exact or f'at least {min_len}'} "
+                                f"matrices, got shape {mats.matrix.shape}")
+    return chain, single
+
+
+def _result(values, single, context):
+    """The real values of a stack of chains, a float for a single chain."""
+    return real_trace(values[0] if single else values, context=context)
+
+
+def _sliced(fn, chain, entries):
+    """fn over the stack of chains in slices of STACK_BUDGET // entries
+    chains (at least one), ``entries`` being fn's largest per chain."""
+    step = max(1, STACK_BUDGET // entries)
+    return np.concatenate([fn(chain[i:i + step])
+                           for i in range(0, chain.matrix.shape[0], step)])
 
 
 # ---------------------------------------------------------------- left side
 
-def lhs_exp_sum_log(mats) -> float:
+def lhs_exp_sum_log(mats):
     """Tr exp(sum_k log A_k); the sum of logs is Hermitian, not positive."""
-    chain = _coerce_chain(mats, min_len=2)
-    total = sum(m.log() for m in chain)
-    return real_trace(np.trace(hermitian_fn(total, np.exp)),
-                      context="exp-sum-log trace")
+    chain, single = _coerce_chain(mats, min_len=2)
+    total = chain.log().sum(axis=1)
+    return _result(np.einsum("kii->k", hermitian_fn(total, np.exp)), single,
+                   "exp-sum-log trace")
 
 
-def scaled_exponential_lhs(mats) -> float:
+def scaled_exponential_lhs(mats):
     """d exp((1/d) Tr sum_k log A_k), the dimension-scaled refinement
     of the left side for quadruples."""
-    chain = _coerce_chain(mats, min_len=2)
-    d = chain[0].dim
-    total = sum(float(np.trace(m.log()).real) for m in chain)
-    return d * float(np.exp(total / d))
+    chain, single = _coerce_chain(mats, min_len=2)
+    d = chain.dim
+    total = np.log(chain.spectral.eigenvalues).sum(axis=(1, 2))
+    return _result(d * np.exp(total / d), single, "scaled left side")
 
 
 # --------------------------------------------------------------- right sides
 
-def rhs_golden_thompson(a1, a2) -> float:
+def rhs_golden_thompson(a1, a2):
     """Tr[A1 A2], the two-matrix product bound."""
-    a1 = as_posdef(a1)
-    a2 = as_posdef(a2)
-    if a1.dim != a2.dim:
-        raise DimensionMismatch("operands must share one dimension")
-    return real_trace(np.trace(a1.matrix @ a2.matrix), context="product trace")
+    chain, single = _coerce_chain([a1, a2], min_len=2)
+    return _result(np.einsum("kij,kji->k", chain.matrix[:, 0], chain.matrix[:, 1]),
+                   single, "product trace")
 
 
-def rhs_lieb_three(a1, a2, a3) -> float:
+def rhs_lieb_three(a1, a2, a3):
     """Tr[A3 T_{A2^{-1}}(A1)], the three-matrix log-derivative bound."""
-    chain = _coerce_chain([a1, a2, a3])
-    t_val = log_derivative_closed(PosDefMatrix(chain[1].inverse()),
-                                  chain[0].matrix).value
-    return real_trace(np.trace(chain[2].matrix @ t_val),
-                      context="three-matrix bound")
+    chain, single = _coerce_chain([a1, a2, a3])
+    t_val = log_derivative_closed(PosDefMatrix(chain[:, 1].inverse()),
+                                  chain.matrix[:, 0]).value
+    return _result(np.einsum("kij,kji->k", chain.matrix[:, 2], t_val), single,
+                   "three-matrix bound")
 
 
-def rhs_power_integral(mats, rule: QuadratureRule | None = None) -> float:
+def rhs_power_integral(mats, rule: QuadratureRule | None = None):
     """Beta-average of Tr[A_n A_{n-1}^{(1+it)/2} .. A_2^{(1+it)/2} A_1
     A_2^{(1-it)/2} .. A_{n-1}^{(1-it)/2}]."""
-    chain = _coerce_chain(mats)
+    chain, single = _coerce_chain(mats)
     rule = rule or real_line_rule()
     z = 0.5 * (1.0 + 1j * rule.nodes)
-    mid = np.broadcast_to(chain[0].matrix, (rule.node_count,) + chain[0].matrix.shape)
-    # middle matrices k = 2..n-1; the (1-it)/2 power is the conjugate transpose
-    for m in chain[1:-1]:
-        stack = m.power_stack(z)
-        mid = stack @ mid @ stack.conj().transpose(0, 2, 1)
-    traces = np.einsum("ij,tji->t", chain[-1].matrix, mid)
-    val = np.dot(rule.weights * beta_density(rule.nodes), traces)
-    return real_trace(val, context="power-integral form")
+    weights = rule.weights * beta_density(rule.nodes)
+    return _result(_sliced(lambda c: _power_integral(c, z, weights), chain,
+                           z.size * chain.dim ** 2), single, "power-integral form")
+
+
+def _power_integral(chain, z, weights):
+    """The power integral of a stack of chains. The sandwich S(t) of
+    A_1 between the powers of A_2 .. A_k is held in the eigenbasis V_k
+    of A_k, as S[K, i, t, j]. There the conjugation by A_k^{z_t} scales
+    entry (i, j) by lam_i^{z_t} conj(lam_j^{z_t}), and the move to the
+    next basis is one product with U = V_{k+1}* V_k on each side."""
+    lam, vec = chain.spectral.eigenvalues, chain.spectral.eigenvectors
+    vec_h = vec.conj().swapaxes(-1, -2)
+    count, n, d = lam.shape
+    s = (vec_h[:, 1] @ chain.matrix[:, 0] @ vec[:, 1])[:, :, None, :]
+    for k in range(1, n - 1):
+        if k > 1:
+            u = vec_h[:, k] @ vec[:, k - 1]
+            s = (u @ s.reshape(count, d, -1)).reshape(count, -1, d)
+            s = (s @ u.conj().swapaxes(-1, -2)).reshape(count, d, z.size, d)
+        p = np.exp(np.log(lam[:, k])[:, :, None] * z)
+        s = s * (p[:, :, :, None] * p.conj().swapaxes(-1, -2)[:, None])
+    last = vec_h[:, -2] @ chain.matrix[:, -1] @ vec[:, -2]
+    return np.einsum("kji,kitj->kt", last, s) @ weights
 
 
 def _mid_factors(chain, layout, fn):
-    """fn of each middle slot's matrix, in slot order: the entrywise
-    conjugate where the slot says so, an identity on padding slots."""
+    """fn of each middle slot's stack of matrices, in slot order: the
+    entrywise conjugate where the slot says so, an identity on padding
+    slots."""
     factors = []
     for slot in layout.mid_slots:
         if slot.source is None:
             factors.append(np.eye(layout.local_dim, dtype=complex))
         else:
-            base = chain[slot.source - 1]
+            base = chain[:, slot.source - 1]
             if slot.conjugate:
                 base = PosDefMatrix(base.matrix.conj())
             factors.append(fn(base))
@@ -116,7 +156,7 @@ def _mid_factors(chain, layout, fn):
 def _paired_operand(chain, layout):
     """(B, Omega): B = A1 (x) conj(An) (x) the nested pairing blocks, and
     Omega the outer pairing vector."""
-    b_factors = [chain[0].matrix, chain[-1].matrix.conj()]
+    b_factors = [chain.matrix[:, 0], chain.matrix[:, -1].conj()]
     b_factors += [projector(layout.local_dim, m) for m in layout.pair_copies]
     return kron_all(b_factors), omega_vector(layout.local_dim, layout.outer_copies)
 
@@ -132,59 +172,66 @@ def tensor_operands(mats):
     chain. The slot factors come from ``_mid_factors`` and (B, Omega)
     from ``_paired_operand``, shared with ``tensor_pair_trace``.
     """
-    chain = _coerce_chain(mats)
-    layout = build_layout(len(chain), chain[0].dim)
+    chain, single = _coerce_chain(mats)
+    layout = build_layout(chain.matrix.shape[1], chain.dim)
     big_a = PosDefMatrix(kron_all(_mid_factors(chain, layout, PosDefMatrix.inverse)))
     big_b, outer = _paired_operand(chain, layout)
-    return big_a, big_b, outer
+    return (big_a[0], big_b[0], outer) if single else (big_a, big_b, outer)
 
 
-def rhs_tensor_resolvent(mats) -> float:
+def rhs_tensor_resolvent(mats):
     """<Omega| T_A(B) |Omega> with the operands above; evaluated through
     the divided-difference kernel with a rank-one contraction."""
-    big_a, big_b, outer = tensor_operands(mats)
+    chain, single = _coerce_chain(mats)
+    size = build_layout(chain.matrix.shape[1], chain.dim).total_dim
+    return _result(_sliced(_tensor_resolvent, chain, size * size), single,
+                   "tensor-resolvent form")
+
+
+def _tensor_resolvent(chain):
+    big_a, big_b, outer = tensor_operands(chain)
     lam = big_a.spectral.eigenvalues
     vec = big_a.spectral.eigenvectors
-    proj = vec.conj().T @ outer
-    btil = vec.conj().T @ big_b @ vec
-    phi = logarithmic_ratio(lam[:, None], lam[None, :])
-    val = proj.conj() @ (btil * phi) @ proj
-    return real_trace(val, context="tensor-resolvent form")
+    vec_h = vec.conj().swapaxes(-1, -2)
+    proj = vec_h @ outer
+    phi = logarithmic_ratio(lam[:, :, None], lam[:, None, :])
+    return np.einsum("ki,kij,kj->k", proj.conj(), (vec_h @ big_b @ vec) * phi, proj)
 
 
 # ------------------------------------------------- pointwise chain identity
 
-def chain_product_trace(mats, t: float) -> float:
-    """Tr[A_n A_{n-1}^{(1+it)/2} .. A_1 .. A_{n-1}^{(1-it)/2}] at one t."""
-    chain = _coerce_chain(mats)
-    mid = chain[0].matrix
-    for m in chain[1:-1]:
-        p = m.power(0.5 * (1.0 + 1j * t))
-        mid = p @ mid @ p.conj().T
-    return real_trace(np.trace(chain[-1].matrix @ mid),
-                      context="chain product trace")
+def chain_product_trace(mats, t: float):
+    """Tr[A_n A_{n-1}^{(1+it)/2} .. A_1 .. A_{n-1}^{(1-it)/2}] at one t:
+    the integrand of the power integral, by the same evaluation."""
+    chain, single = _coerce_chain(mats)
+    z = np.array([0.5 * (1.0 + 1j * t)])
+    return _result(_power_integral(chain, z, np.ones(1)), single,
+                   "chain product trace")
 
 
-def tensor_pair_trace(mats, t: float) -> float:
+def tensor_pair_trace(mats, t: float):
     """<Omega| W^{(1+it)/2} B W^{(1-it)/2} |Omega> at one t, where W is
     the slot product without inverses. Equals chain_product_trace for
     every t; this is the pointwise form of the doubling identity."""
-    chain = _coerce_chain(mats)
-    layout = build_layout(len(chain), chain[0].dim)
+    chain, single = _coerce_chain(mats)
+    layout = build_layout(chain.matrix.shape[1], chain.dim)
     z_minus = 0.5 * (1.0 - 1j * t)
     w_minus = kron_all(_mid_factors(chain, layout, lambda m: m.power(z_minus)))
     big_b, outer = _paired_operand(chain, layout)
     u = w_minus @ outer
-    return real_trace(u.conj() @ big_b @ u, context="tensor pair trace")
+    return _result(np.einsum("ki,kij,kj->k", u.conj(), big_b, u), single,
+                   "tensor pair trace")
 
 
 def check_key_identity(mats, t_grid=(0.0, 0.5, -0.5, 2.0, -2.0),
                        rtol: float = 1e-9, seed=None) -> TrialReport:
-    """Pointwise product trace vs tensor pairing over a grid of t."""
+    """Pointwise product trace vs tensor pairing over a grid of t, on one
+    chain."""
+    chain = _coerce_chain(mats)[0]  # decomposed once, for every t
     worst = (0.0, None, 0.0, 0.0)
     for t in t_grid:
-        lhs = chain_product_trace(mats, t)
-        rhs = tensor_pair_trace(mats, t)
+        lhs, rhs = (float(np.squeeze(side(chain, t)))
+                    for side in (chain_product_trace, tensor_pair_trace))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         # NaN loses every comparison; keep it as the worst so the trial fails
         if rel >= worst[0] or np.isnan(rel):
@@ -196,71 +243,75 @@ def check_key_identity(mats, t_grid=(0.0, 0.5, -0.5, 2.0, -2.0),
                                    "t_grid": list(t_grid)})
 
 
+def _reports(make, check_id, chain, single, lhs, rhs, seed, **kwargs):
+    """make(check_id, lhs, rhs, ...) for one chain, or a list with one
+    report per chain of a stack, where ``seed`` lists their seeds."""
+    seeds = [seed] if single else seed
+    out = [make(check_id, lo, hi, n=chain.matrix.shape[1], seed=s, **kwargs)
+           for lo, hi, s in zip(lhs, rhs, seeds or [None] * len(lhs))]
+    return out[0] if single else out
+
+
 def check_equivalence(mats, rule: QuadratureRule | None = None,
-                      rtol: float = 1e-7, seed=None) -> TrialReport:
+                      rtol: float = 1e-7, seed=None):
     """Integrated form vs tensor form on the same chain."""
-    lhs = rhs_power_integral(mats, rule)
-    rhs = rhs_tensor_resolvent(mats)
-    return identity_report("equivalence_integral_tensor", lhs, rhs,
-                           rtol=rtol, n=len(mats), seed=seed)
+    chain, single = _coerce_chain(mats)
+    return _reports(identity_report, "equivalence_integral_tensor", chain, single,
+                    rhs_power_integral(chain, rule), rhs_tensor_resolvent(chain),
+                    seed, rtol=rtol)
 
 
 def check_lieb_equivalence(mats, rule: QuadratureRule | None = None,
-                           rtol: float = 1e-8, seed=None) -> TrialReport:
+                           rtol: float = 1e-8, seed=None):
     """For triples the integral form collapses to the three-matrix bound."""
-    if len(mats) != 3:
-        raise DimensionMismatch(f"need exactly 3 matrices, got {len(mats)}")
-    lhs = rhs_power_integral(mats, rule)
-    rhs = rhs_lieb_three(*mats)
-    return identity_report("lieb_equivalence", lhs, rhs, rtol=rtol,
-                           n=3, seed=seed)
+    chain, single = _coerce_chain(mats, exact=3)
+    return _reports(identity_report, "lieb_equivalence", chain, single,
+                    rhs_power_integral(chain, rule),
+                    rhs_lieb_three(chain[:, 0], chain[:, 1], chain[:, 2]),
+                    seed, rtol=rtol)
 
 
 # ---------------------------------------------------------- inequality glue
 
 INEQ_ATOL = 1e-9
 INEQ_RTOL = 1e-8
+_inequality = partial(_reports, inequality_report, atol=INEQ_ATOL, rtol=INEQ_RTOL)
 
 
-def check_golden_thompson(a1, a2, seed=None) -> TrialReport:
-    return inequality_report("golden_thompson", lhs_exp_sum_log([a1, a2]),
-                             rhs_golden_thompson(a1, a2),
-                             atol=INEQ_ATOL, rtol=INEQ_RTOL, n=2, seed=seed)
+def check_golden_thompson(a1, a2, seed=None):
+    chain, single = _coerce_chain([a1, a2], min_len=2)
+    return _inequality("golden_thompson", chain, single, lhs_exp_sum_log(chain),
+                       rhs_golden_thompson(chain[:, 0], chain[:, 1]), seed)
 
 
-def check_lieb_three(a1, a2, a3, seed=None) -> TrialReport:
-    return inequality_report("lieb_three", lhs_exp_sum_log([a1, a2, a3]),
-                             rhs_lieb_three(a1, a2, a3),
-                             atol=INEQ_ATOL, rtol=INEQ_RTOL, n=3, seed=seed)
+def check_lieb_three(a1, a2, a3, seed=None):
+    chain, single = _coerce_chain([a1, a2, a3])
+    return _inequality("lieb_three", chain, single, lhs_exp_sum_log(chain),
+                       rhs_lieb_three(chain[:, 0], chain[:, 1], chain[:, 2]), seed)
 
 
-def check_power_integral(mats, rule=None, seed=None) -> TrialReport:
-    return inequality_report("power_integral", lhs_exp_sum_log(mats),
-                             rhs_power_integral(mats, rule),
-                             atol=INEQ_ATOL, rtol=INEQ_RTOL,
-                             n=len(mats), seed=seed)
+def check_power_integral(mats, rule=None, seed=None):
+    chain, single = _coerce_chain(mats)
+    return _inequality("power_integral", chain, single, lhs_exp_sum_log(chain),
+                       rhs_power_integral(chain, rule), seed)
 
 
-def check_tensor_resolvent(mats, seed=None) -> TrialReport:
-    return inequality_report("tensor_resolvent", lhs_exp_sum_log(mats),
-                             rhs_tensor_resolvent(mats),
-                             atol=INEQ_ATOL, rtol=INEQ_RTOL,
-                             n=len(mats), seed=seed)
+def check_tensor_resolvent(mats, seed=None):
+    chain, single = _coerce_chain(mats)
+    return _inequality("tensor_resolvent", chain, single, lhs_exp_sum_log(chain),
+                       rhs_tensor_resolvent(chain), seed)
 
 
-def check_scaled_exponential(mats, seed=None) -> TrialReport:
+def check_scaled_exponential(mats, seed=None):
     """d exp((1/d) Tr sum log A_k) <= tensor form, for quadruples."""
-    if len(mats) != 4:
-        raise DimensionMismatch(f"need exactly 4 matrices, got {len(mats)}")
-    return inequality_report("scaled_exponential", scaled_exponential_lhs(mats),
-                             rhs_tensor_resolvent(mats),
-                             atol=INEQ_ATOL, rtol=INEQ_RTOL, n=4, seed=seed)
+    chain, single = _coerce_chain(mats, exact=4)
+    return _inequality("scaled_exponential", chain, single,
+                       scaled_exponential_lhs(chain), rhs_tensor_resolvent(chain), seed)
 
 
-def check_jensen_trace(mats, seed=None) -> TrialReport:
+def check_jensen_trace(mats, seed=None):
     """d exp((1/d) Tr M) <= Tr exp M for the Hermitian M = sum log A_k;
     convexity baseline separating the two left-side normalizations."""
-    return inequality_report("jensen_trace", scaled_exponential_lhs(mats),
-                             lhs_exp_sum_log(mats),
-                             atol=INEQ_ATOL, rtol=INEQ_RTOL,
-                             n=len(mats), seed=seed)
+    chain, single = _coerce_chain(mats, min_len=2)
+    return _inequality("jensen_trace", chain, single, scaled_exponential_lhs(chain),
+                       lhs_exp_sum_log(chain), seed)

@@ -4,6 +4,8 @@ All matrix functions go through the Hermitian eigendecomposition, never
 through series or Pade approximants. Complex powers A^z are defined
 spectrally, so A^{(1+it)/2} for Hermitian positive A is the unique
 continuation with A^z A^w = A^{z+w}.
+Matrices may carry leading stack axes, shape (..., d, d): functions
+then act on each matrix, and scalars come back as arrays of that shape.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     ImaginaryResidue,
     InvalidRange,
+    NonFinite,
     NonPositiveEigenvalue,
     NotHermitian,
 )
@@ -24,28 +27,32 @@ from .errors import (
 ASYMMETRY_TOL = 1e-8
 # Eigenvalues at or below floor * max(eigenvalue) count as non-positive.
 POSITIVITY_FLOOR = 1e-12
-# Imaginary residue on nominally real traces: discard below, error above.
-IMAG_DISCARD = 1e-10
+# Imaginary residue on nominally real traces: discarded below, an error above.
 IMAG_ERROR = 1e-8
 
 
-def hermitize(a, *, tol: float = ASYMMETRY_TOL) -> np.ndarray:
-    """Return the Hermitian average (A + A*)/2 of a square array.
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
-    Raises NotHermitian when the anti-Hermitian part exceeds ``tol``
-    relative to the norm of A, so silent repair only ever touches
-    roundoff-level asymmetry.
+
+def hermitize(a, *, tol: float = ASYMMETRY_TOL) -> np.ndarray:
+    """Return the Hermitian average (A + A*)/2 of a square array, or of
+    each matrix in a stack.
+
+    Raises NonFinite on any NaN or inf entry, and NotHermitian when the
+    anti-Hermitian part exceeds ``tol`` relative to the norm of A, so
+    silent repair only ever touches roundoff-level asymmetry.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    residual = float(np.linalg.norm(a - a.conj().T))
-    if residual > tol * scale:
-        raise NotHermitian(
-            f"asymmetry {residual:.3e} exceeds {tol:.1e} * scale {scale:.3e}"
-        )
-    return 0.5 * (a + a.conj().T)
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix has NaN or inf entries")
+    norm = np.linalg.norm(a - _adjoint(a), axis=(-2, -1))
+    worst = np.max(norm / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
+    if worst > tol:
+        raise NotHermitian(f"asymmetry {worst:.3e} exceeds {tol:.1e} of max(1, norm)")
+    return 0.5 * (a + _adjoint(a))
 
 
 @dataclass(frozen=True)
@@ -58,17 +65,19 @@ class SpectralDecomposition:
     def apply(self, f) -> np.ndarray:
         """Assemble V f(lambda) V* for a scalar function f."""
         v = self.eigenvectors
-        return (v * f(self.eigenvalues)) @ v.conj().T
+        return (v * f(self.eigenvalues)[..., None, :]) @ _adjoint(v)
 
 
 class PosDefMatrix:
-    """A Hermitian positive-definite matrix with cached spectral data.
+    """A Hermitian positive-definite matrix, or a stack of them, with
+    cached spectral data.
 
     Construction hermitizes the input (strict about large asymmetry).
-    The eigendecomposition is computed on first use and reused by every
-    matrix function, so repeated powers of the same matrix cost one eigh.
-    Positivity is enforced at decomposition time: the smallest eigenvalue
-    must exceed POSITIVITY_FLOOR times the largest.
+    The eigendecomposition is computed on first use, one eigh for the
+    whole stack, and reused by every matrix function. Positivity is
+    enforced at decomposition time: the smallest eigenvalue of every
+    matrix must exceed POSITIVITY_FLOOR times its largest. Indexing the
+    leading axes (``m[i]``, ``m[:, k]``) shares a computed decomposition.
 
     Not thread-safe during the first ``spectral`` access; compute it
     before sharing across workers.
@@ -77,33 +86,43 @@ class PosDefMatrix:
     def __init__(self, array, *, tol: float = ASYMMETRY_TOL):
         self.matrix = hermitize(array, tol=tol)
 
+    def __getitem__(self, index) -> "PosDefMatrix":
+        index = index if isinstance(index, tuple) else (index,)
+        if len(index) > self.matrix.ndim - 2 or Ellipsis in index:
+            raise DimensionMismatch("only the leading stack axes can be indexed")
+        out = PosDefMatrix.__new__(PosDefMatrix)
+        out.matrix = self.matrix[index]
+        if "spectral" in self.__dict__:
+            out.spectral = SpectralDecomposition(self.spectral.eigenvalues[index],
+                                                 self.spectral.eigenvectors[index])
+        return out
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @cached_property
     def spectral(self) -> SpectralDecomposition:
         lam, vec = np.linalg.eigh(self.matrix)
-        floor = POSITIVITY_FLOOR * float(lam[-1])
-        if not lam[0] > floor:  # also catches NaN
+        ok = lam[..., 0] > POSITIVITY_FLOOR * lam[..., -1]  # False on NaN
+        if not ok.all():
             raise NonPositiveEigenvalue(
-                f"min eigenvalue {lam[0]:.3e} at or below floor {floor:.3e}"
-            )
+                f"min eigenvalue {lam[..., 0][~ok].flat[0]:.3e} at or below "
+                f"{POSITIVITY_FLOOR:.0e} times the max {lam[..., -1][~ok].flat[0]:.3e}")
         return SpectralDecomposition(lam, vec)
 
     @property
-    def condition(self) -> float:
+    def condition(self):
         lam = self.spectral.eigenvalues
-        return float(lam[-1] / lam[0])
+        return lam[..., -1] / lam[..., 0]
 
     def power(self, z: complex) -> np.ndarray:
         """Spectral power A^z for arbitrary complex z."""
-        dec = self.spectral
-        return (dec.eigenvectors * np.exp(z * np.log(dec.eigenvalues))) @ dec.eigenvectors.conj().T
+        return self.spectral.apply(lambda lam: np.exp(z * np.log(lam)))
 
     def power_stack(self, z: np.ndarray) -> np.ndarray:
-        """Stacked spectral powers A^{z_t} for an array of exponents,
-        shape (len(z), dim, dim), from the one cached decomposition."""
+        """Stacked spectral powers A^{z_t} of one matrix for an array of
+        exponents, shape (len(z), dim, dim), from its decomposition."""
         dec = self.spectral
         powers = np.exp(z[:, None] * np.log(dec.eigenvalues)[None, :])
         return np.einsum("ij,tj,kj->tik", dec.eigenvectors, powers,
@@ -124,48 +143,57 @@ def hermitian_fn(h, f) -> np.ndarray:
     """Apply a scalar function to a Hermitian (not necessarily positive)
     matrix. Used for exponentials of logarithm sums, which are Hermitian
     but usually indefinite."""
-    h = hermitize(h)
-    lam, vec = np.linalg.eigh(h)
-    return (vec * f(lam)) @ vec.conj().T
+    lam, vec = np.linalg.eigh(hermitize(h))
+    return SpectralDecomposition(lam, vec).apply(f)
 
 
 def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence, leftmost factor slowest."""
-    out = np.eye(1, dtype=complex)
+    """Kronecker product of a sequence, leftmost factor slowest; leading
+    stack axes broadcast, and each stacked product is formed on its own."""
+    out = np.ones((1, 1), dtype=complex)
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        shape = np.broadcast_shapes(out.shape[:-2], m.shape[:-2]) + (
+            out.shape[-2] * m.shape[-2], out.shape[-1] * m.shape[-1])
+        out = (out[..., :, None, :, None] * m[..., None, :, None, :]).reshape(shape)
     return out
+
+
+# past this ratio atanh((a-b)/(a+b)) loses digits; the log difference does not
+LOG_RATIO_FAR = 2.0
 
 
 def logarithmic_ratio(a, b):
     """The divided difference (log a - log b) / (a - b) for a, b > 0.
 
-    Evaluated as 2 atanh((a-b)/(a+b)) / (a-b), which is stable for
-    nearby arguments; within relative distance 1e-10 the limit 2/(a+b)
-    is substituted. Broadcasts over arrays.
+    Arguments further apart than a factor LOG_RATIO_FAR use that
+    quotient directly. Nearer ones use 2 atanh((a-b)/(a+b)) / (a-b),
+    which does not cancel, and within relative distance 1e-10 the limit
+    2/(a+b) is substituted. Broadcasts over arrays.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = a + b
-    d = a - b
-    near = np.abs(d) <= 1e-10 * np.maximum(a, b)
-    safe_d = np.where(near, 1.0, d)
-    ratio = np.where(near, 0.0, d / s)
-    out = np.where(near, 2.0 / s, 2.0 * np.arctanh(ratio) / safe_d)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s, d = a + b, a - b
+    big = np.maximum(a, b)
+    near = np.abs(d) <= 1e-10 * big
+    far = big > LOG_RATIO_FAR * np.minimum(a, b)
+    gap = np.where(far, np.log(a) - np.log(b),
+                   2.0 * np.arctanh(np.where(far, 0.0, d / s)))
+    out = np.where(near, 2.0 / s, gap / np.where(near, 1.0, d))
+    return float(out) if out.ndim == 0 else out
 
 
-def real_trace(value: complex, *, context: str = "trace") -> float:
-    """Collapse a nominally real scalar, guarding the imaginary residue."""
-    value = complex(value)
-    scale = max(1.0, abs(value.real))
-    if abs(value.imag) > IMAG_ERROR * scale:
-        raise ImaginaryResidue(
-            f"{context}: imaginary part {value.imag:.3e} vs scale {scale:.3e}"
-        )
-    return value.real
+def real_trace(value, *, context: str = "trace"):
+    """Collapse a nominally real scalar, or an array of them, guarding
+    the imaginary residue. Raises NonFinite, naming the part, when a
+    real or imaginary part is NaN or inf."""
+    value = np.asarray(value, dtype=complex)
+    for part, name in ((value.real, "real"), (value.imag, "imaginary")):
+        if not np.isfinite(part).all():
+            raise NonFinite(f"{context}: {name} part is not finite")
+    excess = np.abs(value.imag) / np.maximum(1.0, np.abs(value.real))
+    if np.max(excess) > IMAG_ERROR:
+        raise ImaginaryResidue(f"{context}: relative imaginary part {np.max(excess):.3e}")
+    return float(value.real) if value.ndim == 0 else value.real
 
 
 def _check_lam_range(lam_range) -> tuple[float, float]:
@@ -175,25 +203,32 @@ def _check_lam_range(lam_range) -> tuple[float, float]:
     return lo, hi
 
 
-def draw_posdef(rng: np.random.Generator, dim: int, lam_range=(0.1, 10.0)) -> PosDefMatrix:
-    """Draw Q diag(lam) Q* with Haar-ish Q and log-uniform eigenvalues."""
+def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
+                count: int | None = None) -> PosDefMatrix:
+    """Draw Q diag(lam) Q* with Haar-ish Q and log-uniform eigenvalues.
+
+    ``rng`` may be a sequence of generators, one per stack entry, and
+    with ``count`` each draws that many matrices in turn: the shape is
+    ([len(rng),] [count,] dim, dim), in the numbers of lone calls."""
     lo, hi = _check_lam_range(lam_range)
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(g)
-    lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
-    return PosDefMatrix((q * lam) @ q.conj().T)
+    one = isinstance(rng, np.random.Generator)
+    rngs = [rng] if one else list(rng)
+    draws = [(r.normal(size=(2, dim, dim)),
+              r.uniform(np.log(lo), np.log(hi), size=dim))
+             for r in rngs for _ in range(count or 1)]
+    gauss = np.array([pair[0] for pair in draws])
+    q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
+    lam = np.exp(np.array([pair[1] for pair in draws]))
+    shape = (() if one else (len(rngs),)) + (() if count is None else (count,))
+    return PosDefMatrix(((q * lam[:, None, :]) @ _adjoint(q)).reshape(shape + (dim, dim)))
 
 
 def random_commuting_family(dim: int, count: int, seed: int, lam_range=(0.1, 10.0)):
     """A simultaneously diagonalizable family sharing one eigenbasis."""
     lo, hi = _check_lam_range(lam_range)
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(g)
-    out = []
-    for _ in range(count):
-        lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
-        out.append(PosDefMatrix((q * lam) @ q.conj().T))
-    return out
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    lams = [np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim)) for _ in range(count)]
+    return [PosDefMatrix((q * lam) @ _adjoint(q)) for lam in lams]

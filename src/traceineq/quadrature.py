@@ -8,10 +8,12 @@ the real line to [-T, T] loses at most 2 e^{-pi T} of the mass.
 Two rules cover every integral in the library: Gauss-Legendre on a
 truncated real line for beta-averages, and Gauss-Legendre in the
 variable s with tau = s / (1 - s) for half-line resolvent integrals.
+Rules are built once per process, on first use, with read-only arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,9 +56,7 @@ def real_line_rule(half_width: float = BETA_HALF_WIDTH,
     if half_width <= 0 or node_count < 2:
         raise InvalidRange(f"need half_width > 0 and node_count >= 2, "
                            f"got ({half_width}, {node_count})")
-    x, w = np.polynomial.legendre.leggauss(int(node_count))
-    return QuadratureRule("real-line", half_width * x, half_width * w,
-                          int(node_count), float(half_width))
+    return _cached_rule("real-line", int(node_count), float(half_width))
 
 
 def half_line_rule(node_count: int = HALFLINE_NODE_COUNT) -> QuadratureRule:
@@ -67,11 +67,18 @@ def half_line_rule(node_count: int = HALFLINE_NODE_COUNT) -> QuadratureRule:
     """
     if node_count < 2:
         raise InvalidRange(f"need node_count >= 2, got {node_count}")
-    x, w = np.polynomial.legendre.leggauss(int(node_count))
-    s = 0.5 * (x + 1.0)
-    ws = 0.5 * w
-    tau = s / (1.0 - s)
-    return QuadratureRule("half-line", tau, ws / (1.0 - s) ** 2, int(node_count))
+    return _cached_rule("half-line", int(node_count))
+
+
+@lru_cache(maxsize=16)
+def _cached_rule(kind: str, node_count: int,
+                 half_width: float | None = None) -> QuadratureRule:
+    x, w = np.polynomial.legendre.leggauss(node_count)
+    s = 0.5 * (x + 1.0)  # the half-line variable
+    nodes, weights = ((half_width * x, half_width * w) if kind == "real-line"
+                      else (s / (1.0 - s), 0.5 * w / (1.0 - s) ** 2))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(kind, nodes, weights, node_count, half_width)
 
 
 def doubled(rule: QuadratureRule) -> QuadratureRule:

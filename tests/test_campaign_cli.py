@@ -140,7 +140,7 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
     # a runner that raises must yield a failed trial row
     from traceineq import campaign as camp
 
-    def boom(ctx, n, seed):
+    def boom(ctx, n, seeds):
         raise UnknownCheck("synthetic failure")
 
     monkeypatch.setitem(
@@ -156,7 +156,7 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
 def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
     from traceineq import campaign as camp
 
-    def singular(ctx, n, seed):
+    def singular(ctx, n, seeds):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setitem(
@@ -170,6 +170,22 @@ def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
     assert [r.kind for r in summary.reports] == ["error"] * 4
     assert [r.n for r in summary.reports] == [3, 3, 4, 4]
     assert summary.reports[0].params["error"] == "LinAlgError: Singular matrix"
+
+
+def test_summary_keeps_nan_gap_as_worst():
+    from traceineq import identity_report
+    from traceineq.campaign import _summarize
+
+    cfg = _cfg()
+    clean = identity_report("key_identity", 1.0, 1.0 + 1e-12, rtol=1e-9)
+    broken = identity_report("key_identity", float("nan"), 1.0)
+    for order in ([broken], [clean, broken], [broken, clean]):
+        row = _summarize(cfg, order, 0.0).per_check[0]
+        assert row["failures"] == 1
+        assert np.isnan(row["worst_abs_gap"]) and np.isnan(row["worst_rel_gap"])
+    row = _summarize(cfg, [clean, clean], 0.0).per_check[0]
+    assert row["worst_abs_gap"] == clean.abs_gap
+    assert type(row["worst_rel_gap"]) is float
 
 
 def test_load_config_file(tmp_path):

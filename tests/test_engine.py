@@ -1,0 +1,221 @@
+"""The chunked campaign engine: stacked chains agree with single chains,
+reports do not depend on the worker count, and an error in one trial of
+a chunk lands on that trial's seed alone."""
+from concurrent.futures import Future
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from traceineq import (
+    CampaignConfig,
+    PosDefMatrix,
+    chain_product_trace,
+    check_equivalence,
+    check_golden_thompson,
+    check_jensen_trace,
+    check_lieb_equivalence,
+    check_lieb_three,
+    check_power_integral,
+    check_scaled_exponential,
+    check_tensor_resolvent,
+    draw_posdef,
+    lhs_exp_sum_log,
+    rhs_power_integral,
+    rhs_tensor_resolvent,
+    run_campaign,
+    scaled_exponential_lhs,
+    tensor_pair_trace,
+)
+from traceineq import campaign
+from traceineq.quadrature import beta_density
+
+STACKED = ("golden_thompson", "lieb_three", "power_integral", "tensor_resolvent",
+           "scaled_exponential", "jensen_trace", "equivalence_integral_tensor",
+           "lieb_equivalence")
+
+
+def _stack(seed0, count, n, d=2):
+    return draw_posdef([np.random.default_rng(seed0 + i) for i in range(count)],
+                       d, count=n)
+
+
+def _singles(stack, n):
+    return [[stack[i, k] for k in range(n)] for i in range(stack.matrix.shape[0])]
+
+
+def _close(a, b, rel=1e-13):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def test_stacked_draw_matches_lone_draws():
+    stack = _stack(900, 5, 4, d=3)
+    assert stack.matrix.shape == (5, 4, 3, 3)
+    for i in range(5):
+        rng = np.random.default_rng(900 + i)
+        for k in range(4):
+            lone = draw_posdef(rng, 3).matrix
+            assert np.allclose(stack.matrix[i, k], lone, rtol=1e-14, atol=1e-14)
+
+
+def test_indexing_shares_the_decomposition():
+    stack = _stack(910, 3, 4)
+    dec = stack.spectral
+    part = stack[:, 2]
+    assert part.matrix.shape == (3, 2, 2)
+    assert np.array_equal(part.spectral.eigenvalues, dec.eigenvalues[:, 2])
+    assert np.array_equal(part.spectral.eigenvectors, dec.eigenvectors[:, 2])
+    assert np.array_equal(stack[1, 0].matrix, stack.matrix[1, 0])
+
+
+def _old_power_integral(mats, rule):
+    """The integral form with explicit power stacks, one matrix at a time."""
+    z = 0.5 * (1.0 + 1j * rule.nodes)
+    mid = np.broadcast_to(mats[0].matrix, (rule.node_count,) + mats[0].matrix.shape)
+    for m in mats[1:-1]:
+        stack = m.power_stack(z)
+        mid = stack @ mid @ stack.conj().transpose(0, 2, 1)
+    traces = np.einsum("ij,tji->t", mats[-1].matrix, mid)
+    return np.dot(rule.weights * beta_density(rule.nodes), traces).real
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_power_integral_matches_explicit_power_stacks(n, beta_rule):
+    stack = _stack(920 + n, 6, n)
+    values = rhs_power_integral(stack, beta_rule)
+    for value, mats in zip(values, _singles(stack, n)):
+        assert _close(value, _old_power_integral(mats, beta_rule))
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
+def test_stacked_sides_equal_single_chain_calls(d, n, beta_rule):
+    # 17 chains: more than one slice of the stack at d = 3, n = 5 (D = 81)
+    stack = _stack(1000 * d + n, 17, n, d)
+    singles = _singles(stack, n)
+    sides = [lhs_exp_sum_log, scaled_exponential_lhs, rhs_tensor_resolvent,
+             lambda c: rhs_power_integral(c, beta_rule),
+             lambda c: chain_product_trace(c, 0.7),
+             lambda c: tensor_pair_trace(c, -2.0)]
+    for side in sides:
+        stacked = side(stack)
+        assert stacked.shape == (17,)
+        for value, mats in zip(stacked, singles):
+            single = side(mats)
+            assert isinstance(single, float)
+            assert _close(value, single)
+
+
+def _stacked_and_single(check_id, stack, seeds, rule):
+    """The check on the stack, and on each chain alone."""
+    calls = {
+        "golden_thompson": lambda c, s: check_golden_thompson(c[0], c[1], seed=s),
+        "lieb_three": lambda c, s: check_lieb_three(c[0], c[1], c[2], seed=s),
+        "power_integral": lambda c, s: check_power_integral(c, rule, seed=s),
+        "tensor_resolvent": lambda c, s: check_tensor_resolvent(c, seed=s),
+        "scaled_exponential": lambda c, s: check_scaled_exponential(c, seed=s),
+        "jensen_trace": lambda c, s: check_jensen_trace(c, seed=s),
+        "equivalence_integral_tensor": lambda c, s: check_equivalence(c, rule, seed=s),
+        "lieb_equivalence": lambda c, s: check_lieb_equivalence(c, rule, seed=s),
+    }
+    n = stack.matrix.shape[1]
+    as_links = [stack[:, k] for k in range(n)]
+    call = calls[check_id]
+    stacked = (call(as_links, seeds) if check_id in ("golden_thompson", "lieb_three")
+               else call(stack, seeds))
+    return stacked, [call(mats, s) for mats, s in zip(_singles(stack, n), seeds)]
+
+
+@pytest.mark.parametrize("check_id", STACKED)
+def test_stacked_checks_equal_single_chain_checks(check_id, beta_rule):
+    length = campaign.CHECKS[check_id].length
+    n = 5 if length == "n" else length
+    seeds = list(range(300, 316))
+    stack = _stack(300, 16, n)
+    stacked, singles = _stacked_and_single(check_id, stack, seeds, beta_rule)
+    assert len(stacked) == 16
+    for rep, one, seed in zip(stacked, singles, seeds):
+        assert rep.check_id == one.check_id == check_id
+        assert rep.seed == one.seed == seed and rep.n == one.n == n
+        assert rep.passed and one.passed
+        assert _close(rep.lhs, one.lhs) and _close(rep.rhs, one.rhs)
+
+
+def _engine_cfg(**kw):
+    base = dict(suite="all", checks=STACKED, n_values=(3, 4, 5, 6), trials=37,
+                seed=4_100, parallel=1, fmt="jsonl")
+    base.update(kw)
+    return CampaignConfig(**base)
+
+
+def test_report_bytes_do_not_depend_on_workers(tmp_path):
+    # 37 trials: two full chunks and a partial one, split across workers
+    digests = set()
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        summary = run_campaign(_engine_cfg(parallel=workers, out=str(out)))
+        assert summary.passed and summary.trial_count == 37 * 20
+        digests.add(Path(f"{out}.trials.jsonl").read_bytes()
+                    + Path(f"{out}.summary.csv").read_bytes())
+    assert len(digests) == 1
+
+
+def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
+    cfg = _engine_cfg(checks=("power_integral",), n_values=(3, 4), trials=20)
+    clean = {(r.n, r.seed): r for r in run_campaign(cfg).reports}
+    bad_seed = cfg.seed + 5
+    real_draw = campaign.draw_posdef
+
+    def draw_with_one_bad_chain(rngs, *args, **kwargs):
+        stack = real_draw(rngs, *args, **kwargs)
+        seeds = [rng.bit_generator.seed_seq.entropy for rng in rngs]
+        if bad_seed not in seeds:
+            return stack
+        mats = stack.matrix.copy()
+        mats[seeds.index(bad_seed), 0] *= -1.0  # negative definite A_1
+        return PosDefMatrix(mats)
+
+    monkeypatch.setattr(campaign, "draw_posdef", draw_with_one_bad_chain)
+    summary = run_campaign(cfg)
+    errors = [r for r in summary.reports if r.kind == "error"]
+    assert [(r.n, r.seed) for r in errors] == [(3, bad_seed), (4, bad_seed)]
+    for r in errors:
+        assert r.params["error"].startswith("NonPositiveEigenvalue:")
+    others = [r for r in summary.reports if r.kind != "error"]
+    assert len(others) == 2 * 19
+    for r in others:
+        ref = clean[(r.n, r.seed)]
+        assert r.passed and _close(r.lhs, ref.lhs) and _close(r.rhs, ref.rhs)
+
+
+def test_pool_blocks_split_at_chunk_boundaries(monkeypatch):
+    blocks = []
+
+    class InlinePool:
+        """Runs each block at submit time and records its arguments."""
+
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            blocks.append((self.workers, args))
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", InlinePool)
+    for workers in (2, 3, 5):
+        cfg = _engine_cfg(checks=("jensen_trace",), n_values=(3, 4), parallel=workers)
+        assert run_campaign(cfg).passed
+    for workers, (cfg, _, _, seeds) in blocks:
+        assert (seeds[0] - cfg.seed) % campaign.CHUNK == 0
+    for workers in (2, 3, 5):
+        for n in (3, 4):
+            split = [args[3] for w, args in blocks if w == workers and args[2] == n]
+            assert 2 <= len(split) <= workers
+            assert sum(split, []) == [4_100 + i for i in range(37)]

@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from traceineq import (
     ImaginaryResidue,
     InvalidRange,
+    NonFinite,
     NonPositiveEigenvalue,
     NotHermitian,
     PosDefMatrix,
@@ -50,7 +54,8 @@ def test_posdef_requires_positive_spectrum():
 
 
 def test_posdef_rejects_nan_spectrum():
-    with pytest.raises(NonPositiveEigenvalue):
+    # a NaN matrix is rejected when it is hermitized, before any eigh
+    with pytest.raises(NonFinite):
         PosDefMatrix(np.diag([np.nan, 1.0])).log()
 
 
@@ -124,6 +129,87 @@ def test_real_trace_guards_imaginary():
     assert real_trace(3.0 + 1e-12j, context="t") == pytest.approx(3.0)
     with pytest.raises(ImaginaryResidue):
         real_trace(3.0 + 1e-3j, context="t")
+
+
+@pytest.mark.parametrize("value, part", [
+    (complex(1.0, np.nan), "imaginary"), (complex(np.nan, 0.0), "real"),
+    (complex(np.inf, 0.0), "real"), (complex(2.0, -np.inf), "imaginary")])
+def test_real_trace_rejects_non_finite(value, part):
+    with pytest.raises(NonFinite, match=f"t: {part} part is not finite"):
+        real_trace(value, context="t")
+    stacked = np.array([3.0 + 0j, value, 1.0 + 1e-12j])
+    with pytest.raises(NonFinite, match=f"{part} part"):
+        real_trace(stacked, context="t")
+
+
+def test_real_trace_stacked():
+    out = real_trace(np.array([3.0 + 1e-12j, -1.0 + 0j]))
+    assert isinstance(out, np.ndarray) and out.tolist() == [3.0, -1.0]
+    assert isinstance(real_trace(np.complex128(2.0)), float)
+    with pytest.raises(ImaginaryResidue):
+        real_trace(np.array([1.0 + 0j, 1.0 + 1e-3j]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitize_rejects_non_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            hermitize(np.diag([bad, 1.0]))
+        with pytest.raises(NonFinite):
+            hermitize(np.stack([np.eye(2), np.diag([bad, 1.0])]))
+
+
+def test_hermitize_checks_each_matrix_of_a_stack():
+    good = np.array([[1.0, 2.0], [2.0, 3.0]])
+    bad = np.array([[1.0, 2.0], [0.0, 3.0]])
+    assert hermitize(np.stack([good, good])).shape == (2, 2, 2)
+    with pytest.raises(NotHermitian):
+        hermitize(np.stack([good, bad]))
+
+
+def test_logarithmic_ratio_far_apart():
+    assert logarithmic_ratio(1e16, 1.0) == pytest.approx(36.841361487904734e-16, rel=1e-14)
+    assert logarithmic_ratio(1.0, 1e-300) == pytest.approx(690.7755278982137, rel=1e-14)
+    # every branch at once, with no warning from the branches not taken
+    a = np.array([1.0, 1.0, 1.0 + 1e-13, 1.5, 1e16])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = logarithmic_ratio(a[:, None], a[None, :])
+    assert np.all(np.isfinite(out)) and np.allclose(out, out.T, rtol=1e-15)
+
+
+_POSITIVE = st.floats(min_value=1e-12, max_value=1e12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POSITIVE, _POSITIVE)
+def test_logarithmic_ratio_symmetric(a, b):
+    assert logarithmic_ratio(a, b) == logarithmic_ratio(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POSITIVE, _POSITIVE, st.floats(min_value=1e-3, max_value=1e3))
+def test_logarithmic_ratio_scales_inversely(a, b, c):
+    assert logarithmic_ratio(c * a, c * b) == pytest.approx(
+        logarithmic_ratio(a, b) / c, rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POSITIVE, st.floats(min_value=-1e-6, max_value=1e-6))
+def test_logarithmic_ratio_diagonal_limit(a, eps):
+    assert logarithmic_ratio(a, a) == 1.0 / a
+    # (log a - log b) / (a - b) = (1/a) (1 - eps/2 + O(eps^2)) at b = a (1 + eps)
+    assert logarithmic_ratio(a, a * (1 + eps)) * a == pytest.approx(
+        1.0 - eps / 2, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POSITIVE, st.floats(min_value=2.5, max_value=1e16))
+def test_logarithmic_ratio_matches_log_difference_far_apart(a, ratio):
+    with mpmath.workdps(40):
+        exact = (mpmath.log(a * ratio) - mpmath.log(a)) / (mpmath.mpf(a * ratio) - a)
+    assert logarithmic_ratio(a * ratio, a) == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_draw_posdef_spectrum_in_range(rng):

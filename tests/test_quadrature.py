@@ -104,3 +104,13 @@ def test_scalar_identity_check_reports(beta_rule):
     assert rep.check_id == "scalar_power_identity"
     assert rep.passed
     assert rep.abs_gap < 1e-10
+
+
+def test_rules_are_built_once_and_read_only():
+    rule = real_line_rule()
+    assert real_line_rule() is rule
+    assert real_line_rule(12, 400) is rule
+    assert half_line_rule() is half_line_rule(200)
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
