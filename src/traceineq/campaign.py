@@ -28,6 +28,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
+from .combinatorics import MAX_N
 from .entangle import build_layout, pairing_check
 from .errors import ConfigError, DimensionCap, TraceIneqError, UnknownCheck
 from .frechet import power_average_identity_check
@@ -89,8 +90,8 @@ class CampaignConfig:
             raise ConfigError(f"unknown suite {self.suite!r}, expected one of {SUITES}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}, expected one of {FORMATS}")
-        if not self.n_values or any(not 3 <= n <= 6 for n in self.n_values):
-            raise ConfigError(f"chain lengths must lie in [3, 6], got {self.n_values}")
+        if not self.n_values or any(not 3 <= n <= MAX_N for n in self.n_values):
+            raise ConfigError(f"chain lengths must be in [3, {MAX_N}]: {self.n_values}")
         if self.local_dim < 2:
             raise ConfigError(f"local dimension must be >= 2, got {self.local_dim}")
         if self.trials < 1:

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="append", metavar="ID", dest="checks",
                    help="restrict to a named check (repeatable)")
     p.add_argument("--n", type=int, nargs="+", metavar="N", dest="n_values",
-                   help="chain lengths for the n-dependent checks (3..6)")
+                   help=f"chain lengths for the n-dependent checks (3..{MAX_N})")
     p.add_argument("--d", type=int, default=None, metavar="D", dest="local_dim",
                    help="local matrix dimension")
     p.add_argument("--trials", type=int, default=None,

@@ -10,9 +10,10 @@ For a chain of length n the comparisons are
 
 where the integral form averages conjugated complex powers against the
 hyperbolic density and the tensor form evaluates the log-derivative
-operator on one large Kronecker product, paired through a maximally
-entangled expectation. The two right sides agree exactly, which is
-checked pointwise in t (before integration) and after integration.
+operator on one large Kronecker product, whose spectrum comes from the
+chain's own eigenpairs, paired through a maximally entangled
+expectation. The two right sides agree exactly, which is checked
+pointwise in t (before integration) and after integration.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .errors import DimensionMismatch
 from .frechet import log_derivative_closed
 from .linalg import (
     PosDefMatrix,
+    SpectralDecomposition,
     hermitian_fn,
     kron_all,
     logarithmic_ratio,
@@ -137,51 +139,47 @@ def _power_integral(chain, z, weights):
     return np.einsum("kji,kitj->kt", last, s) @ weights
 
 
-def _mid_factors(chain, layout, fn):
-    """fn of each middle slot's stack of matrices, in slot order: the
-    entrywise conjugate where the slot says so, an identity on padding
-    slots."""
-    factors = []
+def _factored_operands(mats):
+    """(single, lam, V, B, Omega) for one chain or a stack of K chains,
+    B and Omega as in ``tensor_operands``. (lam, V), shapes (K, D) and
+    (K, D, D), is the spectrum of the slot product W = A^-1 from the
+    chain's own eigenpairs (Van Loan 2000): products of the slots'
+    eigenvalues, Kronecker product of their eigenvectors (conj where conjugated)."""
+    chain, single = _coerce_chain(mats)
+    layout = build_layout(chain.matrix.shape[1], chain.dim)
+    pad = SpectralDecomposition(np.ones(chain.dim), np.eye(chain.dim))
+    lam, vecs = np.ones((chain.matrix.shape[0], 1)), []
     for slot in layout.mid_slots:
-        if slot.source is None:
-            factors.append(np.eye(layout.local_dim, dtype=complex))
-        else:
-            base = chain[:, slot.source - 1]
-            if slot.conjugate:
-                base = PosDefMatrix(base.matrix.conj())
-            factors.append(fn(base))
-    return factors
-
-
-def _paired_operand(chain, layout):
-    """(B, Omega): B = A1 (x) conj(An) (x) the nested pairing blocks, and
-    Omega the outer pairing vector."""
+        dec = pad if slot.source is None else chain[:, slot.source - 1].spectral
+        lam = (lam[:, :, None] * dec.eigenvalues[..., None, :]).reshape(len(lam), -1)
+        vecs.append(dec.eigenvectors.conj() if slot.conjugate else dec.eigenvectors)
     b_factors = [chain.matrix[:, 0], chain.matrix[:, -1].conj()]
     b_factors += [projector(layout.local_dim, m) for m in layout.pair_copies]
-    return kron_all(b_factors), omega_vector(layout.local_dim, layout.outer_copies)
+    return (single, lam, kron_all(vecs), kron_all(b_factors),
+            omega_vector(layout.local_dim, layout.outer_copies))
 
 
 def tensor_operands(mats):
     """The pair (A, B) and outer vector of the tensor formulation.
 
-    A is the Kronecker product over middle slots of the (conjugated
-    where the slot says so) inverses, with identity factors on padding
-    slots. B is A1 (x) conj(An) (x) the nested pairing blocks. The
-    layout places matrices by the doubling permutation, so the value
-    Tr[P (T_A(B))] reproduces the integral form on the same ordered
-    chain. The slot factors come from ``_mid_factors`` and (B, Omega)
-    from ``_paired_operand``, shared with ``tensor_pair_trace``.
+    A = W^-1, the Kronecker product over middle slots of the (conjugated
+    where the slot says so) inverses with identity pads, carries its
+    decomposition (1/lam, V), ascending, from ``_factored_operands``: no
+    D x D eigh runs. B is A1 (x) conj(An) (x) the nested pairing blocks.
+    The doubling permutation places the matrices, so Tr[P (T_A(B))]
+    reproduces the integral form on the same ordered chain.
     """
-    chain, single = _coerce_chain(mats)
-    layout = build_layout(chain.matrix.shape[1], chain.dim)
-    big_a = PosDefMatrix(kron_all(_mid_factors(chain, layout, PosDefMatrix.inverse)))
-    big_b, outer = _paired_operand(chain, layout)
+    single, lam, vec, big_b, outer = _factored_operands(mats)
+    order = np.argsort(1.0 / lam, axis=-1)
+    dec = SpectralDecomposition(1.0 / np.take_along_axis(lam, order, axis=-1),
+                                np.take_along_axis(vec, order[:, None, :], axis=-1))
+    big_a = PosDefMatrix._known(dec.apply(lambda x: x), dec)
     return (big_a[0], big_b[0], outer) if single else (big_a, big_b, outer)
 
 
 def rhs_tensor_resolvent(mats):
-    """<Omega| T_A(B) |Omega> with the operands above; evaluated through
-    the divided-difference kernel with a rank-one contraction."""
+    """<Omega| T_A(B) |Omega> with the operands above: the divided-difference
+    kernel on A's factored spectrum, with a rank-one contraction."""
     chain, single = _coerce_chain(mats)
     size = build_layout(chain.matrix.shape[1], chain.dim).total_dim
     return _result(_sliced(_tensor_resolvent, chain, size * size), single,
@@ -190,8 +188,7 @@ def rhs_tensor_resolvent(mats):
 
 def _tensor_resolvent(chain):
     big_a, big_b, outer = tensor_operands(chain)
-    lam = big_a.spectral.eigenvalues
-    vec = big_a.spectral.eigenvectors
+    lam, vec = big_a.spectral.eigenvalues, big_a.spectral.eigenvectors
     vec_h = vec.conj().swapaxes(-1, -2)
     proj = vec_h @ outer
     phi = logarithmic_ratio(lam[:, :, None], lam[:, None, :])
@@ -210,15 +207,12 @@ def chain_product_trace(mats, t: float):
 
 
 def tensor_pair_trace(mats, t: float):
-    """<Omega| W^{(1+it)/2} B W^{(1-it)/2} |Omega> at one t, where W is
-    the slot product without inverses. Equals chain_product_trace for
-    every t; this is the pointwise form of the doubling identity."""
-    chain, single = _coerce_chain(mats)
-    layout = build_layout(chain.matrix.shape[1], chain.dim)
-    z_minus = 0.5 * (1.0 - 1j * t)
-    w_minus = kron_all(_mid_factors(chain, layout, lambda m: m.power(z_minus)))
-    big_b, outer = _paired_operand(chain, layout)
-    u = w_minus @ outer
+    """<Omega| W^{(1+it)/2} B W^{(1-it)/2} |Omega> at one t, W = A^-1 the
+    slot product, with W^{(1-it)/2} Omega = V (lam^{(1-it)/2} * (V* Omega)).
+    Equals chain_product_trace for every t: the pointwise doubling identity."""
+    single, lam, vec, big_b, outer = _factored_operands(mats)
+    power = np.exp(0.5 * (1.0 - 1j * t) * np.log(lam))
+    u = np.einsum("kij,kj->ki", vec, power * (outer @ vec.conj()))
     return _result(np.einsum("ki,kij,kj->k", u.conj(), big_b, u), single,
                    "tensor pair trace")
 

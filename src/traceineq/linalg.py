@@ -86,16 +86,23 @@ class PosDefMatrix:
     def __init__(self, array, *, tol: float = ASYMMETRY_TOL):
         self.matrix = hermitize(array, tol=tol)
 
+    @classmethod
+    def _known(cls, matrix, spectral=None) -> "PosDefMatrix":
+        """Wrap a Hermitian matrix, and its decomposition when known."""
+        out = cls.__new__(cls)
+        out.matrix = matrix
+        if spectral is not None:
+            out.spectral = spectral
+        return out
+
     def __getitem__(self, index) -> "PosDefMatrix":
         index = index if isinstance(index, tuple) else (index,)
         if len(index) > self.matrix.ndim - 2 or Ellipsis in index:
             raise DimensionMismatch("only the leading stack axes can be indexed")
-        out = PosDefMatrix.__new__(PosDefMatrix)
-        out.matrix = self.matrix[index]
-        if "spectral" in self.__dict__:
-            out.spectral = SpectralDecomposition(self.spectral.eigenvalues[index],
-                                                 self.spectral.eigenvectors[index])
-        return out
+        dec = self.__dict__.get("spectral")
+        return PosDefMatrix._known(self.matrix[index], None if dec is None else
+                                   SpectralDecomposition(dec.eigenvalues[index],
+                                                         dec.eigenvectors[index]))
 
     @property
     def dim(self) -> int:
@@ -115,10 +122,6 @@ class PosDefMatrix:
     def condition(self):
         lam = self.spectral.eigenvalues
         return lam[..., -1] / lam[..., 0]
-
-    def power(self, z: complex) -> np.ndarray:
-        """Spectral power A^z for arbitrary complex z."""
-        return self.spectral.apply(lambda lam: np.exp(z * np.log(lam)))
 
     def power_stack(self, z: np.ndarray) -> np.ndarray:
         """Stacked spectral powers A^{z_t} of one matrix for an array of
@@ -205,7 +208,8 @@ def _check_lam_range(lam_range) -> tuple[float, float]:
 
 def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
                 count: int | None = None) -> PosDefMatrix:
-    """Draw Q diag(lam) Q* with Haar-ish Q and log-uniform eigenvalues.
+    """Draw Q diag(lam) Q* with Ginibre-QR Q and log-uniform eigenvalues;
+    Haar-conjugated as is, since it ignores the column phases of Q.
 
     ``rng`` may be a sequence of generators, one per stack entry, and
     with ``count`` each draws that many matrices in turn: the shape is

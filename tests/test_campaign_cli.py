@@ -34,6 +34,9 @@ def test_config_validation():
         _cfg(suite="bogus").validate()
     with pytest.raises(ConfigError):
         _cfg(n_values=(2,)).validate()
+    with pytest.raises(ConfigError, match=r"\[3, 10\]"):
+        _cfg(n_values=(11,)).validate()
+    _cfg(suite="all", n_values=(7, 10)).validate()
     with pytest.raises(ConfigError):
         _cfg(trials=0).validate()
     with pytest.raises(ConfigError):
@@ -64,6 +67,23 @@ def test_config_rejects_tensor_layout_over_cap():
     # checks without the tensor layout still accept the configuration
     _cfg(suite="all", checks=("golden_thompson", "power_integral"),
          local_dim=5, n_values=(5,)).validate()
+
+
+TENSOR_CHECKS = ("key_identity", "equivalence_integral_tensor", "commuting_equality",
+                 "tensor_resolvent", "scaled_exponential")
+
+
+@pytest.mark.parametrize("local_dim", [2, 3])
+def test_tensor_checks_clean_on_wide_spectra(local_dim):
+    # product operands reach condition 1e24 here; their spectrum comes
+    # from the factors, so no false positivity error and no 1e-5 gap
+    summary = run_campaign(_cfg(suite="all", checks=TENSOR_CHECKS, n_values=(3, 4, 5, 6),
+                                local_dim=local_dim, trials=20, seed=2024,
+                                lam_lo=1e-3, lam_hi=1e3))
+    assert summary.trial_count == 340
+    bad = [(r.check_id, r.n, r.seed, r.params.get("error"))
+           for r in summary.reports if not r.passed]
+    assert not bad
 
 
 def test_selected_checks_filters():
@@ -321,6 +341,17 @@ def test_cli_tensor_layout_over_cap_exits_two():
     proc = _run("verify", "--check", "golden_thompson", "--d", "5", "--n", "5",
                 "--trials", "1", "--parallel", "1")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_verify_long_chains():
+    # the layout reaches MAX_N = 10; d = 3 at n = 7 needs 3^8 > 512
+    proc = _run("verify", "--check", "tensor_resolvent", "--check", "key_identity",
+                "--n", "7", "10", "--trials", "2", "--parallel", "1")
+    assert proc.returncode == 0, proc.stderr
+    proc = _run("verify", "--check", "tensor_resolvent", "--d", "3", "--n", "7",
+                "--trials", "1", "--parallel", "1")
+    assert proc.returncode == 2
+    assert "exceeds cap 512" in proc.stderr
 
 
 def test_cli_explain_layout():

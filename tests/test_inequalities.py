@@ -5,6 +5,7 @@ from traceineq import (
     DimensionMismatch,
     InvalidRange,
     PosDefMatrix,
+    build_layout,
     chain_product_trace,
     check_commutator_chain,
     check_derivative_form,
@@ -20,7 +21,9 @@ from traceineq import (
     check_tensor_resolvent,
     commutator_chain,
     derivative_form_value,
+    kron_all,
     lhs_exp_sum_log,
+    logarithmic_ratio,
     penalized_trace_gaps,
     random_commuting_family,
     rhs_golden_thompson,
@@ -94,11 +97,50 @@ def test_key_identity_nan_fails(make_chain, monkeypatch, nan_at):
     assert rep.params["t_worst"] == (2.0 if nan_at else -2.0)
 
 
+def _dense_operand(mats, d):
+    """Test-only reference: a dense eigh of the D x D Kronecker product
+    of the slot inverses."""
+    factors = []
+    for slot in build_layout(len(mats), d).mid_slots:
+        src = slot.source
+        inv = np.eye(d) if src is None else np.linalg.inv(mats[src - 1].matrix)
+        factors.append(inv.conj() if slot.conjugate else inv)
+    return np.linalg.eigh(kron_all(factors))
+
+
+@pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 11)]
+                         + [(3, n) for n in range(3, 7)])
+def test_factored_operand_matches_dense_eigh(make_chain, d, n):
+    for seed in (1000 + n, 2000 + n):
+        mats = make_chain(seed, n, d)
+        big_a, big_b, outer = tensor_operands(mats)
+        lam, vec = big_a.spectral.eigenvalues, big_a.spectral.eigenvectors
+        dense_lam, dense_vec = _dense_operand(mats, d)
+        # a dense eigh resolves eigenvalues to roundoff of the largest
+        assert np.all(np.diff(lam) >= 0)
+        assert np.max(np.abs(lam - dense_lam)) <= 1e-12 * lam[-1]
+        assert np.allclose(big_a.matrix @ vec, vec * lam, rtol=0, atol=1e-12 * lam[-1])
+        proj = dense_vec.conj().T @ outer
+        kernel = logarithmic_ratio(dense_lam[:, None], dense_lam[None, :])
+        dense = (proj.conj() @ ((dense_vec.conj().T @ big_b @ dense_vec) * kernel) @ proj)
+        # the dense kernel value carries roundoff times the condition of
+        # A (up to 1e-10 here); the factored one meets the integral form
+        # to 1e-13 (test_tensor_form_matches_integral_at_d256)
+        assert rhs_tensor_resolvent(mats) == pytest.approx(dense.real, rel=1e-9)
+
+
+def test_tensor_form_matches_integral_at_d256(make_chain, beta_rule):
+    for n in range(7, 11):
+        mats = make_chain(2000 + n, n)
+        assert rhs_tensor_resolvent(mats) == pytest.approx(
+            rhs_power_integral(mats, beta_rule), rel=1e-13)
+
+
 def test_chain_product_trace_real_at_zero(make_chain):
     # at t = 0 the chain is a plain product of positive matrices
     mats = make_chain(31, 3)
     a1, a2, a3 = (m.matrix for m in mats)
-    half = np.asarray(PosDefMatrix(a2).power(0.5))
+    half = PosDefMatrix(a2).power_stack(np.array([0.5]))[0]
     direct = float(np.trace(a3 @ half @ a1 @ half).real)
     assert chain_product_trace(mats, 0.0) == pytest.approx(direct, rel=1e-12)
 

@@ -62,35 +62,38 @@ def test_posdef_rejects_nan_spectrum():
 def test_power_matches_integer_products(rng):
     a = draw_posdef(rng, 4)
     m = a.matrix
-    assert np.allclose(a.power(2), m @ m)
-    assert np.allclose(a.power(1), m)
-    assert np.allclose(a.power(-1) @ m, np.eye(4), atol=1e-10)
-    assert np.allclose(a.power(0.5) @ a.power(0.5), m)
+    square, same, inverse, root = a.power_stack(np.array([2.0, 1.0, -1.0, 0.5]))
+    assert np.allclose(square, m @ m)
+    assert np.allclose(same, m)
+    assert np.allclose(inverse @ m, np.eye(4), atol=1e-10)
+    assert np.allclose(root @ root, m)
 
 
 def test_complex_power_unitary_direction(rng):
     # purely imaginary exponents give unitaries: A^{it} (A^{it})^dag = I
     a = draw_posdef(rng, 3)
-    u = a.power(1j * 0.7)
+    u = a.power_stack(np.array([1j * 0.7]))[0]
     assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
 
 
 def test_half_power_pair_conjugate_exponents(rng):
     a = draw_posdef(rng, 3)
-    plus = a.power(0.5 * (1 + 0.9j))
-    minus = a.power(0.5 * (1 - 0.9j))
+    plus, minus = a.power_stack(0.5 * (1 + np.array([0.9j, -0.9j])))
     assert np.allclose(minus, plus.conj().T)
     # s+ + s- = 1, so the two powers multiply back to A
     assert np.allclose(plus @ minus, a.matrix, atol=1e-12)
 
 
 def test_power_stack_matches_power(rng):
+    # against V diag(lam^z) V* from a fresh eigh, not the cached spectrum
     a = draw_posdef(rng, 3)
+    lam, vec = np.linalg.eigh(a.matrix)
     z = 0.5 * (1.0 + 1j * np.array([-3.0, 0.0, 0.9, 7.5]))
     stack = a.power_stack(z)
     assert stack.shape == (4, 3, 3)
     for zt, p in zip(z, stack):
-        assert np.allclose(p, a.power(zt), atol=1e-12)
+        explicit = vec @ np.diag(np.exp(zt * np.log(lam))) @ vec.conj().T
+        assert np.allclose(p, explicit, rtol=1e-12, atol=1e-12)
 
 
 def test_log_inverse_consistency(rng):
@@ -226,6 +229,49 @@ def test_random_posdef_deterministic_in_seed():
     a = draw_posdef(np.random.default_rng(5), 3)
     b = draw_posdef(np.random.default_rng(5), 3)
     assert np.array_equal(a.matrix, b.matrix)
+
+
+def _haar_conjugated(gauss, lam):
+    """Q diag(lam) Q* with the Haar Q of Mezzadri (math-ph/0609050):
+    QR of the Ginibre matrix, the phases of diag(R) moved into Q."""
+    q, r = np.linalg.qr(gauss)
+    diag = np.diagonal(r)
+    q = q * (diag / np.abs(diag))
+    return (q * lam) @ q.conj().T
+
+
+def _haar_draws(rng, dim, count, lo=0.1, hi=10.0):
+    """draw_posdef's random numbers in its order, conjugated by Haar Q."""
+    out = []
+    for _ in range(count):
+        g = rng.normal(size=(2, dim, dim))
+        lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
+        out.append(_haar_conjugated(g[0] + 1j * g[1], lam))
+    return np.array(out)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_draws_have_the_haar_conjugated_law(dim):
+    # Q diag(lam) Q* ignores the column phases of Q, so the phase fix
+    # that makes Q Haar does not move a draw
+    for seed in range(10):
+        lone = draw_posdef(np.random.default_rng(seed), dim).matrix
+        assert _rel(lone, _haar_draws(np.random.default_rng(seed), dim, 1)[0]) <= 1e-14
+        stacked = draw_posdef([np.random.default_rng(seed + k) for k in range(3)],
+                              dim, count=4).matrix
+        for k in range(3):
+            ref = _haar_draws(np.random.default_rng(seed + k), dim, 4)
+            assert all(_rel(m, r) <= 1e-14 for m, r in zip(stacked[k], ref))
+        family = random_commuting_family(dim, 3, seed)
+        rng = np.random.default_rng(seed)
+        gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for member in family:
+            lam = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=dim))
+            assert _rel(member.matrix, _haar_conjugated(gauss, lam)) <= 1e-14
 
 
 def test_commuting_family_commutes():
