@@ -114,7 +114,7 @@ class CampaignConfig:
                 continue
             for n in _lengths(spec, self):
                 try:
-                    build_layout(n, self.local_dim)
+                    build_layout(n, self.local_dim, dense=spec.dense)
                 except DimensionCap as exc:
                     raise ConfigError(f"{spec.check_id} at n = {n}: {exc}") from exc
         return self
@@ -231,6 +231,7 @@ class CheckSpec:
     formula: str
     deterministic: bool = False
     layout_aware: bool = False  # builds the tensor layout
+    dense: bool = False  # and its dense D x D operands
 
 
 CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
@@ -286,7 +287,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         formula="[A1, A2] = 0  =>  all four expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
         _drawn(lambda ctx, c, seed: check_derivative_form(c, seed=seed), stacked=False),
-        layout_aware=True,
+        layout_aware=True, dense=True,
         description="The tensor bound is the directional derivative of a "
                     "trace functional along B.",
         formula="d/dr Tr[P exp(log(A + r B) - log A)] |_{r=0} = "

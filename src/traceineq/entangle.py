@@ -11,6 +11,7 @@ doubling construction nest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from .combinatorics import shape_params, slot_sources, thue_morse
 from .errors import DimensionCap, DimensionMismatch
 from .report import TrialReport
 
-DIM_CAP = 512  # total tensor dimension ceiling
+DIM_CAP = 3 ** 8  # total tensor dimension ceiling of the factored tensor routes
+DENSE_CAP = 512  # the same with dense=True, for the derivative form's D x D operands
 
 
 def omega_vector(local_dim: int, copies: int) -> np.ndarray:
@@ -94,16 +96,18 @@ class FactorLayout:
     outer_copies: int
 
 
-def build_layout(n: int, local_dim: int) -> FactorLayout:
+@lru_cache(maxsize=None)
+def build_layout(n: int, local_dim: int, dense: bool = False) -> FactorLayout:
     """Factor placement for an n-matrix chain at local dimension d."""
     if local_dim < 2:
         raise DimensionMismatch(f"local dimension must be >= 2, got {local_dim}")
     shape = shape_params(n)
     total = local_dim ** shape.factor_count
-    if total > DIM_CAP:
+    cap = DENSE_CAP if dense else DIM_CAP
+    if total > cap:
         raise DimensionCap(
             f"total dimension {local_dim}^{shape.factor_count} = {total} "
-            f"exceeds cap {DIM_CAP}")
+            f"exceeds cap {cap}")
     slots = tuple(
         MidSlot(slot=j + 2, source=src,
                 conjugate=bool(thue_morse(j + 2)) if src is not None else False)

@@ -57,16 +57,17 @@ def test_config_rejects_unrunnable_quadrature(field, value):
 
 
 def test_config_rejects_tensor_layout_over_cap():
-    # 5^4 = 625 exceeds the 512 cap of the n = 5 tensor layout
+    # 10^4 = 10,000 exceeds the 6561 cap of the n = 5 tensor layout
     for cid in ("tensor_resolvent", "commuting_equality"):
         with pytest.raises(ConfigError, match=cid):
-            _cfg(suite="all", checks=(cid,), local_dim=5, n_values=(5,)).validate()
-    # fixed-length checks are held to their own n: 23^2 = 529 at n = 4
+            _cfg(suite="all", checks=(cid,), local_dim=10, n_values=(5,)).validate()
+    # fixed-length checks are held to their own n: 23^2 = 529 at n = 4,
+    # over the 512 cap of the derivative form's dense operands
     with pytest.raises(ConfigError, match="derivative_form at n = 4"):
         _cfg(checks=("derivative_form",), local_dim=23).validate()
     # checks without the tensor layout still accept the configuration
     _cfg(suite="all", checks=("golden_thompson", "power_integral"),
-         local_dim=5, n_values=(5,)).validate()
+         local_dim=10, n_values=(5,)).validate()
 
 
 TENSOR_CHECKS = ("key_identity", "equivalence_integral_tensor", "commuting_equality",
@@ -334,24 +335,31 @@ def test_cli_bad_inputs_exit_two(tmp_path):
 
 def test_cli_tensor_layout_over_cap_exits_two():
     proc = _run("verify", "--check", "tensor_resolvent", "--check",
-                "commuting_equality", "--d", "5", "--n", "5", "--trials", "1",
+                "commuting_equality", "--d", "10", "--n", "5", "--trials", "1",
                 "--parallel", "1")
     assert proc.returncode == 2
-    assert "exceeds cap 512" in proc.stderr
-    proc = _run("verify", "--check", "golden_thompson", "--d", "5", "--n", "5",
+    assert "exceeds cap 6561" in proc.stderr
+    proc = _run("verify", "--check", "golden_thompson", "--d", "10", "--n", "5",
                 "--trials", "1", "--parallel", "1")
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_verify_long_chains():
-    # the layout reaches MAX_N = 10; d = 3 at n = 7 needs 3^8 > 512
+    # the layout reaches MAX_N = 10; d = 4 at n = 7 needs 4^8 > 6561
     proc = _run("verify", "--check", "tensor_resolvent", "--check", "key_identity",
                 "--n", "7", "10", "--trials", "2", "--parallel", "1")
     assert proc.returncode == 0, proc.stderr
-    proc = _run("verify", "--check", "tensor_resolvent", "--d", "3", "--n", "7",
+    proc = _run("verify", "--check", "tensor_resolvent", "--d", "4", "--n", "7",
                 "--trials", "1", "--parallel", "1")
     assert proc.returncode == 2
-    assert "exceeds cap 512" in proc.stderr
+    assert "exceeds cap 6561" in proc.stderr
+
+
+def test_cli_verify_d3_at_the_cap():
+    # d = 3 at n = 7 is D = 3^8 = 6561, the largest the factored routes take
+    proc = _run("verify", "--d", "3", "--n", "7", "--check", "tensor_resolvent",
+                "--check", "key_identity", "--trials", "1", "--parallel", "1")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_explain_layout():

@@ -96,6 +96,11 @@ def test_layout_total_dim_and_cap():
     # one side of the pairing holds one local factor per mid slot
     assert build_layout(6, 2).total_dim == 2 ** 4
     assert build_layout(7, 2).total_dim == 2 ** 8
-    with pytest.raises(DimensionCap):
-        build_layout(8, 3)
-    assert DIM_CAP == 512
+    assert build_layout(10, 3).total_dim == 3 ** 8
+    with pytest.raises(DimensionCap, match="exceeds cap 6561"):
+        build_layout(7, 4)
+    assert DIM_CAP == 3 ** 8
+    # the dense operands of the derivative form keep the lower cap
+    assert build_layout(4, 22, dense=True).total_dim == 484
+    with pytest.raises(DimensionCap, match="exceeds cap 512"):
+        build_layout(4, 23, dense=True)

@@ -97,6 +97,22 @@ def test_key_identity_nan_fails(make_chain, monkeypatch, nan_at):
     assert rep.params["t_worst"] == (2.0 if nan_at else -2.0)
 
 
+@pytest.mark.parametrize("bumps, t_worst", [
+    ({0.5: 20.0, -2.0: 22.0}, 0.5),    # both within 4 eps of the top: first t
+    ({0.5: 20.0, -2.0: 1e8}, -2.0),    # a real gap wins, and fails the trial
+])
+def test_key_identity_picks_first_t_near_the_largest_gap(make_chain, monkeypatch,
+                                                          bumps, t_worst):
+    # each gap is its bump in ulps of the value; no bump, no gap
+    real = inequalities.tensor_pair_trace
+    monkeypatch.setattr(inequalities, "chain_product_trace",
+                        lambda mats, t: real(mats, t) * (1.0 + bumps.get(t, 0.0)
+                                                         * np.finfo(float).eps))
+    rep = check_key_identity(make_chain(202, 4), seed=202)
+    assert rep.params["t_worst"] == t_worst
+    assert rep.passed == (t_worst == 0.5)
+
+
 def _dense_operand(mats, d):
     """Test-only reference: a dense eigh of the D x D Kronecker product
     of the slot inverses."""
@@ -134,6 +150,29 @@ def test_tensor_form_matches_integral_at_d256(make_chain, beta_rule):
         mats = make_chain(2000 + n, n)
         assert rhs_tensor_resolvent(mats) == pytest.approx(
             rhs_power_integral(mats, beta_rule), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [7, 10])
+def test_pair_trace_at_d6561(make_chain, n):
+    # d = 3 past n = 6 is D = 3^8, the cap of the factored routes
+    mats = make_chain(3000 + n, n, d=3)
+    for t in (0.0, 0.7, -2.0):
+        lhs = chain_product_trace(mats, t)
+        assert tensor_pair_trace(mats, t) == pytest.approx(lhs, rel=1e-12)
+
+
+def test_tensor_form_matches_integral_at_d6561(make_chain, beta_rule):
+    mats = make_chain(3007, 7, d=3)
+    assert rhs_tensor_resolvent(mats) == pytest.approx(
+        rhs_power_integral(mats, beta_rule), rel=1e-13)
+
+
+def test_tensor_form_real_on_very_wide_commuting_chains():
+    # condition 1e12 per matrix: the factored contraction keeps the
+    # imaginary residue under IMAG_ERROR on all 80 chains at d = 2
+    for seed in range(1000, 1080):
+        fam = random_commuting_family(2, 6, seed, (1e-6, 1e6))
+        assert np.isfinite(rhs_tensor_resolvent(fam))
 
 
 def test_chain_product_trace_real_at_zero(make_chain):
