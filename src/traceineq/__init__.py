@@ -70,7 +70,6 @@ from .entangle import (
     projector,
 )
 from .frechet import (
-    TOperatorResult,
     conjugated_power_average,
     log_derivative_closed,
     log_derivative_finite_difference,

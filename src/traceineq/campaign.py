@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 import types
@@ -59,7 +60,7 @@ from .quadrature import (
     real_line_rule,
     scalar_identity_check,
 )
-from .report import TrialReport, identity_report
+from .report import TrialReport, error_report, identity_report
 
 SUITES = ("identities", "inequalities", "all")
 FORMATS = ("jsonl", "csv")
@@ -96,19 +97,24 @@ class CampaignConfig:
             raise ConfigError(f"local dimension must be >= 2, got {self.local_dim}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not (0 < self.lam_lo <= self.lam_hi):
-            raise ConfigError(f"eigenvalue range must satisfy 0 < lo <= hi, "
-                              f"got ({self.lam_lo}, {self.lam_hi})")
-        if not (self.half_width > 0 and min(self.beta_nodes, self.half_nodes) >= 2):
-            raise ConfigError(f"need half_width > 0 and beta_nodes, half_nodes >= 2, got "
-                              f"({self.half_width}, {self.beta_nodes}, {self.half_nodes})")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (0 < self.lam_lo <= self.lam_hi < math.inf):
+            raise ConfigError(f"eigenvalue range must satisfy 0 < lam_lo <= lam_hi "
+                              f"< inf, got ({self.lam_lo}, {self.lam_hi})")
+        if not (0 < self.half_width < math.inf
+                and min(self.beta_nodes, self.half_nodes) >= 2):
+            raise ConfigError(f"need half_width > 0 and finite, and beta_nodes, "
+                              f"half_nodes >= 2, got ({self.half_width}, "
+                              f"{self.beta_nodes}, {self.half_nodes})")
         if self.parallel < 0:
             raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
-        if self.checks:
-            for cid in self.checks:
-                if cid not in CHECKS:
-                    raise UnknownCheck(f"no check named {cid!r}; known: "
-                                       f"{', '.join(sorted(CHECKS))}")
+        for i, cid in enumerate(self.checks or ()):
+            if cid not in CHECKS:
+                raise UnknownCheck(f"no check named {cid!r}; known: "
+                                   f"{', '.join(sorted(CHECKS))}")
+            if cid in self.checks[:i]:
+                raise ConfigError(f"check {cid!r} is selected more than once")
         for spec in selected_checks(self):
             if not spec.layout_aware:
                 continue
@@ -378,16 +384,15 @@ def _run_block(cfg: CampaignConfig, check_id: str, n, seeds) -> list[TrialReport
                 for seed in chunk:
                     out.extend(_run_block(cfg, check_id, n, [seed]))
             else:  # an unevaluable trial is a failed trial, not a dead campaign
-                out.append(TrialReport(check_id, "error", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                       False, n=n, seed=chunk[0], params={
-                                           "error": f"{type(exc).__name__}: {exc}"}))
+                out.append(error_report(check_id, exc, n=n, seed=chunk[0]))
     return out
 
 
 def _sort_key(r: TrialReport):
+    """(check, n, seed); the sort is stable, so tied rows keep the order
+    the runners made them in, which no worker count changes."""
     return (r.check_id, r.n if r.n is not None else -1,
-            r.seed if r.seed is not None else -1,
-            json.dumps(r.to_row(), sort_keys=True, default=str))
+            r.seed if r.seed is not None else -1)
 
 
 @dataclass(frozen=True)
@@ -468,21 +473,17 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
 # ------------------------------------------------------------------ writers
 
-def _clean(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, (list, tuple)):
-        return [_clean(x) for x in v]
-    return v
-
-
-def _trial_rows(summary: CampaignSummary):
-    for r in summary.reports:
-        yield {k: _clean(v) for k, v in r.to_row().items()}
+def _write_csv(path, echo, fieldnames, rows):
+    """Config echo line, header, then one line per row; floats as repr."""
+    buf = io.StringIO()
+    buf.write(f"# config {echo}\n")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v
+                         for k, v in row.items()})
+    with open(path, "w") as fh:
+        fh.write(buf.getvalue())
 
 
 def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
@@ -494,45 +495,22 @@ def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
     """
     base = cfg.out
     os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
-    paths = []
     echo = json.dumps(summary.config, sort_keys=True)
+    path = f"{base}.trials.{cfg.fmt}"
     if cfg.fmt == "jsonl":
-        path = base + ".trials.jsonl"
         with open(path, "w") as fh:
             fh.write(json.dumps({"record": "config", "config": summary.config},
                                 sort_keys=True) + "\n")
-            for row in _trial_rows(summary):
-                fh.write(json.dumps({"record": "trial", **row},
-                                    sort_keys=True, default=str) + "\n")
-        paths.append(path)
+            for r in summary.reports:
+                fh.write(json.dumps({"record": "trial", **r.to_row()},
+                                    sort_keys=True) + "\n")
     else:
-        path = base + ".trials.csv"
-        rows = list(_trial_rows(summary))
-        cols = sorted({k for row in rows for k in row})
-        buf = io.StringIO()
-        buf.write(f"# config {echo}\n")
-        writer = csv.DictWriter(buf, fieldnames=cols, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
-                             for k, v in row.items()})
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
-        paths.append(path)
-
+        rows = [r.to_row() for r in summary.reports]
+        _write_csv(path, echo, sorted({k for row in rows for k in row}), rows)
     spath = base + ".summary.csv"
-    buf = io.StringIO()
-    buf.write(f"# config {echo}\n")
-    writer = csv.DictWriter(buf, fieldnames=["check_id", "trials", "failures",
-                                             "worst_abs_gap", "worst_rel_gap"])
-    writer.writeheader()
-    for row in summary.per_check:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v
-                         for k, v in row.items()})
-    with open(spath, "w") as fh:
-        fh.write(buf.getvalue())
-    paths.append(spath)
-    return paths
+    _write_csv(spath, echo, ["check_id", "trials", "failures", "worst_abs_gap",
+                             "worst_rel_gap"], summary.per_check)
+    return [path, spath]
 
 
 # -------------------------------------------------------------- config file

@@ -17,7 +17,7 @@ import numpy as np
 
 from .combinatorics import shape_params, slot_sources, thue_morse
 from .errors import DimensionCap, DimensionMismatch
-from .report import TrialReport
+from .report import TrialReport, identity_report
 
 DIM_CAP = 3 ** 8  # total tensor dimension ceiling of the factored tensor routes
 DENSE_CAP = 512  # the same with dense=True, for the derivative form's D x D operands
@@ -41,8 +41,9 @@ def projector(local_dim: int, copies: int) -> np.ndarray:
 
 def pairing_check(x, y, copies: int = 1, atol: float = 1e-12,
                   seed=None) -> TrialReport:
-    """Tr[X Y] against <Omega| X (x) Y^T |Omega>, normalized by the
-    Frobenius norms of the operands."""
+    """Tr[X Y] against <Omega| X (x) Y^T |Omega>, reported as a residual:
+    lhs is the complex gap |Tr XY - <Omega| X (x) Y^T |Omega>|, rhs is 0,
+    and rtol = atol applies per unit of max(1, ||X|| ||Y||) (Frobenius)."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -54,14 +55,11 @@ def pairing_check(x, y, copies: int = 1, atol: float = 1e-12,
         raise DimensionMismatch(
             f"dimension {dim} is not a perfect {copies}-th power")
     om = omega_vector(local, copies)
-    lhs = complex(np.trace(x @ y))
-    rhs = complex(om.conj() @ np.kron(x, y.T) @ om)
     # both sides may be complex; judge the full complex gap per unit norm
-    gap = abs(lhs - rhs)
+    gap = abs(complex(np.trace(x @ y)) - complex(om.conj() @ np.kron(x, y.T) @ om))
     scale = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y)))
-    return TrialReport("pairing_identity", "identity", lhs.real, rhs.real,
-                       gap, gap / scale, atol, 0.0, gap <= atol * scale,
-                       seed=seed, params={"copies": copies, "dim": dim})
+    return identity_report("pairing_identity", gap, 0.0, atol=0.0, rtol=atol,
+                           scale=scale, seed=seed, params={"copies": copies, "dim": dim})
 
 
 @dataclass(frozen=True)

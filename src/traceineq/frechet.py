@@ -19,8 +19,6 @@ T at the inverse base, T_{A2^{-1}}(A1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, StepTooLarge
@@ -35,12 +33,6 @@ from .report import TrialReport, identity_report
 FD_STEP_SCALE = 1e-5
 
 
-@dataclass(frozen=True)
-class TOperatorResult:
-    value: np.ndarray
-    method: str
-
-
 def _conformable(x: PosDefMatrix, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if y.shape != x.matrix.shape:
@@ -49,7 +41,7 @@ def _conformable(x: PosDefMatrix, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def log_derivative_closed(x, y) -> TOperatorResult:
+def log_derivative_closed(x, y) -> np.ndarray:
     """Divided-difference kernel: in the eigenbasis of X the entries of
     T_X(Y) are Y_ij (log li - log lj) / (li - lj), diagonal 1 / li;
     stacks of X and Y of one shape (..., d, d) pair up matrix by matrix."""
@@ -60,10 +52,10 @@ def log_derivative_closed(x, y) -> TOperatorResult:
     vec_h = vec.conj().swapaxes(-1, -2)
     ytil = vec_h @ y @ vec
     phi = logarithmic_ratio(lam[..., :, None], lam[..., None, :])
-    return TOperatorResult(vec @ (ytil * phi) @ vec_h, "closed")
+    return vec @ (ytil * phi) @ vec_h
 
 
-def log_derivative_quadrature(x, y, rule: QuadratureRule | None = None) -> TOperatorResult:
+def log_derivative_quadrature(x, y, rule: QuadratureRule | None = None) -> np.ndarray:
     """Half-line integral of resolvent sandwiches, via batched solves.
 
     Kept eigenbasis-free on purpose: the resolvents come from
@@ -77,11 +69,10 @@ def log_derivative_quadrature(x, y, rule: QuadratureRule | None = None) -> TOper
     shifted = x.matrix[None, :, :] + rule.nodes[:, None, None] * eye[None, :, :]
     res = np.linalg.inv(shifted)
     sandwiched = res @ y[None, :, :] @ res
-    val = np.einsum("t,tij->ij", rule.weights, sandwiched)
-    return TOperatorResult(val, "quadrature")
+    return np.einsum("t,tij->ij", rule.weights, sandwiched)
 
 
-def log_derivative_finite_difference(x, y, step: float | None = None) -> TOperatorResult:
+def log_derivative_finite_difference(x, y, step: float | None = None) -> np.ndarray:
     """Central difference (log(X + rY) - log(X - rY)) / 2r.
 
     The default step is FD_STEP_SCALE * ||X|| / ||Y||. Steps that push
@@ -92,7 +83,7 @@ def log_derivative_finite_difference(x, y, step: float | None = None) -> TOperat
     y = _conformable(x, y)
     norm_y = float(np.linalg.norm(y, 2))
     if norm_y == 0.0:
-        return TOperatorResult(np.zeros_like(y), "finite-difference")
+        return np.zeros_like(y)
     if step is None:
         step = FD_STEP_SCALE * float(np.linalg.norm(x.matrix, 2)) / norm_y
     lam_min = float(x.spectral.eigenvalues[0])
@@ -102,7 +93,7 @@ def log_derivative_finite_difference(x, y, step: float | None = None) -> TOperat
             f"the smallest eigenvalue {lam_min:.3e}")
     plus = PosDefMatrix(x.matrix + step * y).log()
     minus = PosDefMatrix(x.matrix - step * y).log()
-    return TOperatorResult((plus - minus) / (2.0 * step), "finite-difference")
+    return (plus - minus) / (2.0 * step)
 
 
 def conjugated_power_average(a1, a2, rule: QuadratureRule | None = None) -> np.ndarray:
@@ -125,7 +116,7 @@ def power_average_identity_check(a1, a2, rule: QuadratureRule | None = None,
     """The average above vs T_{A2^{-1}}(A1), compared in Frobenius norm."""
     a2 = as_posdef(a2)
     avg = conjugated_power_average(a1, a2, rule)
-    closed = log_derivative_closed(PosDefMatrix(a2.inverse()), a1).value
+    closed = log_derivative_closed(PosDefMatrix(a2.inverse()), a1)
     gap = float(np.linalg.norm(avg - closed))
     scale = max(float(np.linalg.norm(closed)), 1e-300)
     return identity_report("power_average_identity", gap, 0.0, atol=0.0,

@@ -101,8 +101,7 @@ def rhs_golden_thompson(a1, a2):
 def rhs_lieb_three(a1, a2, a3):
     """Tr[A3 T_{A2^{-1}}(A1)], the three-matrix log-derivative bound."""
     chain, single = _coerce_chain([a1, a2, a3])
-    t_val = log_derivative_closed(PosDefMatrix(chain[:, 1].inverse()),
-                                  chain.matrix[:, 0]).value
+    t_val = log_derivative_closed(PosDefMatrix(chain[:, 1].inverse()), chain.matrix[:, 0])
     return _result(np.einsum("kij,kji->k", chain.matrix[:, 2], t_val), single,
                    "three-matrix bound")
 
@@ -265,7 +264,7 @@ def check_key_identity(mats, t_grid=(0.0, 0.5, -0.5, 2.0, -2.0),
     i = nan[-1] if nan.size else np.argmax(gaps >= gaps.max() - 4 * np.finfo(float).eps)
     lhs, rhs = map(float, pairs[i])
     return identity_report("key_identity", lhs, rhs, rtol=rtol,
-                           n=len(mats), seed=seed,
+                           n=chain.matrix.shape[1], seed=seed,
                            params={"t_worst": t_grid[i],
                                    "t_grid": list(t_grid)})
 

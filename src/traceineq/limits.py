@@ -9,11 +9,13 @@ derivative that reproduces the tensor right side.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRange, StepTooLarge
 from .frechet import conjugated_power_average
-from .inequalities import rhs_tensor_resolvent, tensor_operands
+from .inequalities import _coerce_chain, rhs_tensor_resolvent, tensor_operands
 from .linalg import PosDefMatrix, as_posdef, hermitian_fn, hermitize, real_trace
 from .quadrature import QuadratureRule, half_line_rule, real_line_rule
 from .report import TrialReport, identity_report
@@ -189,13 +191,11 @@ def check_penalized_trace_limit(a, v=None, t_grid=(1e2, 1e3, 1e4),
                                        eigenvector=eigenvector)
     floor = (10.0 ** (8 - dps)) * max(1.0, limit) if dps else 1e-13 * max(1.0, limit)
     monotone = all(gaps[i + 1] <= gaps[i] + floor for i in range(len(gaps) - 1))
-    passed = monotone and gaps[-1] <= tol_abs
-    return TrialReport("penalized_trace_limit", "identity",
-                       gaps[-1], 0.0, gaps[-1],
-                       gaps[-1] / max(1.0, limit), tol_abs, 0.0, passed,
-                       seed=seed,
-                       params={"gaps": gaps, "limit": limit,
-                               "t_grid": list(t_grid), "dps": dps})
+    rep = identity_report("penalized_trace_limit", gaps[-1], 0.0, atol=tol_abs,
+                          scale=max(1.0, limit), seed=seed,
+                          params={"gaps": gaps, "limit": limit,
+                                  "t_grid": list(t_grid), "dps": dps})
+    return replace(rep, passed=rep.passed and monotone)
 
 
 # ----------------------------------------------------------- derivative form
@@ -239,8 +239,12 @@ def check_derivative_form(mats, step: float | None = None, atol: float = 1e-5,
     smallest eigenvalue of A per unit of ||B||. An explicit step is
     taken as given and may raise StepTooLarge.
     """
-    exact = rhs_tensor_resolvent(mats)
-    big_a, big_b, outer = tensor_operands(mats)
+    chain, single = _coerce_chain(mats)
+    if not single:
+        raise DimensionMismatch(f"need one chain, got shape {chain.matrix.shape}")
+    chain = chain[0]
+    exact = rhs_tensor_resolvent(chain)
+    big_a, big_b, outer = tensor_operands(chain)
     if step is None:
         lam_min = float(big_a.spectral.eigenvalues[0])
         norm_b = float(np.linalg.norm(big_b, 2))
@@ -252,7 +256,7 @@ def check_derivative_form(mats, step: float | None = None, atol: float = 1e-5,
     ratio = err_half / err_full if err_full > 0 else 0.0
     extrapolated = (4.0 * fd_half - fd_full) / 3.0
     return identity_report("derivative_form", extrapolated, exact, atol=atol,
-                           rtol=atol, n=len(mats), seed=seed,
+                           rtol=atol, n=chain.matrix.shape[0], seed=seed,
                            params={"step": step, "halving_ratio": ratio,
                                    "err_full": err_full,
                                    "err_half": err_half})

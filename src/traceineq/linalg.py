@@ -118,11 +118,6 @@ class PosDefMatrix:
                 f"{POSITIVITY_FLOOR:.0e} times the max {lam[..., -1][~ok].flat[0]:.3e}")
         return SpectralDecomposition(lam, vec)
 
-    @property
-    def condition(self):
-        lam = self.spectral.eigenvalues
-        return lam[..., -1] / lam[..., 0]
-
     def power_stack(self, z: np.ndarray) -> np.ndarray:
         """Stacked spectral powers A^{z_t} of one matrix for an array of
         exponents, shape (len(z), dim, dim), from its decomposition."""

@@ -34,20 +34,13 @@ def beta_density(t):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights plus the metadata needed for error reporting."""
+    """Nodes and weights, their count, and the truncation half-width T
+    of a real-line rule (None on the half line)."""
 
-    kind: str  # "real-line" or "half-line"
     nodes: np.ndarray
     weights: np.ndarray
     node_count: int
     half_width: float | None = None
-
-    def tail_bound(self, sup_abs: float = 1.0) -> float:
-        """Truncation bound for real-line beta integrals: the discarded
-        tails carry at most sup|f| * 2 e^{-pi T}."""
-        if self.kind != "real-line":
-            return 0.0
-        return float(sup_abs) * 2.0 * np.exp(-np.pi * self.half_width)
 
 
 def real_line_rule(half_width: float = BETA_HALF_WIDTH,
@@ -56,7 +49,7 @@ def real_line_rule(half_width: float = BETA_HALF_WIDTH,
     if half_width <= 0 or node_count < 2:
         raise InvalidRange(f"need half_width > 0 and node_count >= 2, "
                            f"got ({half_width}, {node_count})")
-    return _cached_rule("real-line", int(node_count), float(half_width))
+    return _cached_rule(int(node_count), float(half_width))
 
 
 def half_line_rule(node_count: int = HALFLINE_NODE_COUNT) -> QuadratureRule:
@@ -67,25 +60,19 @@ def half_line_rule(node_count: int = HALFLINE_NODE_COUNT) -> QuadratureRule:
     """
     if node_count < 2:
         raise InvalidRange(f"need node_count >= 2, got {node_count}")
-    return _cached_rule("half-line", int(node_count))
+    return _cached_rule(int(node_count))
 
 
 @lru_cache(maxsize=16)
-def _cached_rule(kind: str, node_count: int,
-                 half_width: float | None = None) -> QuadratureRule:
+def _cached_rule(node_count: int, half_width: float | None = None) -> QuadratureRule:
+    """The real-line rule on [-half_width, half_width], or the half-line
+    rule when half_width is None."""
     x, w = np.polynomial.legendre.leggauss(node_count)
     s = 0.5 * (x + 1.0)  # the half-line variable
-    nodes, weights = ((half_width * x, half_width * w) if kind == "real-line"
-                      else (s / (1.0 - s), 0.5 * w / (1.0 - s) ** 2))
+    nodes, weights = ((s / (1.0 - s), 0.5 * w / (1.0 - s) ** 2) if half_width is None
+                      else (half_width * x, half_width * w))
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(kind, nodes, weights, node_count, half_width)
-
-
-def doubled(rule: QuadratureRule) -> QuadratureRule:
-    """Same rule with twice the nodes, for convergence self-checks."""
-    if rule.kind == "real-line":
-        return real_line_rule(rule.half_width, 2 * rule.node_count)
-    return half_line_rule(2 * rule.node_count)
+    return QuadratureRule(nodes, weights, node_count, half_width)
 
 
 def beta_normalization_gap(rule: QuadratureRule | None = None) -> float:

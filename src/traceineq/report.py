@@ -2,7 +2,8 @@
 
 A TrialReport is the unit every check emits: two numbers, their gap,
 the tolerance that judged them, and enough metadata to reproduce the
-trial. Verdicts are computed here so all checks share one rule.
+trial. Every report is built here, so all checks share one verdict
+rule and every field holds a plain Python value.
 """
 from __future__ import annotations
 
@@ -70,3 +71,9 @@ def inequality_report(check_id, lhs, rhs, *, atol=1e-9, rtol=1e-8,
     rel = gap / abs(rhs) if rhs != 0 else gap
     return TrialReport(check_id, "inequality", lhs, rhs, gap, rel,
                        atol, rtol, slack >= 0.0, n=n, seed=seed, params=params or {})
+
+
+def error_report(check_id, exc, *, n, seed) -> TrialReport:
+    """A trial that raised: failed, zero numbers, the exception in params."""
+    return TrialReport(check_id, "error", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False,
+                       n=n, seed=seed, params={"error": f"{type(exc).__name__}: {exc}"})

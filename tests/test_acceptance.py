@@ -57,9 +57,9 @@ def test_log_derivative_three_route_triangle():
         rng = np.random.default_rng(10_000 + seed)
         x = ti.draw_posdef(rng, 4)
         y = ti.draw_posdef(rng, 4).matrix
-        closed = ti.log_derivative_closed(x, y).value
-        quad = ti.log_derivative_quadrature(x, y).value
-        fd = ti.log_derivative_finite_difference(x, y).value
+        closed = ti.log_derivative_closed(x, y)
+        quad = ti.log_derivative_quadrature(x, y)
+        fd = ti.log_derivative_finite_difference(x, y)
         scale = np.linalg.norm(closed)
         for a, b in ((closed, quad), (closed, fd), (quad, fd)):
             worst = max(worst, float(np.linalg.norm(a - b)) / scale)

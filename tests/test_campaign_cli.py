@@ -45,6 +45,15 @@ def test_config_validation():
         _cfg(checks=("nope",)).validate()
     with pytest.raises(ConfigError):
         _cfg(fmt="xml").validate()
+    # each of these used to crash a worker or fail every trial instead
+    with pytest.raises(ConfigError, match="seed"):
+        _cfg(seed=-1).validate()
+    with pytest.raises(ConfigError, match="lam_hi"):
+        _cfg(lam_hi=float("inf")).validate()
+    with pytest.raises(ConfigError, match="half_width > 0 and finite"):
+        _cfg(half_width=float("inf")).validate()
+    with pytest.raises(ConfigError, match="'golden_thompson' is selected more than"):
+        _cfg(checks=("golden_thompson", "lieb_three", "golden_thompson")).validate()
 
 
 @pytest.mark.parametrize("field, value", [("half_width", 0.0),
@@ -110,6 +119,17 @@ def test_campaign_reports_sorted_and_seeded():
     assert keys == sorted(keys)
     gt = [r for r in summary.reports if r.check_id == "golden_thompson"]
     assert [r.seed for r in gt] == [77, 78, 79]
+    # rows with equal keys keep the order their runner made them in
+    from traceineq.campaign import SCALAR_GRID
+
+    summary = run_campaign(_cfg(checks=("scalar_power_identity", "pairing_identity"),
+                                parallel=2))
+    pairing = [(r.seed, r.params["copies"]) for r in summary.reports
+               if r.check_id == "pairing_identity"]
+    assert pairing == [(77, 1), (77, 2), (78, 1), (78, 2)]
+    scalar = [(r.params["x"], r.params["y"]) for r in summary.reports
+              if r.check_id == "scalar_power_identity"]
+    assert scalar == [(x, y) for x in SCALAR_GRID for y in SCALAR_GRID]
 
 
 def test_campaign_deterministic_across_parallelism(tmp_path):
@@ -157,6 +177,12 @@ def test_csv_format(tmp_path):
     assert len(lines) == 2 + 2 * 2  # header rows + trials x copies
 
 
+def _builtin(value):
+    if isinstance(value, list):
+        return all(map(_builtin, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
 def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
     # a runner that raises must yield a failed trial row
     from traceineq import campaign as camp
@@ -168,10 +194,16 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
         camp.CHECKS, "beta_normalization",
         camp.CheckSpec("beta_normalization", "identities", None, boom,
                        deterministic=True, description="x", formula="y"))
-    summary = run_campaign(_cfg(checks=("beta_normalization",)))
-    assert not summary.passed
+    out = str(tmp_path / "run")
+    summary = run_campaign(_cfg(suite="all", out=out))
+    assert not summary.passed and summary.failure_count == 1
     assert summary.reports[0].kind == "error"
     assert "synthetic failure" in summary.reports[0].params["error"]
+    # every row holds plain Python values, so the writers need no cleaning
+    rows = [r.to_row() for r in summary.reports]
+    assert {r["check_id"] for r in rows} == set(CHECKS)
+    assert all(_builtin(v) for row in rows for v in row.values())
+    assert len(open(out + ".trials.jsonl").readlines()) == 1 + len(rows)
 
 
 def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
@@ -331,6 +363,16 @@ def test_cli_bad_inputs_exit_two(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
     assert _run("verify", "--config", str(bad)).returncode == 2
+    wide = tmp_path / "wide.cfg"
+    wide.write_text("half_width = inf\n")
+    for args, named in [(("--seed", "-1"), "seed"),
+                        (("--lam-max", "inf"), "lam_hi"),
+                        (("--config", str(wide)), "half_width"),
+                        (("--check", "golden_thompson", "--check", "golden_thompson"),
+                         "'golden_thompson'")]:
+        proc = _run("verify", *args, "--trials", "1", "--parallel", "1")
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert named in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_tensor_layout_over_cap_exits_two():
@@ -378,6 +420,36 @@ def test_cli_perm_frozen_rows():
     assert "slot 4: A_5" in proc.stdout
     assert "3 -> 5" in proc.stdout
     assert "padded slots = 3" in proc.stdout
+
+
+def test_public_api_is_pinned():
+    # a change to the public names shows up in this list
+    assert traceineq.__all__ == [
+        "CHECKS", "CampaignConfig", "CampaignSummary", "CheckSpec", "ConfigError",
+        "DIM_CAP", "DimensionCap", "DimensionMismatch", "FactorLayout",
+        "ImaginaryResidue", "InvalidRange", "MAX_N", "MidPermutation", "MidSlot",
+        "NonFinite", "NonPositiveEigenvalue", "NotHermitian", "PosDefMatrix",
+        "QuadratureRule", "ShapeParams", "StepTooLarge", "TraceIneqError",
+        "TrialReport", "UnknownCheck", "as_posdef", "beta_density",
+        "beta_normalization_gap", "build_layout", "build_permutation",
+        "chain_product_trace", "check_commutator_chain", "check_derivative_form",
+        "check_equivalence", "check_golden_thompson", "check_jensen_trace",
+        "check_key_identity", "check_lieb_equivalence", "check_lieb_three",
+        "check_penalized_trace_limit", "check_power_integral",
+        "check_scaled_exponential", "check_tensor_resolvent", "commutator_chain",
+        "conjugated_power_average", "derivative_form_value", "doubling_permutation",
+        "draw_posdef", "half_line_rule", "hermitian_fn", "hermitize",
+        "identity_report", "inequality_report", "kron_all", "lhs_exp_sum_log",
+        "load_config_file", "log_derivative_closed",
+        "log_derivative_finite_difference", "log_derivative_quadrature",
+        "logarithmic_ratio", "omega_vector", "pairing_check", "penalized_trace_gaps",
+        "power_average_identity_check", "projector", "random_commuting_family",
+        "real_line_rule", "real_trace", "rhs_golden_thompson", "rhs_lieb_three",
+        "rhs_power_integral", "rhs_tensor_resolvent", "run_campaign",
+        "scalar_identity_check", "scalar_log_kernel", "scalar_power_average",
+        "scaled_exponential_lhs", "shape_params", "slot_sources", "tensor_operands",
+        "tensor_pair_trace", "thue_morse", "thue_morse_prefix", "write_reports",
+    ]
 
 
 def test_cli_version():

@@ -40,6 +40,23 @@ def test_pairing_reproduces_trace(rng):
     assert rep.passed
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_pairing_report_is_a_residual_with_the_same_verdict(copies):
+    rng = np.random.default_rng(40 + copies)
+    dim = 2 ** copies
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w = omega_vector(2, copies)
+    gap = abs(np.trace(x @ y) - w @ np.kron(x, y.T) @ w)
+    scale = max(1.0, np.linalg.norm(x) * np.linalg.norm(y))
+    assert gap > 0.0
+    for atol in (1e-12, 0.5 * gap / scale, 0.0):
+        rep = pairing_check(x, y, copies=copies, atol=atol)
+        assert rep.passed == (gap <= atol * scale) == (atol == 1e-12)
+        assert (rep.lhs, rep.rhs, rep.atol, rep.rtol) == (gap, 0.0, 0.0, atol)
+        assert rep.rel_gap == pytest.approx(gap / scale)
+
+
 def test_projector_nesting():
     # one pair of squared local dimension equals two nested pairs
     p_two_pairs = projector(2, 2)

@@ -21,6 +21,7 @@ from traceineq import (
     check_tensor_resolvent,
     commutator_chain,
     derivative_form_value,
+    draw_posdef,
     kron_all,
     lhs_exp_sum_log,
     logarithmic_ratio,
@@ -306,6 +307,19 @@ def test_derivative_form_converges(make_chain):
     exact = rhs_tensor_resolvent(mats)
     val = derivative_form_value(*tensor_operands(mats), step=1e-4)
     assert val == pytest.approx(exact, rel=1e-6)
+    stack = draw_posdef([np.random.default_rng(s) for s in (85, 86)], 2, count=4)
+    with pytest.raises(DimensionMismatch, match="one chain"):
+        check_derivative_form(stack)
+
+
+@pytest.mark.parametrize("check, n", [(check_key_identity, 5),
+                                      (check_derivative_form, 4)])
+def test_one_chain_stack_gives_the_report_of_its_list(check, n):
+    chain = draw_posdef(np.random.default_rng(86), 2, count=n)
+    assert chain.matrix.shape == (n, 2, 2)
+    rep = check(chain, seed=86)
+    assert rep.n == n and rep.passed
+    assert rep == check([chain[k] for k in range(n)], seed=86)
 
 
 def test_derivative_form_adaptive_step_survives_harsh_chain(make_chain):

@@ -298,8 +298,3 @@ def test_as_posdef_passthrough_and_wrap(rng):
     wrapped = as_posdef(a.matrix)
     assert isinstance(wrapped, PosDefMatrix)
     assert np.allclose(wrapped.matrix, a.matrix)
-
-
-def test_condition_number(rng):
-    a = PosDefMatrix(np.diag([0.5, 8.0]))
-    assert a.condition == pytest.approx(16.0)

