@@ -155,21 +155,19 @@ class _Ctx:
 # A runner maps (ctx, n, seeds) to a list of TrialReports, where n is the
 # task's chain length (None for checks without one) and seeds one chunk of
 # trial seeds. Deterministic checks ignore the seed and run exactly once
-# per campaign. Most rows wrap their library call in _drawn; checks that
-# build their own inputs have a named runner of one seed, wrapped in
-# _each. Library functions are looked up as module globals at call time,
-# never captured when the table is built.
+# per campaign. Rows on drawn chains wrap their library call, made once
+# per chunk, in _drawn; checks that build their own inputs have a named
+# runner of one seed, wrapped in _each. Library functions are looked up
+# as module globals at call time, never captured when the table is built.
 
-def _drawn(call, stacked=True):
-    """Runner that draws the chunk's chains as one stack for a stacked
-    call(ctx, chains, seeds), or else iterates call(ctx, chain, seed)."""
+def _drawn(call, commuting=False):
+    """Runner that draws the chunk's chains, or commuting families, as one
+    stack for call(ctx, chains, seeds)."""
     def run(ctx, n, seeds):
-        chains = draw_posdef([np.random.default_rng(seed) for seed in seeds],
-                             ctx.d, ctx.lam_range, count=n)
-        if stacked:
-            return call(ctx, chains, seeds)
-        return [call(ctx, [chains[i, k] for k in range(n)], seed)
-                for i, seed in enumerate(seeds)]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        chains = (random_commuting_family(ctx.d, n, rngs, ctx.lam_range) if commuting
+                  else draw_posdef(rngs, ctx.d, ctx.lam_range, count=n))
+        return call(ctx, chains, seeds)
     return run
 
 
@@ -197,13 +195,6 @@ def _run_pairing(ctx, n, seed):
     return out
 
 
-def _run_commutator_commuting(ctx, n, seed):
-    a1, a2 = random_commuting_family(ctx.d, 2, seed, ctx.lam_range)
-    return [check_commutator_chain(a1, a2, ctx.beta_rule, ctx.half_rule,
-                                   atol=1e-12, seed=seed,
-                                   check_id="commutator_chain_commuting")]
-
-
 def _run_penalized_limit(ctx, n, seed):
     rng = np.random.default_rng(seed)
     dim = 3
@@ -214,17 +205,19 @@ def _run_penalized_limit(ctx, n, seed):
     return [check_penalized_trace_limit(a, v, seed=seed)]
 
 
-def _run_commuting_equality(ctx, n, seed):
+def _commuting_equality(ctx, fam, seeds):
     """Simultaneously diagonalizable chains collapse every bound to the
     left side; report the worst relative gap across the closed forms."""
-    fam = random_commuting_family(ctx.d, n, seed, ctx.lam_range)
+    n = fam.matrix.shape[1]
     lhs = lhs_exp_sum_log(fam)
     values = [rhs_power_integral(fam, ctx.beta_rule), rhs_tensor_resolvent(fam)]
     if n == 3:
-        values.append(rhs_lieb_three(*fam))
-    worst = max(values, key=lambda v: abs(v - lhs))
-    return [identity_report("commuting_equality", lhs, worst, rtol=1e-8,
-                            n=n, seed=seed, params={"forms": len(values)})]
+        values.append(rhs_lieb_three(fam[:, 0], fam[:, 1], fam[:, 2]))
+    values = np.array(values)
+    worst = values[np.abs(values - lhs).argmax(axis=0), np.arange(len(seeds))]
+    return [identity_report("commuting_equality", lo, hi, rtol=1e-8, n=n, seed=seed,
+                            params={"forms": len(values)})
+            for lo, hi, seed in zip(lhs, worst, seeds)]
 
 
 @dataclass(frozen=True)
@@ -253,8 +246,8 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "on a fixed grid.",
         formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
     CheckSpec("power_average_identity", "identities", 2,
-        _drawn(lambda ctx, c, seed: power_average_identity_check(
-            c[0].matrix, c[1], ctx.beta_rule, seed=seed), stacked=False),
+        _drawn(lambda ctx, c, seeds: power_average_identity_check(
+            c[:, 0].matrix, c[:, 1], ctx.beta_rule, seed=seeds)),
         description="Matrix beta-average of conjugated powers equals the "
                     "log-derivative operator at the inverse base.",
         formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"),
@@ -262,7 +255,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
         formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
     CheckSpec("key_identity", "identities", "n",
-        _drawn(lambda ctx, c, seed: check_key_identity(c, seed=seed), stacked=False),
+        _drawn(lambda ctx, c, seeds: check_key_identity(c, seed=seeds)),
         layout_aware=True,
         description="Pointwise in t: the sandwiched chain trace equals the "
                     "entangled pairing of the slotted tensor powers.",
@@ -281,18 +274,20 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("commutator_chain", "identities", 2,
-        _drawn(lambda ctx, c, seed: check_commutator_chain(
-            *c, ctx.beta_rule, ctx.half_rule, seed=seed), stacked=False),
+        _drawn(lambda ctx, c, seeds: check_commutator_chain(
+            c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, seed=seeds)),
         description="Four operator expressions for the deviation of the "
                     "conjugated-power average from the plain product.",
         formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
                 "int R X [A1, A2] X R^2 dtau"),
     CheckSpec("commutator_chain_commuting", "identities", 2,
-        _each(_run_commutator_commuting),
+        _drawn(lambda ctx, c, seeds: check_commutator_chain(
+            c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, atol=1e-12, seed=seeds,
+            check_id="commutator_chain_commuting"), commuting=True),
         description="The same chain vanishes identically on commuting pairs.",
         formula="[A1, A2] = 0  =>  all four expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
-        _drawn(lambda ctx, c, seed: check_derivative_form(c, seed=seed), stacked=False),
+        _drawn(lambda ctx, c, seeds: check_derivative_form(c, seed=seeds)),
         layout_aware=True, dense=True,
         description="The tensor bound is the directional derivative of a "
                     "trace functional along B.",
@@ -302,7 +297,8 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Rank-one penalties collapse the trace exponential to the "
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
-    CheckSpec("commuting_equality", "identities", "n", _each(_run_commuting_equality),
+    CheckSpec("commuting_equality", "identities", "n",
+        _drawn(_commuting_equality, commuting=True),
         layout_aware=True,
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
@@ -359,15 +355,9 @@ def _lengths(spec: CheckSpec, cfg: CampaignConfig) -> tuple:
 
 def _expand_tasks(cfg: CampaignConfig):
     """(check_id, n, seed_list) triples; deterministic checks get one seed."""
-    tasks = []
-    for spec in selected_checks(cfg):
-        if spec.deterministic:
-            seeds = [cfg.seed]
-        else:
-            seeds = [cfg.seed + i for i in range(cfg.trials)]
-        for n in _lengths(spec, cfg):
-            tasks.append((spec.check_id, n, seeds))
-    return tasks
+    return [(spec.check_id, n,
+             [cfg.seed] if spec.deterministic else [cfg.seed + i for i in range(cfg.trials)])
+            for spec in selected_checks(cfg) for n in _lengths(spec, cfg)]
 
 
 def _run_block(cfg: CampaignConfig, check_id: str, n, seeds) -> list[TrialReport]:
@@ -431,15 +421,9 @@ def _summarize(cfg, reports, runtime_s) -> CampaignSummary:
         row["worst_rel_gap"] = float(np.maximum(row["worst_rel_gap"], abs(r.rel_gap)))
     per_rows = [per[k] for k in sorted(per)]
     failures = sum(row["failures"] for row in per_rows)
-    return CampaignSummary(
-        passed=failures == 0,
-        trial_count=len(reports),
-        failure_count=failures,
-        per_check=per_rows,
-        config=cfg.echo(),
-        runtime_s=runtime_s,
-        reports=reports,
-    )
+    return CampaignSummary(passed=failures == 0, trial_count=len(reports),
+                           failure_count=failures, per_check=per_rows,
+                           config=cfg.echo(), runtime_s=runtime_s, reports=reports)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
@@ -554,9 +538,8 @@ def load_config_file(path: str) -> dict:
 
 def config_from(file_overrides: dict, flag_overrides: dict) -> CampaignConfig:
     """Defaults, then config file, then command-line flags."""
-    merged = {}
-    merged.update(file_overrides)
-    merged.update({k: v for k, v in flag_overrides.items() if v is not None})
+    merged = {**file_overrides,
+              **{k: v for k, v in flag_overrides.items() if v is not None}}
     if "out" not in merged or merged["out"] is None:
         env_dir = os.environ.get(OUT_ENV)
         if env_dir:

@@ -119,14 +119,12 @@ def _cmd_explain(args) -> int:
     if spec.layout_aware:
         n = args.n if args.n is not None else (fixed_n or 4)
         print()
-        for line in _layout_text(n, args.d):
-            print(line)
+        print("\n".join(_layout_text(n, args.d)))
     return 0
 
 
 def _cmd_perm(args) -> int:
-    for line in _perm_text(args.n):
-        print(line)
+    print("\n".join(_perm_text(args.n)))
     return 0
 
 

@@ -2,8 +2,8 @@
 connecting their different formulations.
 
 Chains are passed as python lists [A1, ..., An] of positive-definite
-matrices, or K at once as a PosDefMatrix (K, n, d, d) (one chain only
-for check_key_identity); index comments are 1-based as in the math.
+matrices, or K at once as a PosDefMatrix (K, n, d, d), whose checks
+take a list of K seeds; index comments are 1-based as in the math.
 For a chain of length n the comparisons are
 
     Tr exp(sum_k log A_k)  <=  integral form  ==  tensor form,
@@ -33,7 +33,7 @@ from .linalg import (
     real_trace,
 )
 from .quadrature import QuadratureRule, beta_density, real_line_rule
-from .report import TrialReport, identity_report, inequality_report
+from .report import TrialReport, identity_report, inequality_report, stack_reports
 
 STACK_BUDGET = 1 << 16  # complex entries per intermediate of a stacked evaluation
 
@@ -65,6 +65,7 @@ def _result(values, single, context):
 def _sliced(fn, chain, entries):
     """fn over the stack of chains in slices of STACK_BUDGET // entries
     chains (at least one), ``entries`` being fn's largest per chain."""
+    chain.spectral  # decomposed once, before slicing: every slice shares it
     step = max(1, STACK_BUDGET // entries)
     return np.concatenate([fn(chain[i:i + step])
                            for i in range(0, chain.matrix.shape[0], step)])
@@ -113,16 +114,16 @@ def rhs_power_integral(mats, rule: QuadratureRule | None = None):
     rule = rule or real_line_rule()
     z = 0.5 * (1.0 + 1j * rule.nodes)
     weights = rule.weights * beta_density(rule.nodes)
-    return _result(_sliced(lambda c: _power_integral(c, z, weights), chain,
+    return _result(_sliced(lambda c: _power_traces(c, z) @ weights, chain,
                            z.size * chain.dim ** 2), single, "power-integral form")
 
 
-def _power_integral(chain, z, weights):
-    """The power integral of a stack of chains. The sandwich S(t) of
-    A_1 between the powers of A_2 .. A_k is held in the eigenbasis V_k
-    of A_k, as S[K, i, t, j]. There the conjugation by A_k^{z_t} scales
-    entry (i, j) by lam_i^{z_t} conj(lam_j^{z_t}), and the move to the
-    next basis is one product with U = V_{k+1}* V_k on each side."""
+def _power_traces(chain, z):
+    """The chain traces of a stack of chains at each z_t, shape (K, T).
+    The sandwich S(t) of A_1 between the powers of A_2 .. A_k is held in
+    the eigenbasis V_k of A_k, as S[K, i, t, j]. There the conjugation by
+    A_k^{z_t} scales entry (i, j) by lam_i^{z_t} conj(lam_j^{z_t}), and the
+    move to the next basis is one product with U = V_{k+1}* V_k per side."""
     lam, vec = chain.spectral.eigenvalues, chain.spectral.eigenvectors
     vec_h = vec.conj().swapaxes(-1, -2)
     count, n, d = lam.shape
@@ -135,7 +136,7 @@ def _power_integral(chain, z, weights):
         p = np.exp(np.log(lam[:, k])[:, :, None] * z)
         s = s * (p[:, :, :, None] * p.conj().swapaxes(-1, -2)[:, None])
     last = vec_h[:, -2] @ chain.matrix[:, -1] @ vec[:, -2]
-    return np.einsum("kji,kitj->kt", last, s) @ weights
+    return np.einsum("kji,kitj->kt", last, s)
 
 
 def _slot_spectra(chain, dense=False):
@@ -223,59 +224,62 @@ def _tensor_resolvent(chain):
 
 # ------------------------------------------------- pointwise chain identity
 
-def chain_product_trace(mats, t: float):
-    """Tr[A_n A_{n-1}^{(1+it)/2} .. A_1 .. A_{n-1}^{(1-it)/2}] at one t:
-    the integrand of the power integral, by the same evaluation."""
+def chain_product_trace(mats, t):
+    """Tr[A_n A_{n-1}^{(1+it)/2} .. A_1 .. A_{n-1}^{(1-it)/2}] at t, or at
+    each t of an array (a trailing axis): the integrand of the power
+    integral, by the same evaluation."""
     chain, single = _coerce_chain(mats)
-    z = np.array([0.5 * (1.0 + 1j * t)])
-    return _result(_power_integral(chain, z, np.ones(1)), single,
-                   "chain product trace")
+    z = 0.5 * (1.0 + 1j * np.asarray(t, dtype=float))
+    traces = _power_traces(chain, z.reshape(-1)).reshape((-1,) + z.shape)
+    return _result(traces, single, "chain product trace")
 
 
-def tensor_pair_trace(mats, t: float):
-    """<Omega| W^{(1+it)/2} B W^{(1-it)/2} |Omega> at one t, W = A^-1, with
-    W^z Omega = flatten(kron_k S_k^z (S_{k+F/2}^z)^T) for the slot matrices
-    S_k (conj(S)^z from conj(V)); each pairing block of B contracts its
-    Omega_m, leaving w* (A_1 (x) conj(A_n)) w. Equals chain_product_trace
-    for every t: the pointwise doubling identity."""
+def tensor_pair_trace(mats, t):
+    """<Omega| W^{(1+it)/2} B W^{(1-it)/2} |Omega> at t, or at each t of an
+    array, W = A^-1, with W^z Omega = flatten(kron_k S_k^z (S_{k+F/2}^z)^T)
+    for the slot matrices S_k (conj(S)^z from conj(V)); each pairing block
+    of B contracts its Omega_m, leaving w* (A_1 (x) conj(A_n)) w. Equals
+    chain_product_trace for every t: the pointwise doubling identity."""
     chain, single = _coerce_chain(mats)
     layout, _, slots = _slot_spectra(chain)
-    z = 0.5 * (1.0 - 1j * t)
-    powers = slots.apply(lambda x: np.exp(z * np.log(x)))
-    u, d = _paired(powers, 0, layout.factor_count // 2), chain.dim
+    z = 0.5 * (1.0 - 1j * np.asarray(t, dtype=float))
+    count, d = chain.matrix.shape[0], chain.dim
+    powers = SpectralDecomposition(slots.eigenvalues[:, None], slots.eigenvectors[:, None]
+                                   ).apply(lambda x: np.exp(z.reshape(-1, 1, 1) * np.log(x)))
+    u = _paired(powers.reshape((-1,) + powers.shape[2:]), 0, layout.factor_count // 2)
     for m in reversed(layout.pair_copies):
         u = np.einsum("kxii->kx", u.reshape(len(u), -1, d ** m, d ** m))
-    w = u.reshape(-1, d, d)
-    return _result(np.einsum("kij,kij->k", w.conj(), chain.matrix[:, 0] @ w
-                             @ chain.matrix[:, -1]), single, "tensor pair trace")
+    w = u.reshape(count, -1, d, d)
+    ends = chain.matrix[:, None, 0] @ w @ chain.matrix[:, None, -1]
+    return _result(np.einsum("ktij,ktij->kt", w.conj(), ends).reshape((count,) + z.shape),
+                   single, "tensor pair trace")
 
 
 def check_key_identity(mats, t_grid=(0.0, 0.5, -0.5, 2.0, -2.0),
-                       rtol: float = 1e-9, seed=None) -> TrialReport:
-    """Pointwise product trace vs tensor pairing over a grid of t, on one
-    chain."""
-    chain = _coerce_chain(mats)[0]  # decomposed once, for every t
-    pairs = np.array([[float(np.squeeze(side(chain, t))) for side in
-                       (chain_product_trace, tensor_pair_trace)] for t in t_grid])
-    gaps = np.abs(pairs[:, 0] - pairs[:, 1]) / np.abs(pairs).max(axis=1)
-    # a NaN gap (the last) fails the trial; else the first t within 4 eps
-    # of the largest gap, so gaps at roundoff level keep their t
-    nan = np.flatnonzero(np.isnan(gaps))
-    i = nan[-1] if nan.size else np.argmax(gaps >= gaps.max() - 4 * np.finfo(float).eps)
-    lhs, rhs = map(float, pairs[i])
-    return identity_report("key_identity", lhs, rhs, rtol=rtol,
-                           n=chain.matrix.shape[1], seed=seed,
-                           params={"t_worst": t_grid[i],
-                                   "t_grid": list(t_grid)})
+                       rtol: float = 1e-9, seed=None):
+    """Pointwise product trace vs tensor pairing over a grid of t, both
+    sides evaluated for the whole grid and stack at once."""
+    chain, single = _coerce_chain(mats)  # decomposed once, for every t
+    t = np.array(t_grid, dtype=float)
+    pairs = np.stack([chain_product_trace(chain, t), tensor_pair_trace(chain, t)], axis=-1)
+    gaps = np.abs(pairs[..., 0] - pairs[..., 1]) / np.abs(pairs).max(axis=-1)
+
+    def report(k, s):
+        # a NaN gap (the last) fails the trial; else the first t within 4 eps
+        # of the largest gap, so gaps at roundoff level keep their t
+        gap, nan = gaps[k], np.flatnonzero(np.isnan(gaps[k]))
+        i = nan[-1] if nan.size else np.argmax(gap >= gap.max() - 4 * np.finfo(float).eps)
+        return identity_report("key_identity", *pairs[k, i], rtol=rtol,
+                               n=chain.matrix.shape[1], seed=s,
+                               params={"t_worst": t_grid[i], "t_grid": list(t_grid)})
+    return stack_reports(single, seed, len(gaps), report)
 
 
 def _reports(make, check_id, chain, single, lhs, rhs, seed, **kwargs):
     """make(check_id, lhs, rhs, ...) for one chain, or a list with one
     report per chain of a stack, where ``seed`` lists their seeds."""
-    seeds = [seed] if single else seed
-    out = [make(check_id, lo, hi, n=chain.matrix.shape[1], seed=s, **kwargs)
-           for lo, hi, s in zip(lhs, rhs, seeds or [None] * len(lhs))]
-    return out[0] if single else out
+    return stack_reports(single, seed, len(lhs), lambda i, s: make(
+        check_id, lhs[i], rhs[i], n=chain.matrix.shape[1], seed=s, **kwargs))
 
 
 def check_equivalence(mats, rule: QuadratureRule | None = None,

@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidRange, StepTooLarge
 from .frechet import conjugated_power_average
-from .inequalities import _coerce_chain, rhs_tensor_resolvent, tensor_operands
+from .entangle import build_layout
+from .inequalities import _coerce_chain, _sliced, rhs_tensor_resolvent, tensor_operands
 from .linalg import PosDefMatrix, as_posdef, hermitian_fn, hermitize, real_trace
 from .quadrature import QuadratureRule, half_line_rule, real_line_rule
-from .report import TrialReport, identity_report
+from .report import TrialReport, identity_report, stack_reports
 
 
 # ---------------------------------------------------------- commutator chain
@@ -36,34 +37,37 @@ def commutator_chain(a1, a2, beta_rule: QuadratureRule | None = None,
       commutator_resolvent    int [A1, R] R dtau
       explicit_commutator     int R X [A1, A2] X R^2 dtau
 
-    with X = A2^{-1} and R = R(tau) = (X + tau)^{-1}.
+    with X = A2^{-1} and R = R(tau) = (X + tau)^{-1}. Stacks of pairs
+    (K, d, d) give stacks of each; the resolvents are one batched inverse,
+    held node axis last, (K, d, d, T), so products run along the nodes.
     """
     a1 = as_posdef(a1)
     a2 = as_posdef(a2)
-    if a1.dim != a2.dim:
-        raise DimensionMismatch("operands must share one dimension")
+    if a1.matrix.shape != a2.matrix.shape:
+        raise DimensionMismatch("operands must share one shape")
     beta_rule = beta_rule or real_line_rule()
     half_rule = half_rule or half_line_rule()
 
-    m1 = a1.matrix
-    m2 = a2.matrix
+    m1, m2 = a1.matrix, a2.matrix
     x = a2.inverse()
-    eye = np.eye(a1.dim)
-    res = np.linalg.inv(x[None, :, :] + half_rule.nodes[:, None, None] * eye)
+    res = np.linalg.inv(x[..., None, :, :] + half_rule.nodes[:, None, None] * np.eye(a1.dim))
+    res = np.ascontiguousarray(np.moveaxis(res, -3, -1))
     w = half_rule.weights
 
     average = conjugated_power_average(m1, a2, beta_rule)
     first = m1 @ m2 - average
 
-    r2 = res @ res
-    second = np.einsum("t,tij->ij", w, m1[None] @ r2 - res @ m1[None] @ res)
+    r2 = np.einsum("...ijt,...jkt->...ikt", res, res)
+    second = (np.einsum("...ij,...jkt->...ikt", m1, r2)
+              - np.einsum("...ijt,...jk,...klt->...ilt", res, m1, res)) @ w
 
-    comm_r = m1[None] @ res - res @ m1[None]
-    third = np.einsum("t,tij->ij", w, comm_r @ res)
+    comm_r = (np.einsum("...ij,...jkt->...ikt", m1, res)
+              - np.einsum("...ijt,...jk->...ikt", res, m1))
+    third = np.einsum("...ijt,...jkt,t->...ik", comm_r, res, w)
 
     comm = m1 @ m2 - m2 @ m1
     core = x @ comm @ x
-    fourth = np.einsum("t,tij->ij", w, res @ core[None] @ r2)
+    fourth = np.einsum("...ijt,...jk,...klt,t->...il", res, core, r2, w)
 
     return {
         "product_minus_average": first,
@@ -75,20 +79,20 @@ def commutator_chain(a1, a2, beta_rule: QuadratureRule | None = None,
 
 def check_commutator_chain(a1, a2, beta_rule=None, half_rule=None,
                            atol: float = 1e-6, seed=None,
-                           check_id: str = "commutator_chain") -> TrialReport:
+                           check_id: str = "commutator_chain"):
     """Max pairwise Frobenius gap across the four routes, per unit of
-    ||A1|| ||A2||."""
+    ||A1|| ||A2||; a NaN gap is the max, and fails the trial. Stacks of
+    pairs give one report per pair, given a list of seeds."""
     a1 = as_posdef(a1)
     a2 = as_posdef(a2)
     exprs = list(commutator_chain(a1, a2, beta_rule, half_rule).values())
-    worst = 0.0
-    for i in range(len(exprs)):
-        for j in range(i + 1, len(exprs)):
-            worst = max(worst, float(np.linalg.norm(exprs[i] - exprs[j])))
-    scale = max(1.0, float(np.linalg.norm(a1.matrix) * np.linalg.norm(a2.matrix)))
-    return identity_report(check_id, worst, 0.0, atol=0.0, rtol=atol,
-                           scale=scale, n=2, seed=seed,
-                           params={"dim": a1.dim})
+    worst = np.max([np.linalg.norm(exprs[i] - exprs[j], axis=(-2, -1))
+                    for i in range(len(exprs)) for j in range(i + 1, len(exprs))], axis=0)
+    scales = np.maximum(1.0, np.linalg.norm(a1.matrix, axis=(-2, -1))
+                        * np.linalg.norm(a2.matrix, axis=(-2, -1)))
+    return stack_reports(worst.ndim == 0, seed, worst.size, lambda i, s: identity_report(
+        check_id, worst.flat[i], 0.0, atol=0.0, rtol=atol, scale=float(scales.flat[i]),
+        n=2, seed=s, params={"dim": a1.dim}))
 
 
 # ------------------------------------------------------ penalized trace limit
@@ -200,23 +204,26 @@ def check_penalized_trace_limit(a, v=None, t_grid=(1e2, 1e3, 1e4),
 
 # ----------------------------------------------------------- derivative form
 
-def derivative_form_value(big_a, big_b, outer, step: float) -> float:
+def derivative_form_value(big_a, big_b, outer, step):
     """Central difference of r -> Tr[P exp(log(A + r B) - log A)] at 0,
-    on the operands returned by ``tensor_operands``.
+    on the operands returned by ``tensor_operands``: a number, or for
+    stacked operands one value per chain, each at its own step.
 
     The exponent vanishes at r = 0, so the derivative equals the tensor
     right side Tr[P (T_A(B))] exactly; the quotient converges at
     second order in the step.
     """
-    lam_min = float(big_a.spectral.eigenvalues[0])
-    norm_b = float(np.linalg.norm(big_b, 2))
-    if step * norm_b >= 0.5 * lam_min:
-        raise StepTooLarge(f"step {step:.3e} times ||B|| {norm_b:.3e} is not "
-                           f"well inside the smallest eigenvalue {lam_min:.3e}")
+    lam_min = big_a.spectral.eigenvalues[..., 0]
+    norm_b = np.linalg.norm(big_b, 2, axis=(-2, -1))
+    step = np.broadcast_to(step, norm_b.shape)
+    for s, nb, lm in zip(step.flat, norm_b.flat, lam_min.flat):
+        if s * nb >= 0.5 * lm:
+            raise StepTooLarge(f"step {s:.3e} times ||B|| {nb:.3e} is not "
+                               f"well inside the smallest eigenvalue {lm:.3e}")
     log_a = big_a.log()
 
     def probe(r):
-        exponent = PosDefMatrix(big_a.matrix + r * big_b).log() - log_a
+        exponent = PosDefMatrix(big_a.matrix + r[..., None, None] * big_b).log() - log_a
         body = hermitian_fn(exponent, np.exp)
         return real_trace(outer.conj() @ body @ outer,
                           context="derivative probe")
@@ -224,8 +231,18 @@ def derivative_form_value(big_a, big_b, outer, step: float) -> float:
     return (probe(step) - probe(-step)) / (2.0 * step)
 
 
+def _quotients(chain, step):
+    """(step, quotient at step, quotient at step / 2) per chain, shape (K, 3)."""
+    big_a, big_b, outer = tensor_operands(chain)
+    if step is None:
+        lam_min = big_a.spectral.eigenvalues[:, 0]
+        step = np.minimum(1e-3, 0.05 * lam_min / np.linalg.norm(big_b, 2, axis=(-2, -1)))
+    quotients = [derivative_form_value(big_a, big_b, outer, r) for r in (step, step / 2.0)]
+    return np.stack(np.broadcast_arrays(step, *quotients), axis=-1)
+
+
 def check_derivative_form(mats, step: float | None = None, atol: float = 1e-5,
-                          seed=None) -> TrialReport:
+                          seed=None):
     """Difference quotient vs the closed tensor value.
 
     Two quotients are taken, at ``step`` and ``step / 2``; their error
@@ -237,26 +254,17 @@ def check_derivative_form(mats, step: float | None = None, atol: float = 1e-5,
     The default step adapts to the chain: it must keep A + r B well
     inside the positive cone, so it is capped at a twentieth of the
     smallest eigenvalue of A per unit of ||B||. An explicit step is
-    taken as given and may raise StepTooLarge.
+    taken as given and may raise StepTooLarge. K chains, given K seeds,
+    are decomposed once and probed by (K, D, D) eighs within STACK_BUDGET.
     """
     chain, single = _coerce_chain(mats)
-    if not single:
-        raise DimensionMismatch(f"need one chain, got shape {chain.matrix.shape}")
-    chain = chain[0]
     exact = rhs_tensor_resolvent(chain)
-    big_a, big_b, outer = tensor_operands(chain)
-    if step is None:
-        lam_min = float(big_a.spectral.eigenvalues[0])
-        norm_b = float(np.linalg.norm(big_b, 2))
-        step = min(1e-3, 0.05 * lam_min / norm_b)
-    fd_full = derivative_form_value(big_a, big_b, outer, step)
-    fd_half = derivative_form_value(big_a, big_b, outer, step / 2.0)
-    err_full = abs(fd_full - exact)
-    err_half = abs(fd_half - exact)
-    ratio = err_half / err_full if err_full > 0 else 0.0
+    size = build_layout(chain.matrix.shape[1], chain.dim, dense=True).total_dim
+    steps, fd_full, fd_half = _sliced(lambda c: _quotients(c, step), chain, size * size).T
+    err_full, err_half = np.abs(fd_full - exact).tolist(), np.abs(fd_half - exact).tolist()
     extrapolated = (4.0 * fd_half - fd_full) / 3.0
-    return identity_report("derivative_form", extrapolated, exact, atol=atol,
-                           rtol=atol, n=chain.matrix.shape[0], seed=seed,
-                           params={"step": step, "halving_ratio": ratio,
-                                   "err_full": err_full,
-                                   "err_half": err_half})
+    return stack_reports(single, seed, len(exact), lambda i, s: identity_report(
+        "derivative_form", extrapolated[i], exact[i], atol=atol, rtol=atol,
+        n=chain.matrix.shape[1], seed=s,
+        params={"step": float(steps[i]), "err_full": err_full[i], "err_half": err_half[i],
+                "halving_ratio": err_half[i] / err_full[i] if err_full[i] > 0 else 0.0}))

@@ -224,10 +224,16 @@ def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
     return PosDefMatrix(((q * lam[:, None, :]) @ _adjoint(q)).reshape(shape + (dim, dim)))
 
 
-def random_commuting_family(dim: int, count: int, seed: int, lam_range=(0.1, 10.0)):
-    """A simultaneously diagonalizable family sharing one eigenbasis."""
+def random_commuting_family(dim: int, count: int, seed, lam_range=(0.1, 10.0)):
+    """A simultaneously diagonalizable family sharing one eigenbasis: ``count``
+    matrices from default_rng(seed), or from each of a list of generators,
+    as one PosDefMatrix (len(seed), count, dim, dim) in the lone numbers."""
     lo, hi = _check_lam_range(lam_range)
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    lams = [np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim)) for _ in range(count)]
-    return [PosDefMatrix((q * lam) @ _adjoint(q)) for lam in lams]
+    one = not isinstance(seed, (list, tuple))
+    rngs = [np.random.default_rng(seed)] if one else seed
+    gauss = np.array([r.normal(size=(2, dim, dim)) for r in rngs])
+    lams = np.exp(np.array([r.uniform(np.log(lo), np.log(hi), size=(count, dim))
+                            for r in rngs]))
+    q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
+    fam = PosDefMatrix((q[:, None] * lams[..., None, :]) @ _adjoint(q)[:, None])
+    return [fam[0, k] for k in range(count)] if one else fam

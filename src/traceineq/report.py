@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import DimensionMismatch
+
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -26,20 +28,9 @@ class TrialReport:
     params: dict = field(default_factory=dict)
 
     def to_row(self) -> dict:
-        row = {
-            "check_id": self.check_id,
-            "kind": self.kind,
-            "n": self.n,
-            "seed": self.seed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_gap": self.abs_gap,
-            "rel_gap": self.rel_gap,
-            "atol": self.atol,
-            "rtol": self.rtol,
-            "passed": self.passed,
-        }
-        row.update({f"p_{k}": v for k, v in sorted(self.params.items())})
+        """The fields but params, then each param as p_<key>, keys sorted."""
+        row = dict(vars(self))
+        row.update({f"p_{k}": v for k, v in sorted(row.pop("params").items())})
         return row
 
 
@@ -50,8 +41,7 @@ def identity_report(check_id, lhs, rhs, *, atol=0.0, rtol=0.0, scale=None,
     The default scale is max(|lhs|, |rhs|), so rtol is a relative gap
     bound; pass an explicit scale to normalize differently.
     """
-    lhs = float(lhs)
-    rhs = float(rhs)
+    lhs, rhs = float(lhs), float(rhs)
     gap = abs(lhs - rhs)
     if scale is None:
         scale = max(abs(lhs), abs(rhs))
@@ -64,13 +54,23 @@ def identity_report(check_id, lhs, rhs, *, atol=0.0, rtol=0.0, scale=None,
 def inequality_report(check_id, lhs, rhs, *, atol=1e-9, rtol=1e-8,
                       n=None, seed=None, params=None) -> TrialReport:
     """One-sided comparison: lhs <= rhs + atol + rtol * |rhs|."""
-    lhs = float(lhs)
-    rhs = float(rhs)
+    lhs, rhs = float(lhs), float(rhs)
     slack = rhs + atol + rtol * abs(rhs) - lhs
     gap = lhs - rhs
     rel = gap / abs(rhs) if rhs != 0 else gap
     return TrialReport(check_id, "inequality", lhs, rhs, gap, rel,
                        atol, rtol, slack >= 0.0, n=n, seed=seed, params=params or {})
+
+
+def stack_reports(single: bool, seed, count: int, report):
+    """report(i, seed) for one chain (single), or the list of them for
+    the ``count`` chains of a stack, where ``seed`` lists their seeds."""
+    if single:
+        return report(0, seed)
+    if not isinstance(seed, (list, tuple)) or len(seed) != count:
+        raise DimensionMismatch(f"a stack of {count} chains needs a list of {count} "
+                                f"seeds, got {seed!r}; pass one chain for one report")
+    return [report(i, s) for i, s in enumerate(seed)]
 
 
 def error_report(check_id, exc, *, n, seed) -> TrialReport:

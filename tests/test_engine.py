@@ -11,16 +11,24 @@ from traceineq import (
     CampaignConfig,
     PosDefMatrix,
     chain_product_trace,
+    check_commutator_chain,
+    check_derivative_form,
     check_equivalence,
     check_golden_thompson,
     check_jensen_trace,
+    check_key_identity,
     check_lieb_equivalence,
     check_lieb_three,
     check_power_integral,
     check_scaled_exponential,
     check_tensor_resolvent,
     draw_posdef,
+    half_line_rule,
+    identity_report,
     lhs_exp_sum_log,
+    power_average_identity_check,
+    random_commuting_family,
+    rhs_lieb_three,
     rhs_power_integral,
     rhs_tensor_resolvent,
     run_campaign,
@@ -32,7 +40,14 @@ from traceineq.quadrature import beta_density
 
 STACKED = ("golden_thompson", "lieb_three", "power_integral", "tensor_resolvent",
            "scaled_exponential", "jensen_trace", "equivalence_integral_tensor",
-           "lieb_equivalence")
+           "lieb_equivalence", "key_identity", "commuting_equality",
+           "commutator_chain_commuting", "derivative_form", "commutator_chain",
+           "power_average_identity")
+# rows that draw commuting families, and rows whose lhs is a residual (rhs 0)
+COMMUTING = ("commuting_equality", "commutator_chain_commuting")
+RESIDUAL = ("commutator_chain", "commutator_chain_commuting", "power_average_identity")
+# checks called on the chain's links A_1, A_2, .. rather than on the chains
+ON_LINKS = ("golden_thompson", "lieb_three") + RESIDUAL
 
 
 def _stack(seed0, count, n, d=2):
@@ -56,6 +71,17 @@ def test_stacked_draw_matches_lone_draws():
         for k in range(4):
             lone = draw_posdef(rng, 3).matrix
             assert np.allclose(stack.matrix[i, k], lone, rtol=1e-14, atol=1e-14)
+
+
+def test_stacked_commuting_families_match_lone_calls():
+    gens = [np.random.default_rng(930 + i) for i in range(5)]
+    stack = random_commuting_family(3, 4, gens, (0.01, 100.0))
+    assert isinstance(stack, PosDefMatrix) and stack.matrix.shape == (5, 4, 3, 3)
+    for i in range(5):
+        lone = random_commuting_family(3, 4, 930 + i, (0.01, 100.0))
+        assert len(lone) == 4
+        for k, member in enumerate(lone):
+            assert np.allclose(stack.matrix[i, k], member.matrix, rtol=1e-14, atol=1e-14)
 
 
 def test_indexing_shares_the_decomposition():
@@ -105,8 +131,21 @@ def test_stacked_sides_equal_single_chain_calls(d, n, beta_rule):
             assert _close(value, single)
 
 
+def _lone_commuting_equality(fam, seed, rule):
+    """commuting_equality on one family, one library call per form."""
+    lhs = lhs_exp_sum_log(fam)
+    values = [rhs_power_integral(fam, rule), rhs_tensor_resolvent(fam)]
+    if len(fam) == 3:
+        values.append(rhs_lieb_three(*fam))
+    worst = max(values, key=lambda v: abs(v - lhs))
+    return identity_report("commuting_equality", lhs, worst, rtol=1e-8, n=len(fam),
+                           seed=seed, params={"forms": len(values)})
+
+
 def _stacked_and_single(check_id, stack, seeds, rule):
     """The check on the stack, and on each chain alone."""
+    half = half_line_rule()
+    ctx = campaign._Ctx(_engine_cfg())
     calls = {
         "golden_thompson": lambda c, s: check_golden_thompson(c[0], c[1], seed=s),
         "lieb_three": lambda c, s: check_lieb_three(c[0], c[1], c[2], seed=s),
@@ -116,13 +155,25 @@ def _stacked_and_single(check_id, stack, seeds, rule):
         "jensen_trace": lambda c, s: check_jensen_trace(c, seed=s),
         "equivalence_integral_tensor": lambda c, s: check_equivalence(c, rule, seed=s),
         "lieb_equivalence": lambda c, s: check_lieb_equivalence(c, rule, seed=s),
+        "key_identity": lambda c, s: check_key_identity(c, seed=s),
+        "derivative_form": lambda c, s: check_derivative_form(c, seed=s),
+        "commutator_chain": lambda c, s: check_commutator_chain(c[0], c[1], rule, half,
+                                                                seed=s),
+        "commutator_chain_commuting": lambda c, s: check_commutator_chain(
+            c[0], c[1], rule, half, atol=1e-12, seed=s,
+            check_id="commutator_chain_commuting"),
+        "power_average_identity": lambda c, s: power_average_identity_check(
+            c[0].matrix, c[1], rule, seed=s),
     }
     n = stack.matrix.shape[1]
     as_links = [stack[:, k] for k in range(n)]
+    singles = _singles(stack, n)
+    if check_id == "commuting_equality":  # a campaign runner, not a library check
+        return (campaign._commuting_equality(ctx, stack, seeds),
+                [_lone_commuting_equality(m, s, rule) for m, s in zip(singles, seeds)])
     call = calls[check_id]
-    stacked = (call(as_links, seeds) if check_id in ("golden_thompson", "lieb_three")
-               else call(stack, seeds))
-    return stacked, [call(mats, s) for mats, s in zip(_singles(stack, n), seeds)]
+    stacked = call(as_links if check_id in ON_LINKS else stack, seeds)
+    return stacked, [call(mats, s) for mats, s in zip(singles, seeds)]
 
 
 @pytest.mark.parametrize("check_id", STACKED)
@@ -130,14 +181,24 @@ def test_stacked_checks_equal_single_chain_checks(check_id, beta_rule):
     length = campaign.CHECKS[check_id].length
     n = 5 if length == "n" else length
     seeds = list(range(300, 316))
-    stack = _stack(300, 16, n)
+    if check_id in COMMUTING:
+        stack = random_commuting_family(2, n, [np.random.default_rng(s) for s in seeds])
+    else:
+        stack = _stack(300, 16, n)
     stacked, singles = _stacked_and_single(check_id, stack, seeds, beta_rule)
     assert len(stacked) == 16
     for rep, one, seed in zip(stacked, singles, seeds):
         assert rep.check_id == one.check_id == check_id
-        assert rep.seed == one.seed == seed and rep.n == one.n == n
+        assert rep.seed == one.seed == seed
+        assert rep.n == one.n == (None if check_id == "power_average_identity" else n)
         assert rep.passed and one.passed
-        assert _close(rep.lhs, one.lhs) and _close(rep.rhs, one.rhs)
+        if check_id in RESIDUAL:
+            # lhs is a roundoff-level residual; rel_gap is it per unit of the
+            # verdict's scale, which is what 1e-13 relative bounds here
+            assert rep.rhs == one.rhs == 0.0
+            assert abs(rep.rel_gap - one.rel_gap) <= 1e-13
+        else:
+            assert _close(rep.lhs, one.lhs) and _close(rep.rhs, one.rhs)
 
 
 def _engine_cfg(**kw):
@@ -148,12 +209,13 @@ def _engine_cfg(**kw):
 
 
 def test_report_bytes_do_not_depend_on_workers(tmp_path):
-    # 37 trials: two full chunks and a partial one, split across workers
+    # suite all at 37 trials: two full chunks and a partial one, split
+    # across workers; 26 deterministic trials and 35 per seed
     digests = set()
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
-        summary = run_campaign(_engine_cfg(parallel=workers, out=str(out)))
-        assert summary.passed and summary.trial_count == 37 * 20
+        summary = run_campaign(_engine_cfg(checks=None, parallel=workers, out=str(out)))
+        assert summary.passed and summary.trial_count == 26 + 35 * 37
         digests.add(Path(f"{out}.trials.jsonl").read_bytes()
                     + Path(f"{out}.summary.csv").read_bytes())
     assert len(digests) == 1
@@ -219,3 +281,30 @@ def test_pool_blocks_split_at_chunk_boundaries(monkeypatch):
             split = [args[3] for w, args in blocks if w == workers and args[2] == n]
             assert 2 <= len(split) <= workers
             assert sum(split, []) == [4_100 + i for i in range(37)]
+
+
+def test_identity_rows_make_one_call_per_chunk(monkeypatch):
+    # a call count, not a timing bound: each per-trial identity row makes
+    # its library call once per chunk of CHUNK seeds
+    cfg = _engine_cfg(checks=None, n_values=(3, 4), trials=37)
+    chunks = -(-cfg.trials // campaign.CHUNK)
+    calls = {}
+
+    def counting(name):
+        real = getattr(campaign, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return call
+
+    # tasks per attribute: key_identity at two n; both commutator rows;
+    # commuting_equality at two n and commutator_chain_commuting
+    tasks = {"check_key_identity": 2, "check_commutator_chain": 2,
+             "check_derivative_form": 1, "power_average_identity_check": 1,
+             "random_commuting_family": 3}
+    for name in tasks:
+        monkeypatch.setattr(campaign, name, counting(name))
+    summary = run_campaign(cfg)
+    assert summary.passed and summary.trial_count == 26 + 23 * 37
+    assert calls == {name: count * chunks for name, count in tasks.items()}

@@ -3,6 +3,7 @@ import pytest
 
 from traceineq import (
     DimensionMismatch,
+    TraceIneqError,
     InvalidRange,
     PosDefMatrix,
     build_layout,
@@ -35,7 +36,7 @@ from traceineq import (
     tensor_operands,
     tensor_pair_trace,
 )
-from traceineq import inequalities
+from traceineq import inequalities, limits
 
 
 def test_lhs_permutation_invariant(make_chain):
@@ -85,11 +86,13 @@ def test_key_identity_pointwise(make_chain):
 
 @pytest.mark.parametrize("nan_at", [None, 2.0])
 def test_key_identity_nan_fails(make_chain, monkeypatch, nan_at):
-    # None: NaN at every t; otherwise NaN at that t only
+    # None: NaN at every t; otherwise NaN at that t only; the seam takes
+    # the whole t grid as one array
     real = inequalities.tensor_pair_trace
 
     def patched(mats, t):
-        return float("nan") if nan_at in (None, t) else real(mats, t)
+        hit = np.ones(np.shape(t), bool) if nan_at is None else np.equal(t, nan_at)
+        return np.where(hit, np.nan, real(mats, t))
 
     monkeypatch.setattr(inequalities, "tensor_pair_trace", patched)
     rep = check_key_identity(make_chain(201, 3), seed=201)
@@ -104,10 +107,12 @@ def test_key_identity_nan_fails(make_chain, monkeypatch, nan_at):
 ])
 def test_key_identity_picks_first_t_near_the_largest_gap(make_chain, monkeypatch,
                                                           bumps, t_worst):
-    # each gap is its bump in ulps of the value; no bump, no gap
+    # each gap is its bump in ulps of the value; no bump, no gap; the seam
+    # takes the whole t grid as one array
     real = inequalities.tensor_pair_trace
+    ulps = lambda t: np.array([bumps.get(x, 0.0) for x in t])
     monkeypatch.setattr(inequalities, "chain_product_trace",
-                        lambda mats, t: real(mats, t) * (1.0 + bumps.get(t, 0.0)
+                        lambda mats, t: real(mats, t) * (1.0 + ulps(t)
                                                          * np.finfo(float).eps))
     rep = check_key_identity(make_chain(202, 4), seed=202)
     assert rep.params["t_worst"] == t_worst
@@ -267,6 +272,28 @@ def test_commutator_chain_vanishes_commuting():
     assert rep.check_id == "commutator_chain_commuting"
 
 
+def test_commutator_chain_nan_route_fails(monkeypatch):
+    # a NaN expression must not pass: the largest pairwise gap is NaN
+    stack = draw_posdef([np.random.default_rng(s) for s in (87, 88, 89)], 2, count=2)
+    real = limits.conjugated_power_average
+    assert check_commutator_chain(stack[0, 0], stack[0, 1], seed=87).passed
+
+    def nan_second(a1, a2, rule):
+        out = real(a1, a2, rule)
+        if out.ndim == 3:
+            out[1] = np.nan
+            return out
+        return np.full_like(out, np.nan)
+
+    monkeypatch.setattr(limits, "conjugated_power_average", nan_second)
+    lone = check_commutator_chain(stack[0, 0], stack[0, 1], seed=87)
+    assert not lone.passed and np.isnan(lone.lhs)
+    # in a stack, only the pair with the NaN route fails
+    reps = check_commutator_chain(stack[:, 0], stack[:, 1], seed=[87, 88, 89])
+    assert [r.passed for r in reps] == [True, False, True]
+    assert np.isnan(reps[1].lhs)
+
+
 def test_penalized_trace_generic_direction_decays():
     rng = np.random.default_rng(83)
     g = rng.normal(size=(3, 3))
@@ -320,6 +347,41 @@ def test_one_chain_stack_gives_the_report_of_its_list(check, n):
     rep = check(chain, seed=86)
     assert rep.n == n and rep.passed
     assert rep == check([chain[k] for k in range(n)], seed=86)
+    # a list of plain arrays is one chain too, and gives one report
+    assert isinstance(check([chain.matrix[k] for k in range(n)]), type(rep))
+    # K > 1 chains give K reports, given K seeds, and refuse to guess seeds
+    seeds = [86, 87, 88]
+    stack = draw_posdef([np.random.default_rng(s) for s in seeds], 2, count=n)
+    reps = check(stack, seed=seeds)
+    assert [r.seed for r in reps] == seeds and all(r.passed and r.n == n for r in reps)
+    for r, s in zip(reps, seeds):
+        one = check([stack[seeds.index(s), k] for k in range(n)], seed=s)
+        assert r.lhs == pytest.approx(one.lhs, rel=1e-13)
+        assert r.rhs == pytest.approx(one.rhs, rel=1e-13)
+    for bad in (None, 86, seeds[:2]):
+        with pytest.raises(TraceIneqError, match="one chain"):
+            check(stack, seed=bad)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_derivative_form_decomposes_its_chains_once(monkeypatch, count):
+    # one eigh of the (K, 4, d, d) chain stack, shared by the tensor form
+    # and the dense operands; the probes' eighs are (K, D, D)
+    seeds = list(range(90, 90 + count))
+    stack = draw_posdef([np.random.default_rng(s) for s in seeds], 2, count=4)
+    real = np.linalg.eigh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    if count == 1:
+        check_derivative_form([stack[0, k] for k in range(4)], seed=90)
+    else:
+        check_derivative_form(stack, seed=seeds)
+    assert [s for s in shapes if len(s) == 4] == [(count, 4, 2, 2)]
 
 
 def test_derivative_form_adaptive_step_survives_harsh_chain(make_chain):
