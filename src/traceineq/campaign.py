@@ -1,17 +1,18 @@
 """Verification campaigns: seeded batches of every check, with
 deterministic reports.
 
-A campaign is described by a CampaignConfig, expanded into per-trial
-tasks, run (optionally across processes; every trial is pure), and
-reduced to a CampaignSummary plus report files. Reports carry no
-wall-clock data, so rerunning the same configuration reproduces the
-bytes exactly; runtime lives only on the in-memory summary.
+A campaign is described by a CampaignConfig, run in chunks of seeds
+(optionally across processes; every trial is pure), and reduced to a
+CampaignSummary plus report files. Reports carry no wall-clock data, so
+rerunning the same configuration reproduces the bytes exactly; runtime
+lives only on the in-memory summary.
 
 Every check is one row of the CHECKS table: its id, suite, chain
 length, runner, description and formula. Adding a check means adding
 one row.
-Trials run in chunks of CHUNK seeds from the configured seed, drawn as
-one stack of chains; pool blocks split at chunk boundaries.
+A chunk of CHUNK seeds is the unit of work: it draws its chains once,
+and every row evaluates its own prefix of them. Pool blocks are runs of
+whole chunks.
 """
 from __future__ import annotations
 
@@ -109,12 +110,14 @@ class CampaignConfig:
                               f"{self.beta_nodes}, {self.half_nodes})")
         if self.parallel < 0:
             raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
-        for i, cid in enumerate(self.checks or ()):
+        for cid in self.checks or ():
             if cid not in CHECKS:
                 raise UnknownCheck(f"no check named {cid!r}; known: "
                                    f"{', '.join(sorted(CHECKS))}")
-            if cid in self.checks[:i]:
-                raise ConfigError(f"check {cid!r} is selected more than once")
+        for name, values in (("check", self.checks or ()), ("chain length", self.n_values)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} {repeated[0]!r} is selected more than once")
         for spec in selected_checks(self):
             if not spec.layout_aware:
                 continue
@@ -152,31 +155,20 @@ class _Ctx:
 
 
 # ------------------------------------------------------------------ checks
-# A runner maps (ctx, n, seeds) to a list of TrialReports, where n is the
-# task's chain length (None for checks without one) and seeds one chunk of
-# trial seeds. Deterministic checks ignore the seed and run exactly once
-# per campaign. Rows on drawn chains wrap their library call, made once
-# per chunk, in _drawn; checks that build their own inputs have a named
-# runner of one seed, wrapped in _each. Library functions are looked up
-# as module globals at call time, never captured when the table is built.
-
-def _drawn(call, commuting=False):
-    """Runner that draws the chunk's chains, or commuting families, as one
-    stack for call(ctx, chains, seeds)."""
-    def run(ctx, n, seeds):
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        chains = (random_commuting_family(ctx.d, n, rngs, ctx.lam_range) if commuting
-                  else draw_posdef(rngs, ctx.d, ctx.lam_range, count=n))
-        return call(ctx, chains, seeds)
-    return run
-
+# A runner maps (ctx, chains, seeds) to a list of TrialReports, where seeds
+# is one chunk of trial seeds and chains their stack of chains, cut to the
+# row's length, or None for rows without a chain. Deterministic checks
+# ignore the seed and run exactly once per campaign. Checks that build
+# their own inputs have a named runner of one seed, wrapped in _each.
+# Library functions are looked up as module globals at call time, never
+# captured when the table is built.
 
 def _each(runner):
     """A chunk runner from a runner of one seed."""
-    return lambda ctx, n, seeds: [r for seed in seeds for r in runner(ctx, n, seed)]
+    return lambda ctx, chains, seeds: [r for seed in seeds for r in runner(ctx, seed)]
 
 
-def _run_beta_normalization(ctx, n, seed):
+def _run_beta_normalization(ctx, seed):
     gap = beta_normalization_gap(ctx.beta_rule)
     return [identity_report("beta_normalization", 1.0 + gap, 1.0, atol=1e-10,
                             seed=seed,
@@ -184,7 +176,7 @@ def _run_beta_normalization(ctx, n, seed):
                                     "half_width": ctx.beta_rule.half_width})]
 
 
-def _run_pairing(ctx, n, seed):
+def _run_pairing(ctx, seed):
     rng = np.random.default_rng(seed)
     out = []
     for copies in (1, 2):
@@ -195,7 +187,7 @@ def _run_pairing(ctx, n, seed):
     return out
 
 
-def _run_penalized_limit(ctx, n, seed):
+def _run_penalized_limit(ctx, seed):
     rng = np.random.default_rng(seed)
     dim = 3
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -212,7 +204,7 @@ def _commuting_equality(ctx, fam, seeds):
     lhs = lhs_exp_sum_log(fam)
     values = [rhs_power_integral(fam, ctx.beta_rule), rhs_tensor_resolvent(fam)]
     if n == 3:
-        values.append(rhs_lieb_three(fam[:, 0], fam[:, 1], fam[:, 2]))
+        values.append(rhs_lieb_three(fam))
     values = np.array(values)
     worst = values[np.abs(values - lhs).argmax(axis=0), np.arange(len(seeds))]
     return [identity_report("commuting_equality", lo, hi, rtol=1e-8, n=n, seed=seed,
@@ -229,6 +221,7 @@ class CheckSpec:
     description: str
     formula: str
     deterministic: bool = False
+    commuting: bool = False  # runs on commuting families
     layout_aware: bool = False  # builds the tensor layout
     dense: bool = False  # and its dense D x D operands
 
@@ -239,15 +232,15 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="The hyperbolic weight integrates to one on the truncated line.",
         formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
     CheckSpec("scalar_power_identity", "identities", None,
-        lambda ctx, n, seeds: [scalar_identity_check(x, y, ctx.beta_rule)
+        lambda ctx, chains, seeds: [scalar_identity_check(x, y, ctx.beta_rule)
                                for x in SCALAR_GRID for y in SCALAR_GRID],
         deterministic=True,
         description="Scalar conjugated-power average equals the inverse log kernel "
                     "on a fixed grid.",
         formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
     CheckSpec("power_average_identity", "identities", 2,
-        _drawn(lambda ctx, c, seeds: power_average_identity_check(
-            c[:, 0].matrix, c[:, 1], ctx.beta_rule, seed=seeds)),
+        lambda ctx, c, seeds: power_average_identity_check(
+            c[:, 0].matrix, c[:, 1], ctx.beta_rule, seed=seeds),
         description="Matrix beta-average of conjugated powers equals the "
                     "log-derivative operator at the inverse base.",
         formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"),
@@ -255,39 +248,38 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
         formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
     CheckSpec("key_identity", "identities", "n",
-        _drawn(lambda ctx, c, seeds: check_key_identity(c, seed=seeds)),
+        lambda ctx, c, seeds: check_key_identity(c, seed=seeds),
         layout_aware=True,
         description="Pointwise in t: the sandwiched chain trace equals the "
                     "entangled pairing of the slotted tensor powers.",
         formula="Tr[A_n A_{n-1}^{s+} .. A_1 .. A_{n-1}^{s-}] = "
                 "<Omega| W^{s+} B W^{s-} |Omega>"),
     CheckSpec("equivalence_integral_tensor", "identities", "n",
-        _drawn(lambda ctx, c, seeds: check_equivalence(c, ctx.beta_rule, seed=seeds)),
+        lambda ctx, c, seeds: check_equivalence(c, ctx.beta_rule, seed=seeds),
         layout_aware=True,
         description="The integrated power form equals the tensor log-derivative "
                     "form on the same chain.",
         formula="avg_t Tr[chain(t)] = <Omega| T_A(B) |Omega>"),
     CheckSpec("lieb_equivalence", "identities", 3,
-        _drawn(lambda ctx, c, seeds: check_lieb_equivalence(c, ctx.beta_rule,
-                                                            seed=seeds)),
+        lambda ctx, c, seeds: check_lieb_equivalence(c, ctx.beta_rule, seed=seeds),
         description="For triples the integral form collapses to the three-matrix "
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("commutator_chain", "identities", 2,
-        _drawn(lambda ctx, c, seeds: check_commutator_chain(
-            c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, seed=seeds)),
+        lambda ctx, c, seeds: check_commutator_chain(
+            c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, seed=seeds),
         description="Four operator expressions for the deviation of the "
                     "conjugated-power average from the plain product.",
         formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
                 "int R X [A1, A2] X R^2 dtau"),
     CheckSpec("commutator_chain_commuting", "identities", 2,
-        _drawn(lambda ctx, c, seeds: check_commutator_chain(
+        lambda ctx, c, seeds: check_commutator_chain(
             c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, atol=1e-12, seed=seeds,
-            check_id="commutator_chain_commuting"), commuting=True),
+            check_id="commutator_chain_commuting"), commuting=True,
         description="The same chain vanishes identically on commuting pairs.",
         formula="[A1, A2] = 0  =>  all four expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
-        _drawn(lambda ctx, c, seeds: check_derivative_form(c, seed=seeds)),
+        lambda ctx, c, seeds: check_derivative_form(c, seed=seeds),
         layout_aware=True, dense=True,
         description="The tensor bound is the directional derivative of a "
                     "trace functional along B.",
@@ -297,38 +289,35 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Rank-one penalties collapse the trace exponential to the "
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
-    CheckSpec("commuting_equality", "identities", "n",
-        _drawn(_commuting_equality, commuting=True),
-        layout_aware=True,
+    CheckSpec("commuting_equality", "identities", "n", _commuting_equality,
+        commuting=True, layout_aware=True,
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
 
     CheckSpec("golden_thompson", "inequalities", 2,
-        _drawn(lambda ctx, c, seeds: check_golden_thompson(c[:, 0], c[:, 1], seed=seeds)),
+        lambda ctx, c, seeds: check_golden_thompson(c, seed=seeds),
         description="Two-matrix exponential product bound.",
         formula="Tr exp(log A1 + log A2) <= Tr[A1 A2]"),
     CheckSpec("lieb_three", "inequalities", 3,
-        _drawn(lambda ctx, c, seeds: check_lieb_three(c[:, 0], c[:, 1], c[:, 2],
-                                                      seed=seeds)),
+        lambda ctx, c, seeds: check_lieb_three(c, seed=seeds),
         description="Three-matrix bound through the log-derivative operator.",
         formula="Tr exp(log A1 + log A2 + log A3) <= Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("power_integral", "inequalities", "n",
-        _drawn(lambda ctx, c, seeds: check_power_integral(c, ctx.beta_rule,
-                                                          seed=seeds)),
+        lambda ctx, c, seeds: check_power_integral(c, ctx.beta_rule, seed=seeds),
         description="n-matrix bound by the beta-averaged complex-power chain.",
         formula="Tr exp(sum log A_k) <= avg_t Tr[A_n .. A_2^{s+} A1 A_2^{s-} ..]"),
     CheckSpec("tensor_resolvent", "inequalities", "n",
-        _drawn(lambda ctx, c, seeds: check_tensor_resolvent(c, seed=seeds)),
+        lambda ctx, c, seeds: check_tensor_resolvent(c, seed=seeds),
         layout_aware=True,
         description="The same bound in closed tensor form.",
         formula="Tr exp(sum log A_k) <= <Omega| T_A(B) |Omega>"),
     CheckSpec("scaled_exponential", "inequalities", 4,
-        _drawn(lambda ctx, c, seeds: check_scaled_exponential(c, seed=seeds)),
+        lambda ctx, c, seeds: check_scaled_exponential(c, seed=seeds),
         layout_aware=True,
         description="Dimension-scaled refinement for quadruples.",
         formula="d exp((1/d) Tr sum log A_k) <= <Omega| T_A(B) |Omega>"),
     CheckSpec("jensen_trace", "inequalities", "n",
-        _drawn(lambda ctx, c, seeds: check_jensen_trace(c, seed=seeds)),
+        lambda ctx, c, seeds: check_jensen_trace(c, seed=seeds),
         description="Convexity baseline relating the two left-side scalings.",
         formula="d exp((1/d) Tr M) <= Tr exp M,  M = sum log A_k"),
 )}
@@ -353,29 +342,41 @@ def _lengths(spec: CheckSpec, cfg: CampaignConfig) -> tuple:
     return cfg.n_values if spec.length == "n" else (spec.length,)
 
 
-def _expand_tasks(cfg: CampaignConfig):
-    """(check_id, n, seed_list) triples; deterministic checks get one seed."""
-    return [(spec.check_id, n,
-             [cfg.seed] if spec.deterministic else [cfg.seed + i for i in range(cfg.trials)])
-            for spec in selected_checks(cfg) for n in _lengths(spec, cfg)]
+def _evaluate(ctx, spec: CheckSpec, n, chains, seeds) -> list[TrialReport]:
+    """One row's trials on one chunk. A row that raises runs again a trial
+    at a time on that trial's chains, so errors land on their seeds."""
+    try:
+        return spec.runner(ctx, chains, seeds)
+    except (TraceIneqError, np.linalg.LinAlgError) as exc:
+        if len(seeds) == 1:  # an unevaluable trial is a failed trial, not a dead campaign
+            return [error_report(spec.check_id, exc, n=n, seed=seeds[0])]
+        return [r for i in range(len(seeds)) for r in _evaluate(
+            ctx, spec, n, None if chains is None else chains[i:i + 1], seeds[i:i + 1])]
 
 
-def _run_block(cfg: CampaignConfig, check_id: str, n, seeds) -> list[TrialReport]:
-    """One task's trials, CHUNK at a time from a chunk boundary. A chunk
-    that raises runs again a trial at a time, so errors land on their seeds."""
+def _run_chunk(ctx, rows, seeds) -> list[TrialReport]:
+    """Every (spec, n) row on one chunk of seeds, drawn once at the longest
+    n; a row evaluates the prefix chains[:, :n], equal to a draw of n. The
+    full stack is never decomposed, so a matrix past n cannot turn that
+    trial's shorter rows into errors."""
+    longest = max((n for _, n in rows if n is not None), default=None)
+    stacks = {}
+    for commuting in {spec.commuting for spec, n in rows if n is not None}:
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        stacks[commuting] = (
+            random_commuting_family(ctx.d, longest, rngs, ctx.lam_range) if commuting
+            else draw_posdef(rngs, ctx.d, ctx.lam_range, count=longest))
+    return [r for spec, n in rows for r in _evaluate(
+        ctx, spec, n, None if n is None else stacks[spec.commuting][:, :n], seeds)]
+
+
+def _run_seeds(cfg: CampaignConfig, seeds) -> list[TrialReport]:
+    """The seeded rows' trials on a run of whole chunks, in order."""
     ctx = _Ctx(cfg)
-    runner = CHECKS[check_id].runner
-    out = []
-    for chunk in (seeds[i:i + CHUNK] for i in range(0, len(seeds), CHUNK)):
-        try:
-            out.extend(runner(ctx, n, chunk))
-        except (TraceIneqError, np.linalg.LinAlgError) as exc:
-            if len(chunk) > 1:
-                for seed in chunk:
-                    out.extend(_run_block(cfg, check_id, n, [seed]))
-            else:  # an unevaluable trial is a failed trial, not a dead campaign
-                out.append(error_report(check_id, exc, n=n, seed=chunk[0]))
-    return out
+    rows = [(spec, n) for spec in selected_checks(cfg) if not spec.deterministic
+            for n in _lengths(spec, cfg)]
+    return [r for i in range(0, len(seeds), CHUNK)
+            for r in _run_chunk(ctx, rows, seeds[i:i + CHUNK])]
 
 
 def _sort_key(r: TrialReport):
@@ -429,24 +430,21 @@ def _summarize(cfg, reports, runtime_s) -> CampaignSummary:
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     cfg = cfg.validate()
     start = time.perf_counter()
-    tasks = _expand_tasks(cfg)
+    ctx = _Ctx(cfg)  # builds the cached rules; forked workers inherit them
+    specs = selected_checks(cfg)
+    reports = [r for spec in specs if spec.deterministic  # run once, here
+               for r in _evaluate(ctx, spec, None, None, [cfg.seed])]
     workers = cfg.parallel if cfg.parallel > 0 else (os.cpu_count() or 1)
-    reports: list[TrialReport] = []
-    if workers <= 1 or len(tasks) == 1:
-        for check_id, n, seeds in tasks:
-            reports.extend(_run_block(cfg, check_id, n, seeds))
+    seeds = [cfg.seed + i for i in range(cfg.trials)]
+    step = CHUNK * -(-len(seeds) // (workers * CHUNK))  # whole chunks per block
+    blocks = ([seeds[i:i + step] for i in range(0, len(seeds), step)]
+              if not all(spec.deterministic for spec in specs) else [])
+    if len(blocks) <= 1:
+        for block in blocks:
+            reports.extend(_run_seeds(cfg, block))
     else:
-        # split seed lists at chunk boundaries, at most one block per worker
-        blocks = []
-        for check_id, n, seeds in tasks:
-            step = CHUNK * -(-len(seeds) // (workers * CHUNK))
-            for i in range(0, len(seeds), step):
-                blocks.append((check_id, n, seeds[i:i + step]))
-        real_line_rule(cfg.half_width, cfg.beta_nodes)  # cached; forked workers inherit
-        half_line_rule(cfg.half_nodes)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, cfg, *b) for b in blocks]
-            for f in futures:
+            for f in [pool.submit(_run_seeds, cfg, block) for block in blocks]:
                 reports.extend(f.result())
     reports.sort(key=_sort_key)
     summary = _summarize(cfg, reports, time.perf_counter() - start)

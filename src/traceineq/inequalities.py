@@ -92,16 +92,16 @@ def scaled_exponential_lhs(mats):
 
 # --------------------------------------------------------------- right sides
 
-def rhs_golden_thompson(a1, a2):
+def rhs_golden_thompson(mats):
     """Tr[A1 A2], the two-matrix product bound."""
-    chain, single = _coerce_chain([a1, a2], min_len=2)
+    chain, single = _coerce_chain(mats, min_len=2, exact=2)
     return _result(np.einsum("kij,kji->k", chain.matrix[:, 0], chain.matrix[:, 1]),
                    single, "product trace")
 
 
-def rhs_lieb_three(a1, a2, a3):
+def rhs_lieb_three(mats):
     """Tr[A3 T_{A2^{-1}}(A1)], the three-matrix log-derivative bound."""
-    chain, single = _coerce_chain([a1, a2, a3])
+    chain, single = _coerce_chain(mats, exact=3)
     t_val = log_derivative_closed(PosDefMatrix(chain[:, 1].inverse()), chain.matrix[:, 0])
     return _result(np.einsum("kij,kji->k", chain.matrix[:, 2], t_val), single,
                    "three-matrix bound")
@@ -296,9 +296,7 @@ def check_lieb_equivalence(mats, rule: QuadratureRule | None = None,
     """For triples the integral form collapses to the three-matrix bound."""
     chain, single = _coerce_chain(mats, exact=3)
     return _reports(identity_report, "lieb_equivalence", chain, single,
-                    rhs_power_integral(chain, rule),
-                    rhs_lieb_three(chain[:, 0], chain[:, 1], chain[:, 2]),
-                    seed, rtol=rtol)
+                    rhs_power_integral(chain, rule), rhs_lieb_three(chain), seed, rtol=rtol)
 
 
 # ---------------------------------------------------------- inequality glue
@@ -308,16 +306,16 @@ INEQ_RTOL = 1e-8
 _inequality = partial(_reports, inequality_report, atol=INEQ_ATOL, rtol=INEQ_RTOL)
 
 
-def check_golden_thompson(a1, a2, seed=None):
-    chain, single = _coerce_chain([a1, a2], min_len=2)
+def check_golden_thompson(mats, seed=None):
+    chain, single = _coerce_chain(mats, min_len=2, exact=2)
     return _inequality("golden_thompson", chain, single, lhs_exp_sum_log(chain),
-                       rhs_golden_thompson(chain[:, 0], chain[:, 1]), seed)
+                       rhs_golden_thompson(chain), seed)
 
 
-def check_lieb_three(a1, a2, a3, seed=None):
-    chain, single = _coerce_chain([a1, a2, a3])
+def check_lieb_three(mats, seed=None):
+    chain, single = _coerce_chain(mats, exact=3)
     return _inequality("lieb_three", chain, single, lhs_exp_sum_log(chain),
-                       rhs_lieb_three(chain[:, 0], chain[:, 1], chain[:, 2]), seed)
+                       rhs_lieb_three(chain), seed)
 
 
 def check_power_integral(mats, rule=None, seed=None):

@@ -54,6 +54,9 @@ def test_config_validation():
         _cfg(half_width=float("inf")).validate()
     with pytest.raises(ConfigError, match="'golden_thompson' is selected more than"):
         _cfg(checks=("golden_thompson", "lieb_three", "golden_thompson")).validate()
+    # a repeated chain length would run, and report, each of its trials twice
+    with pytest.raises(ConfigError, match="chain length 3 is selected more than"):
+        _cfg(n_values=(3, 4, 3)).validate()
 
 
 @pytest.mark.parametrize("field, value", [("half_width", 0.0),
@@ -369,7 +372,8 @@ def test_cli_bad_inputs_exit_two(tmp_path):
                         (("--lam-max", "inf"), "lam_hi"),
                         (("--config", str(wide)), "half_width"),
                         (("--check", "golden_thompson", "--check", "golden_thompson"),
-                         "'golden_thompson'")]:
+                         "'golden_thompson'"),
+                        (("--check", "power_integral", "--n", "3", "3"), "chain length 3")]:
         proc = _run("verify", *args, "--trials", "1", "--parallel", "1")
         assert proc.returncode == 2, (args, proc.stderr)
         assert named in proc.stderr and "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 """The chunked campaign engine: stacked chains agree with single chains,
 reports do not depend on the worker count, and an error in one trial of
 a chunk lands on that trial's seed alone."""
+import json
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -43,11 +44,10 @@ STACKED = ("golden_thompson", "lieb_three", "power_integral", "tensor_resolvent"
            "lieb_equivalence", "key_identity", "commuting_equality",
            "commutator_chain_commuting", "derivative_form", "commutator_chain",
            "power_average_identity")
-# rows that draw commuting families, and rows whose lhs is a residual (rhs 0)
+# rows that draw commuting families, and rows whose lhs is a residual (rhs 0),
+# which are called on the chain's links A_1, A_2 rather than on the chains
 COMMUTING = ("commuting_equality", "commutator_chain_commuting")
 RESIDUAL = ("commutator_chain", "commutator_chain_commuting", "power_average_identity")
-# checks called on the chain's links A_1, A_2, .. rather than on the chains
-ON_LINKS = ("golden_thompson", "lieb_three") + RESIDUAL
 
 
 def _stack(seed0, count, n, d=2):
@@ -71,6 +71,8 @@ def test_stacked_draw_matches_lone_draws():
         for k in range(4):
             lone = draw_posdef(rng, 3).matrix
             assert np.allclose(stack.matrix[i, k], lone, rtol=1e-14, atol=1e-14)
+    # a shorter chain is, bit for bit, a prefix of the longer draw
+    assert np.array_equal(_stack(900, 5, 6)[:, :3].matrix, _stack(900, 5, 3).matrix)
 
 
 def test_stacked_commuting_families_match_lone_calls():
@@ -82,6 +84,9 @@ def test_stacked_commuting_families_match_lone_calls():
         assert len(lone) == 4
         for k, member in enumerate(lone):
             assert np.allclose(stack.matrix[i, k], member.matrix, rtol=1e-14, atol=1e-14)
+    longer, shorter = (random_commuting_family(
+        2, count, [np.random.default_rng(930 + i) for i in range(5)]) for count in (6, 3))
+    assert np.array_equal(longer[:, :3].matrix, shorter.matrix)
 
 
 def test_indexing_shares_the_decomposition():
@@ -136,7 +141,7 @@ def _lone_commuting_equality(fam, seed, rule):
     lhs = lhs_exp_sum_log(fam)
     values = [rhs_power_integral(fam, rule), rhs_tensor_resolvent(fam)]
     if len(fam) == 3:
-        values.append(rhs_lieb_three(*fam))
+        values.append(rhs_lieb_three(fam))
     worst = max(values, key=lambda v: abs(v - lhs))
     return identity_report("commuting_equality", lhs, worst, rtol=1e-8, n=len(fam),
                            seed=seed, params={"forms": len(values)})
@@ -147,8 +152,8 @@ def _stacked_and_single(check_id, stack, seeds, rule):
     half = half_line_rule()
     ctx = campaign._Ctx(_engine_cfg())
     calls = {
-        "golden_thompson": lambda c, s: check_golden_thompson(c[0], c[1], seed=s),
-        "lieb_three": lambda c, s: check_lieb_three(c[0], c[1], c[2], seed=s),
+        "golden_thompson": lambda c, s: check_golden_thompson(c, seed=s),
+        "lieb_three": lambda c, s: check_lieb_three(c, seed=s),
         "power_integral": lambda c, s: check_power_integral(c, rule, seed=s),
         "tensor_resolvent": lambda c, s: check_tensor_resolvent(c, seed=s),
         "scaled_exponential": lambda c, s: check_scaled_exponential(c, seed=s),
@@ -172,7 +177,7 @@ def _stacked_and_single(check_id, stack, seeds, rule):
         return (campaign._commuting_equality(ctx, stack, seeds),
                 [_lone_commuting_equality(m, s, rule) for m, s in zip(singles, seeds)])
     call = calls[check_id]
-    stacked = call(as_links if check_id in ON_LINKS else stack, seeds)
+    stacked = call(as_links if check_id in RESIDUAL else stack, seeds)
     return stacked, [call(mats, s) for mats, s in zip(singles, seeds)]
 
 
@@ -274,18 +279,22 @@ def test_pool_blocks_split_at_chunk_boundaries(monkeypatch):
     for workers in (2, 3, 5):
         cfg = _engine_cfg(checks=("jensen_trace",), n_values=(3, 4), parallel=workers)
         assert run_campaign(cfg).passed
-    for workers, (cfg, _, _, seeds) in blocks:
-        assert (seeds[0] - cfg.seed) % campaign.CHUNK == 0
     for workers in (2, 3, 5):
-        for n in (3, 4):
-            split = [args[3] for w, args in blocks if w == workers and args[2] == n]
-            assert 2 <= len(split) <= workers
-            assert sum(split, []) == [4_100 + i for i in range(37)]
+        # one block per worker at most, each a contiguous run of whole chunks,
+        # and together the seeds once, in order
+        split = [seeds for w, (_, seeds) in blocks if w == workers]
+        assert 2 <= len(split) <= workers
+        for seeds in split:
+            assert (seeds[0] - 4_100) % campaign.CHUNK == 0
+        for seeds in split[:-1]:
+            assert len(seeds) % campaign.CHUNK == 0
+        assert sum(split, []) == [4_100 + i for i in range(37)]
 
 
 def test_identity_rows_make_one_call_per_chunk(monkeypatch):
-    # a call count, not a timing bound: each per-trial identity row makes
-    # its library call once per chunk of CHUNK seeds
+    # a call count, not a timing bound: each chunk draws its chains and its
+    # commuting families once, and each per-trial identity row makes its
+    # library call once per chunk
     cfg = _engine_cfg(checks=None, n_values=(3, 4), trials=37)
     chunks = -(-cfg.trials // campaign.CHUNK)
     calls = {}
@@ -298,13 +307,27 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    # tasks per attribute: key_identity at two n; both commutator rows;
-    # commuting_equality at two n and commutator_chain_commuting
-    tasks = {"check_key_identity": 2, "check_commutator_chain": 2,
-             "check_derivative_form": 1, "power_average_identity_check": 1,
-             "random_commuting_family": 3}
-    for name in tasks:
+    # rows per attribute: key_identity at two n; both commutator rows
+    per_chunk = {"draw_posdef": 1, "random_commuting_family": 1,
+                 "check_key_identity": 2, "check_commutator_chain": 2,
+                 "check_derivative_form": 1, "power_average_identity_check": 1}
+    for name in per_chunk:
         monkeypatch.setattr(campaign, name, counting(name))
     summary = run_campaign(cfg)
     assert summary.passed and summary.trial_count == 26 + 23 * 37
-    assert calls == {name: count * chunks for name, count in tasks.items()}
+    assert calls == {name: count * chunks for name, count in per_chunk.items()}
+
+
+def test_rows_do_not_depend_on_the_other_rows():
+    # the shared draw is cut to each row's length: a check's rows are the
+    # same bytes alone as next to longer chains and commuting families
+    def rows(checks, check_id):
+        summary = run_campaign(_engine_cfg(checks=checks, n_values=(3, 6), trials=20))
+        return [json.dumps(r.to_row(), sort_keys=True)
+                for r in summary.reports if r.check_id == check_id]
+
+    mixed = ("golden_thompson", "power_integral", "commuting_equality",
+             "commutator_chain_commuting")
+    for check_id in ("golden_thompson", "commutator_chain_commuting"):
+        alone = rows((check_id,), check_id)
+        assert len(alone) == 20 and alone == rows(mixed, check_id)

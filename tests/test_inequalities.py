@@ -48,16 +48,16 @@ def test_lhs_permutation_invariant(make_chain):
 
 def test_golden_thompson_holds_and_saturates_commuting(make_chain):
     mats = make_chain(12, 2, d=3)
-    assert check_golden_thompson(mats[0], mats[1], seed=12).passed
+    assert check_golden_thompson(mats, seed=12).passed
     fam = random_commuting_family(3, 2, seed=13)
     lhs = lhs_exp_sum_log(fam)
-    rhs = rhs_golden_thompson(fam[0], fam[1])
+    rhs = rhs_golden_thompson(fam)
     assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
 def test_lieb_three_holds(make_chain):
     mats = make_chain(14, 3, d=3)
-    rep = check_lieb_three(*mats, seed=14)
+    rep = check_lieb_three(mats, seed=14)
     assert rep.passed
     assert rep.lhs <= rep.rhs + 1e-9
 
@@ -195,7 +195,7 @@ def test_equivalence_and_lieb_collapse(make_chain, beta_rule):
     assert check_equivalence(mats, beta_rule, seed=41).passed
     assert check_lieb_equivalence(mats, beta_rule, seed=41).passed
     lhs = rhs_power_integral(mats, beta_rule)
-    assert rhs_lieb_three(*mats) == pytest.approx(lhs, rel=1e-9)
+    assert rhs_lieb_three(mats) == pytest.approx(lhs, rel=1e-9)
 
 
 def test_scaled_exponential_quadruples_only(make_chain):
