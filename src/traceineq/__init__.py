@@ -51,14 +51,11 @@ from .quadrature import (
 )
 from .combinatorics import (
     MAX_N,
-    MidPermutation,
     ShapeParams,
-    build_permutation,
     doubling_permutation,
     shape_params,
     slot_sources,
     thue_morse,
-    thue_morse_prefix,
 )
 from .entangle import (
     DIM_CAP,

@@ -11,8 +11,8 @@ Every check is one row of the CHECKS table: its id, suite, chain
 length, runner, description and formula. Adding a check means adding
 one row.
 A chunk of CHUNK seeds is the unit of work: it draws its chains once,
-and every row evaluates its own prefix of them. Pool blocks are runs of
-whole chunks.
+and the rows at one chain length share its prefix of them and the sides
+evaluated on it. Pool blocks are runs of whole chunks.
 """
 from __future__ import annotations
 
@@ -35,15 +35,8 @@ from .entangle import build_layout, pairing_check
 from .errors import ConfigError, DimensionCap, TraceIneqError, UnknownCheck
 from .frechet import power_average_identity_check
 from .inequalities import (
-    check_equivalence,
-    check_golden_thompson,
-    check_jensen_trace,
     check_key_identity,
-    check_lieb_equivalence,
-    check_lieb_three,
-    check_power_integral,
-    check_scaled_exponential,
-    check_tensor_resolvent,
+    compare,
     lhs_exp_sum_log,
     rhs_lieb_three,
     rhs_power_integral,
@@ -160,8 +153,10 @@ class _Ctx:
 # row's length, or None for rows without a chain. Deterministic checks
 # ignore the seed and run exactly once per campaign. Checks that build
 # their own inputs have a named runner of one seed, wrapped in _each.
-# Library functions are looked up as module globals at call time, never
-# captured when the table is built.
+# The two-sided checks have no runner: they are the rows of
+# inequalities.COMPARISONS, evaluated by compare. Library functions are
+# looked up as module globals at call time, never captured when the table
+# is built.
 
 def _each(runner):
     """A chunk runner from a runner of one seed."""
@@ -217,7 +212,7 @@ class CheckSpec:
     check_id: str
     suite: str
     length: int | str | None  # fixed chain length, "n" = the n grid, None = no chain
-    runner: object
+    runner: object  # None for a row of inequalities.COMPARISONS
     description: str
     formula: str
     deterministic: bool = False
@@ -254,14 +249,12 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "entangled pairing of the slotted tensor powers.",
         formula="Tr[A_n A_{n-1}^{s+} .. A_1 .. A_{n-1}^{s-}] = "
                 "<Omega| W^{s+} B W^{s-} |Omega>"),
-    CheckSpec("equivalence_integral_tensor", "identities", "n",
-        lambda ctx, c, seeds: check_equivalence(c, ctx.beta_rule, seed=seeds),
+    CheckSpec("equivalence_integral_tensor", "identities", "n", None,
         layout_aware=True,
         description="The integrated power form equals the tensor log-derivative "
                     "form on the same chain.",
         formula="avg_t Tr[chain(t)] = <Omega| T_A(B) |Omega>"),
-    CheckSpec("lieb_equivalence", "identities", 3,
-        lambda ctx, c, seeds: check_lieb_equivalence(c, ctx.beta_rule, seed=seeds),
+    CheckSpec("lieb_equivalence", "identities", 3, None,
         description="For triples the integral form collapses to the three-matrix "
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
@@ -294,30 +287,24 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
 
-    CheckSpec("golden_thompson", "inequalities", 2,
-        lambda ctx, c, seeds: check_golden_thompson(c, seed=seeds),
+    CheckSpec("golden_thompson", "inequalities", 2, None,
         description="Two-matrix exponential product bound.",
         formula="Tr exp(log A1 + log A2) <= Tr[A1 A2]"),
-    CheckSpec("lieb_three", "inequalities", 3,
-        lambda ctx, c, seeds: check_lieb_three(c, seed=seeds),
+    CheckSpec("lieb_three", "inequalities", 3, None,
         description="Three-matrix bound through the log-derivative operator.",
         formula="Tr exp(log A1 + log A2 + log A3) <= Tr[A3 T_{A2^{-1}}(A1)]"),
-    CheckSpec("power_integral", "inequalities", "n",
-        lambda ctx, c, seeds: check_power_integral(c, ctx.beta_rule, seed=seeds),
+    CheckSpec("power_integral", "inequalities", "n", None,
         description="n-matrix bound by the beta-averaged complex-power chain.",
         formula="Tr exp(sum log A_k) <= avg_t Tr[A_n .. A_2^{s+} A1 A_2^{s-} ..]"),
-    CheckSpec("tensor_resolvent", "inequalities", "n",
-        lambda ctx, c, seeds: check_tensor_resolvent(c, seed=seeds),
+    CheckSpec("tensor_resolvent", "inequalities", "n", None,
         layout_aware=True,
         description="The same bound in closed tensor form.",
         formula="Tr exp(sum log A_k) <= <Omega| T_A(B) |Omega>"),
-    CheckSpec("scaled_exponential", "inequalities", 4,
-        lambda ctx, c, seeds: check_scaled_exponential(c, seed=seeds),
+    CheckSpec("scaled_exponential", "inequalities", 4, None,
         layout_aware=True,
         description="Dimension-scaled refinement for quadruples.",
         formula="d exp((1/d) Tr sum log A_k) <= <Omega| T_A(B) |Omega>"),
-    CheckSpec("jensen_trace", "inequalities", "n",
-        lambda ctx, c, seeds: check_jensen_trace(c, seed=seeds),
+    CheckSpec("jensen_trace", "inequalities", "n", None,
         description="Convexity baseline relating the two left-side scalings.",
         formula="d exp((1/d) Tr M) <= Tr exp M,  M = sum log A_k"),
 )}
@@ -342,10 +329,14 @@ def _lengths(spec: CheckSpec, cfg: CampaignConfig) -> tuple:
     return cfg.n_values if spec.length == "n" else (spec.length,)
 
 
-def _evaluate(ctx, spec: CheckSpec, n, chains, seeds) -> list[TrialReport]:
-    """One row's trials on one chunk. A row that raises runs again a trial
-    at a time on that trial's chains, so errors land on their seeds."""
+def _evaluate(ctx, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialReport]:
+    """One row's trials on one chunk; ``sides`` holds the comparison sides
+    already evaluated on these chains. A row that raises runs again a trial
+    at a time on that trial's chains, with no stored sides, so errors land
+    on their seeds."""
     try:
+        if spec.runner is None:
+            return compare(spec.check_id, chains, ctx.beta_rule, seed=seeds, sides=sides)
         return spec.runner(ctx, chains, seeds)
     except (TraceIneqError, np.linalg.LinAlgError) as exc:
         if len(seeds) == 1:  # an unevaluable trial is a failed trial, not a dead campaign
@@ -356,9 +347,10 @@ def _evaluate(ctx, spec: CheckSpec, n, chains, seeds) -> list[TrialReport]:
 
 def _run_chunk(ctx, rows, seeds) -> list[TrialReport]:
     """Every (spec, n) row on one chunk of seeds, drawn once at the longest
-    n; a row evaluates the prefix chains[:, :n], equal to a draw of n. The
-    full stack is never decomposed, so a matrix past n cannot turn that
-    trial's shorter rows into errors."""
+    n. Each (commuting, n) prefix chains[:, :n], equal to a draw of n, is
+    cut once: the rows at that length share it, its decomposition and the
+    sides evaluated on it. The full stack is never decomposed, so a matrix
+    past n cannot turn that trial's shorter rows into errors."""
     longest = max((n for _, n in rows if n is not None), default=None)
     stacks = {}
     for commuting in {spec.commuting for spec, n in rows if n is not None}:
@@ -366,8 +358,13 @@ def _run_chunk(ctx, rows, seeds) -> list[TrialReport]:
         stacks[commuting] = (
             random_commuting_family(ctx.d, longest, rngs, ctx.lam_range) if commuting
             else draw_posdef(rngs, ctx.d, ctx.lam_range, count=longest))
-    return [r for spec, n in rows for r in _evaluate(
-        ctx, spec, n, None if n is None else stacks[spec.commuting][:, :n], seeds)]
+    prefixes = {(c, n): (stacks[c][:, :n], {})
+                for c, n in {(spec.commuting, n) for spec, n in rows if n is not None}}
+    reports = []
+    for spec, n in rows:
+        chains, sides = prefixes.get((spec.commuting, n), (None, None))
+        reports += _evaluate(ctx, spec, n, chains, seeds, sides)
+    return reports
 
 
 def _run_seeds(cfg: CampaignConfig, seeds) -> list[TrialReport]:
@@ -443,7 +440,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         for block in blocks:
             reports.extend(_run_seeds(cfg, block))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             for f in [pool.submit(_run_seeds, cfg, block) for block in blocks]:
                 reports.extend(f.result())
     reports.sort(key=_sort_key)

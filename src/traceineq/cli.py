@@ -26,13 +26,7 @@ from .campaign import (
     load_config_file,
     run_campaign,
 )
-from .combinatorics import (
-    MAX_N,
-    build_permutation,
-    shape_params,
-    slot_sources,
-    thue_morse_prefix,
-)
+from .combinatorics import MAX_N, shape_params, slot_sources, thue_morse
 from .entangle import build_layout
 from .errors import TraceIneqError, UnknownCheck
 
@@ -65,22 +59,18 @@ def _layout_text(n: int, d: int) -> list[str]:
 def _perm_text(n: int) -> list[str]:
     shape = shape_params(n)
     sources = slot_sources(n)
-    reduced = build_permutation(n)
-    alpha = thue_morse_prefix(shape.full_n)
     lines = [
         f"chain length n = {n}",
         f"levels = {shape.level_count}, full chain length = {shape.full_n}, "
         f"padded slots = {shape.pad_count}",
         "full slot table (slot: source, conjugation bit):",
     ]
-    for idx, src in enumerate(sources):
-        slot = idx + 2
-        bit = alpha[idx]
+    for slot, src in enumerate(sources, 2):
         what = f"A_{src}" if src is not None else "identity"
-        lines.append(f"  slot {slot}: {what:9s} alpha = {bit}")
+        lines.append(f"  slot {slot}: {what:9s} alpha = {thue_morse(slot)}")
     lines.append("reduced permutation on live slots:")
-    for k, v in sorted(reduced.mapping.items()):
-        lines.append(f"  {k} -> {v}")
+    live = [src for src in sources if src is not None]
+    lines += [f"  {k} -> {v}" for k, v in enumerate(live, 2)]
     return lines
 
 

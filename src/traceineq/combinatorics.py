@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, InvalidRange
+from .errors import InvalidRange
 
 MAX_N = 10  # validated range for the doubling construction
 
@@ -25,13 +25,6 @@ def thue_morse(k: int) -> int:
     if k < 2:
         raise InvalidRange(f"slot index must be >= 2, got {k}")
     return bin(k - 2).count("1") % 2
-
-
-def thue_morse_prefix(n: int) -> tuple[int, ...]:
-    """Exponents (a_2, ..., a_{n-1}) for a length-n chain."""
-    if n < 3:
-        raise InvalidRange(f"need n >= 3, got {n}")
-    return tuple(thue_morse(k) for k in range(2, n))
 
 
 @dataclass(frozen=True)
@@ -101,32 +94,3 @@ def slot_sources(n: int) -> tuple[int | None, ...]:
         src = perm[k]
         out.append(src if src <= n - 1 else None)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class MidPermutation:
-    """Bijection on the live middle indices {2, ..., n-1}.
-
-    ``mapping[j]`` is the matrix index occupying the j-th live slot
-    (slots ordered by position). For unpadded lengths this is the raw
-    doubling permutation; padding removes the identity slots and
-    renumbers the domain order-preservingly.
-    """
-
-    n: int
-    mapping: dict[int, int]
-
-    def __post_init__(self):
-        dom = set(range(2, self.n - 1 + 1))
-        if set(self.mapping) != dom or set(self.mapping.values()) != dom:
-            raise DimensionMismatch(
-                f"mapping is not a bijection on {{2..{self.n - 1}}}: {self.mapping}"
-            )
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.mapping[j] for j in sorted(self.mapping))
-
-
-def build_permutation(n: int) -> MidPermutation:
-    sources = [s for s in slot_sources(n) if s is not None]
-    return MidPermutation(n, {j + 2: s for j, s in enumerate(sources)})

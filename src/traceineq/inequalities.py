@@ -13,11 +13,12 @@ hyperbolic density and the tensor form evaluates the log-derivative
 operator on one large Kronecker product, whose spectrum comes from the
 chain's own eigenpairs, paired through a maximally entangled
 expectation. The two right sides agree exactly, which is checked
-pointwise in t (before integration) and after integration.
+pointwise in t (before integration) and after integration. Every
+two-sided check is a row of COMPARISONS, evaluated by compare.
 """
 from __future__ import annotations
 
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .linalg import (
     real_trace,
 )
 from .quadrature import QuadratureRule, beta_density, real_line_rule
-from .report import TrialReport, identity_report, inequality_report, stack_reports
+from .report import identity_report, inequality_report, stack_reports
 
 STACK_BUDGET = 1 << 16  # complex entries per intermediate of a stacked evaluation
 
@@ -275,71 +276,90 @@ def check_key_identity(mats, t_grid=(0.0, 0.5, -0.5, 2.0, -2.0),
     return stack_reports(single, seed, len(gaps), report)
 
 
-def _reports(make, check_id, chain, single, lhs, rhs, seed, **kwargs):
-    """make(check_id, lhs, rhs, ...) for one chain, or a list with one
-    report per chain of a stack, where ``seed`` lists their seeds."""
-    return stack_reports(single, seed, len(lhs), lambda i, s: make(
-        check_id, lhs[i], rhs[i], n=chain.matrix.shape[1], seed=s, **kwargs))
-
-
-def check_equivalence(mats, rule: QuadratureRule | None = None,
-                      rtol: float = 1e-7, seed=None):
-    """Integrated form vs tensor form on the same chain."""
-    chain, single = _coerce_chain(mats)
-    return _reports(identity_report, "equivalence_integral_tensor", chain, single,
-                    rhs_power_integral(chain, rule), rhs_tensor_resolvent(chain),
-                    seed, rtol=rtol)
-
-
-def check_lieb_equivalence(mats, rule: QuadratureRule | None = None,
-                           rtol: float = 1e-8, seed=None):
-    """For triples the integral form collapses to the three-matrix bound."""
-    chain, single = _coerce_chain(mats, exact=3)
-    return _reports(identity_report, "lieb_equivalence", chain, single,
-                    rhs_power_integral(chain, rule), rhs_lieb_three(chain), seed, rtol=rtol)
-
-
-# ---------------------------------------------------------- inequality glue
+# ------------------------------------------------------------- comparisons
 
 INEQ_ATOL = 1e-9
 INEQ_RTOL = 1e-8
-_inequality = partial(_reports, inequality_report, atol=INEQ_ATOL, rtol=INEQ_RTOL)
+_INEQ = ("inequality_report", {"atol": INEQ_ATOL, "rtol": INEQ_RTOL})
+
+
+class Comparison(NamedTuple):
+    verdict: str  # the report function, by name
+    tol: dict  # its tolerances
+    lhs: str  # the two sides, by name
+    rhs: str
+    length: int | str  # fixed chain length, or "n" for any the sides take
+
+
+# The two-sided checks: edges between the sides of one chain. Verdicts and
+# sides are module globals looked up by name at call time.
+COMPARISONS = {
+    "golden_thompson": Comparison(*_INEQ, "lhs_exp_sum_log", "rhs_golden_thompson", 2),
+    "lieb_three": Comparison(*_INEQ, "lhs_exp_sum_log", "rhs_lieb_three", 3),
+    "power_integral": Comparison(*_INEQ, "lhs_exp_sum_log", "rhs_power_integral", "n"),
+    "tensor_resolvent": Comparison(*_INEQ, "lhs_exp_sum_log", "rhs_tensor_resolvent", "n"),
+    "scaled_exponential": Comparison(*_INEQ, "scaled_exponential_lhs",
+                                     "rhs_tensor_resolvent", 4),
+    "jensen_trace": Comparison(*_INEQ, "scaled_exponential_lhs", "lhs_exp_sum_log", "n"),
+    "equivalence_integral_tensor": Comparison("identity_report", {"rtol": 1e-7},
+                                              "rhs_power_integral",
+                                              "rhs_tensor_resolvent", "n"),
+    "lieb_equivalence": Comparison("identity_report", {"rtol": 1e-8},
+                                   "rhs_power_integral", "rhs_lieb_three", 3),
+}
+
+
+def compare(check_id, mats, rule: QuadratureRule | None = None, *, seed=None,
+            sides=None):
+    """The verdict of one COMPARISONS row on a chain, or the list of them
+    on a stack of chains, where ``seed`` lists their seeds. ``sides`` maps
+    side names to their values already evaluated on this stack with this
+    rule; a side evaluated here is added to it, one that raises is not."""
+    row = COMPARISONS[check_id]
+    chain, single = _coerce_chain(mats, min_len=2,
+                                  exact=None if row.length == "n" else row.length)
+    sides = {} if sides is None else sides
+    for name in (row.lhs, row.rhs):
+        if name not in sides:
+            side = globals()[name]  # rhs_power_integral alone takes the rule
+            sides[name] = side(chain, rule) if name == "rhs_power_integral" else side(chain)
+    lhs, rhs, verdict = sides[row.lhs], sides[row.rhs], globals()[row.verdict]
+    return stack_reports(single, seed, len(lhs), lambda i, s: verdict(
+        check_id, lhs[i], rhs[i], n=chain.matrix.shape[1], seed=s, **row.tol))
 
 
 def check_golden_thompson(mats, seed=None):
-    chain, single = _coerce_chain(mats, min_len=2, exact=2)
-    return _inequality("golden_thompson", chain, single, lhs_exp_sum_log(chain),
-                       rhs_golden_thompson(chain), seed)
+    return compare("golden_thompson", mats, seed=seed)
 
 
 def check_lieb_three(mats, seed=None):
-    chain, single = _coerce_chain(mats, exact=3)
-    return _inequality("lieb_three", chain, single, lhs_exp_sum_log(chain),
-                       rhs_lieb_three(chain), seed)
+    return compare("lieb_three", mats, seed=seed)
 
 
 def check_power_integral(mats, rule=None, seed=None):
-    chain, single = _coerce_chain(mats)
-    return _inequality("power_integral", chain, single, lhs_exp_sum_log(chain),
-                       rhs_power_integral(chain, rule), seed)
+    return compare("power_integral", mats, rule, seed=seed)
 
 
 def check_tensor_resolvent(mats, seed=None):
-    chain, single = _coerce_chain(mats)
-    return _inequality("tensor_resolvent", chain, single, lhs_exp_sum_log(chain),
-                       rhs_tensor_resolvent(chain), seed)
+    return compare("tensor_resolvent", mats, seed=seed)
 
 
 def check_scaled_exponential(mats, seed=None):
     """d exp((1/d) Tr sum log A_k) <= tensor form, for quadruples."""
-    chain, single = _coerce_chain(mats, exact=4)
-    return _inequality("scaled_exponential", chain, single,
-                       scaled_exponential_lhs(chain), rhs_tensor_resolvent(chain), seed)
+    return compare("scaled_exponential", mats, seed=seed)
 
 
 def check_jensen_trace(mats, seed=None):
     """d exp((1/d) Tr M) <= Tr exp M for the Hermitian M = sum log A_k;
     convexity baseline separating the two left-side normalizations."""
-    chain, single = _coerce_chain(mats, min_len=2)
-    return _inequality("jensen_trace", chain, single, scaled_exponential_lhs(chain),
-                       lhs_exp_sum_log(chain), seed)
+    return compare("jensen_trace", mats, seed=seed)
+
+
+def check_equivalence(mats, rule: QuadratureRule | None = None, *, seed=None):
+    """Integrated form vs tensor form on the same chain."""
+    return compare("equivalence_integral_tensor", mats, rule, seed=seed)
+
+
+def check_lieb_equivalence(mats, rule: QuadratureRule | None = None, *, seed=None):
+    """For triples the integral form collapses to the three-matrix bound."""
+    return compare("lieb_equivalence", mats, rule, seed=seed)

@@ -118,14 +118,6 @@ class PosDefMatrix:
                 f"{POSITIVITY_FLOOR:.0e} times the max {lam[..., -1][~ok].flat[0]:.3e}")
         return SpectralDecomposition(lam, vec)
 
-    def power_stack(self, z: np.ndarray) -> np.ndarray:
-        """Stacked spectral powers A^{z_t} of one matrix for an array of
-        exponents, shape (len(z), dim, dim), from its decomposition."""
-        dec = self.spectral
-        powers = np.exp(z[:, None] * np.log(dec.eigenvalues)[None, :])
-        return np.einsum("ij,tj,kj->tik", dec.eigenvectors, powers,
-                         dec.eigenvectors.conj())
-
     def inverse(self) -> np.ndarray:
         return self.spectral.apply(lambda x: 1.0 / x)
 

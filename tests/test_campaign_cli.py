@@ -431,11 +431,11 @@ def test_public_api_is_pinned():
     assert traceineq.__all__ == [
         "CHECKS", "CampaignConfig", "CampaignSummary", "CheckSpec", "ConfigError",
         "DIM_CAP", "DimensionCap", "DimensionMismatch", "FactorLayout",
-        "ImaginaryResidue", "InvalidRange", "MAX_N", "MidPermutation", "MidSlot",
+        "ImaginaryResidue", "InvalidRange", "MAX_N", "MidSlot",
         "NonFinite", "NonPositiveEigenvalue", "NotHermitian", "PosDefMatrix",
         "QuadratureRule", "ShapeParams", "StepTooLarge", "TraceIneqError",
         "TrialReport", "UnknownCheck", "as_posdef", "beta_density",
-        "beta_normalization_gap", "build_layout", "build_permutation",
+        "beta_normalization_gap", "build_layout",
         "chain_product_trace", "check_commutator_chain", "check_derivative_form",
         "check_equivalence", "check_golden_thompson", "check_jensen_trace",
         "check_key_identity", "check_lieb_equivalence", "check_lieb_three",
@@ -452,7 +452,7 @@ def test_public_api_is_pinned():
         "rhs_power_integral", "rhs_tensor_resolvent", "run_campaign",
         "scalar_identity_check", "scalar_log_kernel", "scalar_power_average",
         "scaled_exponential_lhs", "shape_params", "slot_sources", "tensor_operands",
-        "tensor_pair_trace", "thue_morse", "thue_morse_prefix", "write_reports",
+        "tensor_pair_trace", "thue_morse", "write_reports",
     ]
 
 

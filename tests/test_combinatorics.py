@@ -3,22 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceineq import (
-    DimensionMismatch,
     InvalidRange,
     MAX_N,
-    MidPermutation,
-    build_permutation,
     doubling_permutation,
     shape_params,
     slot_sources,
     thue_morse,
-    thue_morse_prefix,
 )
+from traceineq.cli import _perm_text
 
 
 def test_thue_morse_prefix_frozen():
     # bit-parity sequence on slots 2, 3, 4, ...
-    assert thue_morse_prefix(10) == (0, 1, 1, 0, 1, 0, 0, 1)
+    assert [thue_morse(k) for k in range(2, 10)] == [0, 1, 1, 0, 1, 0, 0, 1]
 
 
 def test_thue_morse_rejects_below_two():
@@ -98,16 +95,15 @@ def test_slot_sources_cover_chain_exactly_once():
 
 
 def test_build_permutation_reindexes_live_slots():
-    assert build_permutation(5).as_tuple() == (2, 3, 4)
-    assert build_permutation(6).mapping == {2: 2, 3: 5, 4: 3, 5: 4}
-    assert build_permutation(4).mapping == {2: 2, 3: 3}
-    perm7 = build_permutation(7).mapping
+    # the perm command's "reduced permutation" rows: live slot j -> source
+    def reduced(n):
+        text = _perm_text(n)
+        rows = text[text.index("reduced permutation on live slots:") + 1:]
+        return dict(tuple(map(int, row.split(" -> "))) for row in rows)
+
+    assert reduced(5) == {2: 2, 3: 3, 4: 4}
+    assert reduced(6) == {2: 2, 3: 5, 4: 3, 5: 4}
+    assert reduced(4) == {2: 2, 3: 3}
+    perm7 = reduced(7)
     assert set(perm7.keys()) == set(range(2, 7))
     assert set(perm7.values()) == set(range(2, 7))
-
-
-def test_mid_permutation_validates():
-    with pytest.raises(DimensionMismatch):
-        MidPermutation(4, {2: 2, 3: 2})
-    with pytest.raises(DimensionMismatch):
-        MidPermutation(4, {2: 2})

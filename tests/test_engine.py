@@ -36,7 +36,8 @@ from traceineq import (
     scaled_exponential_lhs,
     tensor_pair_trace,
 )
-from traceineq import campaign
+from traceineq import campaign, inequalities
+from traceineq.inequalities import COMPARISONS
 from traceineq.quadrature import beta_density
 
 STACKED = ("golden_thompson", "lieb_three", "power_integral", "tensor_resolvent",
@@ -99,23 +100,23 @@ def test_indexing_shares_the_decomposition():
     assert np.array_equal(stack[1, 0].matrix, stack.matrix[1, 0])
 
 
-def _old_power_integral(mats, rule):
+def _old_power_integral(mats, rule, power):
     """The integral form with explicit power stacks, one matrix at a time."""
     z = 0.5 * (1.0 + 1j * rule.nodes)
     mid = np.broadcast_to(mats[0].matrix, (rule.node_count,) + mats[0].matrix.shape)
     for m in mats[1:-1]:
-        stack = m.power_stack(z)
+        stack = power(m.matrix, z)
         mid = stack @ mid @ stack.conj().transpose(0, 2, 1)
     traces = np.einsum("ij,tji->t", mats[-1].matrix, mid)
     return np.dot(rule.weights * beta_density(rule.nodes), traces).real
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
-def test_power_integral_matches_explicit_power_stacks(n, beta_rule):
+def test_power_integral_matches_explicit_power_stacks(n, beta_rule, spectral_power):
     stack = _stack(920 + n, 6, n)
     values = rhs_power_integral(stack, beta_rule)
     for value, mats in zip(values, _singles(stack, n)):
-        assert _close(value, _old_power_integral(mats, beta_rule))
+        assert _close(value, _old_power_integral(mats, beta_rule, spectral_power))
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
@@ -255,13 +256,13 @@ def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
 
 
 def test_pool_blocks_split_at_chunk_boundaries(monkeypatch):
-    blocks = []
+    pools, blocks = [], []
 
     class InlinePool:
-        """Runs each block at submit time and records its arguments."""
+        """Runs each block at submit time; records its size and blocks."""
 
         def __init__(self, max_workers):
-            self.workers = max_workers
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -270,20 +271,21 @@ def test_pool_blocks_split_at_chunk_boundaries(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            blocks.append((self.workers, args))
+            blocks.append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", InlinePool)
-    for workers in (2, 3, 5):
+    for workers in (2, 3, 5, 64):
+        pools.clear()
+        blocks.clear()
         cfg = _engine_cfg(checks=("jensen_trace",), n_values=(3, 4), parallel=workers)
         assert run_campaign(cfg).passed
-    for workers in (2, 3, 5):
         # one block per worker at most, each a contiguous run of whole chunks,
-        # and together the seeds once, in order
-        split = [seeds for w, (_, seeds) in blocks if w == workers]
-        assert 2 <= len(split) <= workers
+        # and together the seeds once, in order; no more workers than blocks
+        split = [seeds for _, seeds in blocks]
+        assert 2 <= len(split) <= workers and pools == [len(split)]
         for seeds in split:
             assert (seeds[0] - 4_100) % campaign.CHUNK == 0
         for seeds in split[:-1]:
@@ -317,17 +319,58 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
     assert summary.passed and summary.trial_count == 26 + 23 * 37
     assert calls == {name: count * chunks for name, count in per_chunk.items()}
 
+    # the comparison rows at one chain length share its sides: on one chunk
+    # each side is evaluated once per chain length it is compared at
+    lengths = {}
+
+    def recording(name):
+        real = getattr(inequalities, name)
+
+        def call(chain, *args):
+            lengths.setdefault(name, []).append(chain.matrix.shape[1])
+            return real(chain, *args)
+        return call
+
+    for name in ("lhs_exp_sum_log", "rhs_power_integral", "rhs_tensor_resolvent"):
+        monkeypatch.setattr(inequalities, name, recording(name))
+    cfg = _engine_cfg(suite="inequalities", checks=None, trials=campaign.CHUNK)
+    assert run_campaign(cfg).passed
+    assert {name: sorted(n) for name, n in lengths.items()} == {
+        "lhs_exp_sum_log": [2, 3, 4, 5, 6], "rhs_power_integral": [3, 4, 5, 6],
+        "rhs_tensor_resolvent": [3, 4, 5, 6]}
+
 
 def test_rows_do_not_depend_on_the_other_rows():
     # the shared draw is cut to each row's length: a check's rows are the
     # same bytes alone as next to longer chains and commuting families
-    def rows(checks, check_id):
-        summary = run_campaign(_engine_cfg(checks=checks, n_values=(3, 6), trials=20))
-        return [json.dumps(r.to_row(), sort_keys=True)
-                for r in summary.reports if r.check_id == check_id]
+    def rows(checks, **kw):
+        summary = run_campaign(_engine_cfg(checks=checks, trials=20, **kw))
+        out = {}
+        for r in summary.reports:
+            out.setdefault(r.check_id, []).append(json.dumps(r.to_row(), sort_keys=True))
+        return out
 
-    mixed = ("golden_thompson", "power_integral", "commuting_equality",
-             "commutator_chain_commuting")
+    mixed = rows(("golden_thompson", "power_integral", "commuting_equality",
+                  "commutator_chain_commuting"), n_values=(3, 6))
     for check_id in ("golden_thompson", "commutator_chain_commuting"):
-        alone = rows((check_id,), check_id)
-        assert len(alone) == 20 and alone == rows(mixed, check_id)
+        alone = rows((check_id,), n_values=(3, 6))[check_id]
+        assert len(alone) == 20 and alone == mixed[check_id]
+    # chains past the positivity floor: a side that raises is not shared,
+    # so each comparison row's rows, error rows too, are the same alone as
+    # inside the full campaign
+    wide = dict(n_values=(3, 4, 6), lam_lo=1e-7, lam_hi=1e7)
+    full = rows(None, **wide)
+    for check_id in COMPARISONS:
+        assert '"kind": "error"' in "".join(full[check_id])
+        assert rows((check_id,), **wide)[check_id] == full[check_id]
+
+
+def test_comparison_table_is_the_runnerless_checks():
+    # every two-sided check is a CHECKS row without a runner, at the
+    # table's chain length, and its sides are library functions
+    assert {cid for cid, spec in campaign.CHECKS.items() if spec.runner is None} == set(
+        COMPARISONS)
+    for check_id, row in COMPARISONS.items():
+        assert campaign.CHECKS[check_id].length == row.length
+        assert callable(getattr(inequalities, row.lhs))
+        assert callable(getattr(inequalities, row.rhs))

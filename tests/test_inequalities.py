@@ -181,11 +181,11 @@ def test_tensor_form_real_on_very_wide_commuting_chains():
         assert np.isfinite(rhs_tensor_resolvent(fam))
 
 
-def test_chain_product_trace_real_at_zero(make_chain):
+def test_chain_product_trace_real_at_zero(make_chain, spectral_power):
     # at t = 0 the chain is a plain product of positive matrices
     mats = make_chain(31, 3)
     a1, a2, a3 = (m.matrix for m in mats)
-    half = PosDefMatrix(a2).power_stack(np.array([0.5]))[0]
+    half = spectral_power(a2, 0.5)
     direct = float(np.trace(a3 @ half @ a1 @ half).real)
     assert chain_product_trace(mats, 0.0) == pytest.approx(direct, rel=1e-12)
 

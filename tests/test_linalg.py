@@ -59,43 +59,6 @@ def test_posdef_rejects_nan_spectrum():
         PosDefMatrix(np.diag([np.nan, 1.0])).log()
 
 
-def test_power_matches_integer_products(rng):
-    a = draw_posdef(rng, 4)
-    m = a.matrix
-    square, same, inverse, root = a.power_stack(np.array([2.0, 1.0, -1.0, 0.5]))
-    assert np.allclose(square, m @ m)
-    assert np.allclose(same, m)
-    assert np.allclose(inverse @ m, np.eye(4), atol=1e-10)
-    assert np.allclose(root @ root, m)
-
-
-def test_complex_power_unitary_direction(rng):
-    # purely imaginary exponents give unitaries: A^{it} (A^{it})^dag = I
-    a = draw_posdef(rng, 3)
-    u = a.power_stack(np.array([1j * 0.7]))[0]
-    assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
-
-
-def test_half_power_pair_conjugate_exponents(rng):
-    a = draw_posdef(rng, 3)
-    plus, minus = a.power_stack(0.5 * (1 + np.array([0.9j, -0.9j])))
-    assert np.allclose(minus, plus.conj().T)
-    # s+ + s- = 1, so the two powers multiply back to A
-    assert np.allclose(plus @ minus, a.matrix, atol=1e-12)
-
-
-def test_power_stack_matches_power(rng):
-    # against V diag(lam^z) V* from a fresh eigh, not the cached spectrum
-    a = draw_posdef(rng, 3)
-    lam, vec = np.linalg.eigh(a.matrix)
-    z = 0.5 * (1.0 + 1j * np.array([-3.0, 0.0, 0.9, 7.5]))
-    stack = a.power_stack(z)
-    assert stack.shape == (4, 3, 3)
-    for zt, p in zip(z, stack):
-        explicit = vec @ np.diag(np.exp(zt * np.log(lam))) @ vec.conj().T
-        assert np.allclose(p, explicit, rtol=1e-12, atol=1e-12)
-
-
 def test_log_inverse_consistency(rng):
     a = draw_posdef(rng, 3)
     assert np.allclose(a.log() + PosDefMatrix(a.inverse()).log(),
