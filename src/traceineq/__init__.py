@@ -75,15 +75,10 @@ from .frechet import (
 )
 from .inequalities import (
     check_equivalence,
-    check_golden_thompson,
-    check_jensen_trace,
     check_key_identity,
-    check_lieb_equivalence,
-    check_lieb_three,
-    check_power_integral,
-    check_scaled_exponential,
     check_tensor_resolvent,
     chain_product_trace,
+    compare,
     lhs_exp_sum_log,
     rhs_golden_thompson,
     rhs_lieb_three,

@@ -12,7 +12,8 @@ length, runner, description and formula. Adding a check means adding
 one row.
 A chunk of CHUNK seeds is the unit of work: it draws its chains once,
 and the rows at one chain length share its prefix of them and the sides
-evaluated on it. Pool blocks are runs of whole chunks.
+evaluated on it. One function runs every task, one per chunk and one for
+the deterministic rows, in this process or mapped over a pool.
 """
 from __future__ import annotations
 
@@ -138,13 +139,20 @@ class CampaignConfig:
 
 
 class _Ctx:
-    """Per-process evaluation context: rules and ranges, built once."""
+    """Per-process evaluation context: rules, ranges and the selected
+    (spec, n) rows, the deterministic ones under True."""
 
     def __init__(self, cfg: CampaignConfig):
         self.d = cfg.local_dim
         self.lam_range = (cfg.lam_lo, cfg.lam_hi)
         self.beta_rule = real_line_rule(cfg.half_width, cfg.beta_nodes)
         self.half_rule = half_line_rule(cfg.half_nodes)
+        self.rows = {True: [], False: []}
+        for spec in selected_checks(cfg):
+            self.rows[spec.deterministic] += [(spec, n) for n in _lengths(spec, cfg)]
+
+
+_CONTEXT: tuple = (None, None)  # the running campaign's config and its _Ctx
 
 
 # ------------------------------------------------------------------ checks
@@ -345,12 +353,20 @@ def _evaluate(ctx, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialR
             ctx, spec, n, None if chains is None else chains[i:i + 1], seeds[i:i + 1])]
 
 
-def _run_chunk(ctx, rows, seeds) -> list[TrialReport]:
-    """Every (spec, n) row on one chunk of seeds, drawn once at the longest
-    n. Each (commuting, n) prefix chains[:, :n], equal to a draw of n, is
-    cut once: the rows at that length share it, its decomposition and the
-    sides evaluated on it. The full stack is never decomposed, so a matrix
-    past n cannot turn that trial's shorter rows into errors."""
+def _run_task(task) -> list[TrialReport]:
+    """The trials of one task (cfg, deterministic, seeds): the deterministic
+    rows once, or every seeded (spec, n) row on one chunk of seeds, drawn
+    once at the longest n. Each (commuting, n) prefix chains[:, :n], equal
+    to a draw of n, is cut once: the rows at that length share it, its
+    decomposition and the sides evaluated on it. The full stack is never
+    decomposed, so a matrix past n cannot turn that trial's shorter rows
+    into errors."""
+    global _CONTEXT
+    cfg, deterministic, seeds = task
+    if _CONTEXT[0] != cfg:  # a worker that run_campaign did not fork
+        _CONTEXT = (cfg, _Ctx(cfg))
+    ctx = _CONTEXT[1]
+    rows = ctx.rows[deterministic]
     longest = max((n for _, n in rows if n is not None), default=None)
     stacks = {}
     for commuting in {spec.commuting for spec, n in rows if n is not None}:
@@ -365,15 +381,6 @@ def _run_chunk(ctx, rows, seeds) -> list[TrialReport]:
         chains, sides = prefixes.get((spec.commuting, n), (None, None))
         reports += _evaluate(ctx, spec, n, chains, seeds, sides)
     return reports
-
-
-def _run_seeds(cfg: CampaignConfig, seeds) -> list[TrialReport]:
-    """The seeded rows' trials on a run of whole chunks, in order."""
-    ctx = _Ctx(cfg)
-    rows = [(spec, n) for spec in selected_checks(cfg) if not spec.deterministic
-            for n in _lengths(spec, cfg)]
-    return [r for i in range(0, len(seeds), CHUNK)
-            for r in _run_chunk(ctx, rows, seeds[i:i + CHUNK])]
 
 
 def _sort_key(r: TrialReport):
@@ -425,25 +432,22 @@ def _summarize(cfg, reports, runtime_s) -> CampaignSummary:
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
+    global _CONTEXT
     cfg = cfg.validate()
     start = time.perf_counter()
-    ctx = _Ctx(cfg)  # builds the cached rules; forked workers inherit them
-    specs = selected_checks(cfg)
-    reports = [r for spec in specs if spec.deterministic  # run once, here
-               for r in _evaluate(ctx, spec, None, None, [cfg.seed])]
-    workers = cfg.parallel if cfg.parallel > 0 else (os.cpu_count() or 1)
+    ctx = _Ctx(cfg)  # rows from CHECKS as it is now; forked workers inherit it
+    _CONTEXT = (cfg, ctx)
     seeds = [cfg.seed + i for i in range(cfg.trials)]
-    step = CHUNK * -(-len(seeds) // (workers * CHUNK))  # whole chunks per block
-    blocks = ([seeds[i:i + step] for i in range(0, len(seeds), step)]
-              if not all(spec.deterministic for spec in specs) else [])
-    if len(blocks) <= 1:
-        for block in blocks:
-            reports.extend(_run_seeds(cfg, block))
+    tasks = [(cfg, True, [cfg.seed])] + [(cfg, False, seeds[i:i + CHUNK])
+                                         for i in range(0, len(seeds), CHUNK)]
+    tasks = [task for task in tasks if ctx.rows[task[1]]]  # none without rows
+    workers = min(cfg.parallel or os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_task, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            for f in [pool.submit(_run_seeds, cfg, block) for block in blocks]:
-                reports.extend(f.result())
-    reports.sort(key=_sort_key)
+        parts = map(_run_task, tasks)
+    reports = sorted((r for part in parts for r in part), key=_sort_key)
     summary = _summarize(cfg, reports, time.perf_counter() - start)
     if cfg.out:
         write_reports(cfg, summary)

@@ -114,8 +114,7 @@ def conjugated_power_average(a1, a2, rule: QuadratureRule | None = None) -> np.n
     return vec @ ((vec_h @ a1 @ vec) * (weighted @ p.conj())) @ vec_h
 
 
-def power_average_identity_check(a1, a2, rule: QuadratureRule | None = None,
-                                 rtol: float = 1e-8, seed=None):
+def power_average_identity_check(a1, a2, rule: QuadratureRule | None = None, seed=None):
     """The average above vs T_{A2^{-1}}(A1), compared in Frobenius norm;
     stacks of pairs give one report per pair, given a list of seeds."""
     a2 = as_posdef(a2)
@@ -124,5 +123,5 @@ def power_average_identity_check(a1, a2, rule: QuadratureRule | None = None,
     gaps = np.linalg.norm(avg - closed, axis=(-2, -1))
     scales = np.maximum(np.linalg.norm(closed, axis=(-2, -1)), 1e-300)
     return stack_reports(gaps.ndim == 0, seed, gaps.size, lambda i, s: identity_report(
-        "power_average_identity", gaps.flat[i], 0.0, atol=0.0, rtol=rtol,
+        "power_average_identity", gaps.flat[i], 0.0, atol=0.0, rtol=1e-8,
         scale=float(scales.flat[i]), seed=s, params={"dim": a2.dim}))

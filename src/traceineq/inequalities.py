@@ -256,12 +256,14 @@ def tensor_pair_trace(mats, t):
                    single, "tensor pair trace")
 
 
-def check_key_identity(mats, t_grid=(0.0, 0.5, -0.5, 2.0, -2.0),
-                       rtol: float = 1e-9, seed=None):
-    """Pointwise product trace vs tensor pairing over a grid of t, both
+KEY_T_GRID = (0.0, 0.5, -0.5, 2.0, -2.0)
+
+
+def check_key_identity(mats, seed=None):
+    """Pointwise product trace vs tensor pairing over KEY_T_GRID, both
     sides evaluated for the whole grid and stack at once."""
     chain, single = _coerce_chain(mats)  # decomposed once, for every t
-    t = np.array(t_grid, dtype=float)
+    t = np.array(KEY_T_GRID)
     pairs = np.stack([chain_product_trace(chain, t), tensor_pair_trace(chain, t)], axis=-1)
     gaps = np.abs(pairs[..., 0] - pairs[..., 1]) / np.abs(pairs).max(axis=-1)
 
@@ -270,9 +272,9 @@ def check_key_identity(mats, t_grid=(0.0, 0.5, -0.5, 2.0, -2.0),
         # of the largest gap, so gaps at roundoff level keep their t
         gap, nan = gaps[k], np.flatnonzero(np.isnan(gaps[k]))
         i = nan[-1] if nan.size else np.argmax(gap >= gap.max() - 4 * np.finfo(float).eps)
-        return identity_report("key_identity", *pairs[k, i], rtol=rtol,
+        return identity_report("key_identity", *pairs[k, i], rtol=1e-9,
                                n=chain.matrix.shape[1], seed=s,
-                               params={"t_worst": t_grid[i], "t_grid": list(t_grid)})
+                               params={"t_worst": KEY_T_GRID[i], "t_grid": list(KEY_T_GRID)})
     return stack_reports(single, seed, len(gaps), report)
 
 
@@ -328,38 +330,10 @@ def compare(check_id, mats, rule: QuadratureRule | None = None, *, seed=None,
         check_id, lhs[i], rhs[i], n=chain.matrix.shape[1], seed=s, **row.tol))
 
 
-def check_golden_thompson(mats, seed=None):
-    return compare("golden_thompson", mats, seed=seed)
-
-
-def check_lieb_three(mats, seed=None):
-    return compare("lieb_three", mats, seed=seed)
-
-
-def check_power_integral(mats, rule=None, seed=None):
-    return compare("power_integral", mats, rule, seed=seed)
-
-
 def check_tensor_resolvent(mats, seed=None):
     return compare("tensor_resolvent", mats, seed=seed)
-
-
-def check_scaled_exponential(mats, seed=None):
-    """d exp((1/d) Tr sum log A_k) <= tensor form, for quadruples."""
-    return compare("scaled_exponential", mats, seed=seed)
-
-
-def check_jensen_trace(mats, seed=None):
-    """d exp((1/d) Tr M) <= Tr exp M for the Hermitian M = sum log A_k;
-    convexity baseline separating the two left-side normalizations."""
-    return compare("jensen_trace", mats, seed=seed)
 
 
 def check_equivalence(mats, rule: QuadratureRule | None = None, *, seed=None):
     """Integrated form vs tensor form on the same chain."""
     return compare("equivalence_integral_tensor", mats, rule, seed=seed)
-
-
-def check_lieb_equivalence(mats, rule: QuadratureRule | None = None, *, seed=None):
-    """For triples the integral form collapses to the three-matrix bound."""
-    return compare("lieb_equivalence", mats, rule, seed=seed)

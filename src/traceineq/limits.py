@@ -97,10 +97,12 @@ def check_commutator_chain(a1, a2, beta_rule=None, half_rule=None,
 
 # ------------------------------------------------------ penalized trace limit
 
-def penalized_trace_gaps(a, v=None, t_grid=(1e2, 1e3, 1e4),
-                         dps: int | None = None,
+PENALTY_GRID = (1e2, 1e3, 1e4)
+
+
+def penalized_trace_gaps(a, v=None, dps: int | None = None,
                          eigenvector: int | None = None):
-    """Gaps |Tr exp(A - t P) - exp<v, A v>| along a penalty grid.
+    """Gaps |Tr exp(A - t P) - exp<v, A v>| along the penalties PENALTY_GRID.
 
     P projects onto the orthogonal complement of the unit vector v, so
     the kernel of the penalty is spanned by v and the trace collapses
@@ -144,7 +146,7 @@ def penalized_trace_gaps(a, v=None, t_grid=(1e2, 1e3, 1e4),
         proj = np.eye(dim) - np.outer(v, v.conj())
         limit = float(np.exp((v.conj() @ a @ v).real))
         gaps = []
-        for t in t_grid:
+        for t in PENALTY_GRID:
             ev = np.linalg.eigvalsh(a - t * proj)
             gaps.append(abs(float(np.exp(ev).sum()) - limit))
         return limit, gaps
@@ -177,28 +179,25 @@ def penalized_trace_gaps(a, v=None, t_grid=(1e2, 1e3, 1e4),
             for j in range(dim):
                 pm[i, j] = (1 if i == j else 0) - vm[i] * mp.conj(vm[j])
         gaps = []
-        for t in t_grid:
+        for t in PENALTY_GRID:
             ev = eig(am - mp.mpf(t) * pm, eigvals_only=True)
             tr = mp.fsum(mp.e ** e for e in ev)
             gaps.append(float(abs(tr - limit_mp)))
         return float(abs(limit_mp)), gaps
 
 
-def check_penalized_trace_limit(a, v=None, t_grid=(1e2, 1e3, 1e4),
-                                dps: int | None = None,
-                                tol_abs: float = 1e-3,
-                                seed=None,
+def check_penalized_trace_limit(a, v=None, dps: int | None = None,
+                                tol_abs: float = 1e-3, seed=None,
                                 eigenvector: int | None = None) -> TrialReport:
     """Verdict: gaps do not grow along the grid (up to a precision
     floor) and the final gap is below ``tol_abs``."""
-    limit, gaps = penalized_trace_gaps(a, v, t_grid, dps,
-                                       eigenvector=eigenvector)
+    limit, gaps = penalized_trace_gaps(a, v, dps, eigenvector=eigenvector)
     floor = (10.0 ** (8 - dps)) * max(1.0, limit) if dps else 1e-13 * max(1.0, limit)
     monotone = all(gaps[i + 1] <= gaps[i] + floor for i in range(len(gaps) - 1))
     rep = identity_report("penalized_trace_limit", gaps[-1], 0.0, atol=tol_abs,
                           scale=max(1.0, limit), seed=seed,
                           params={"gaps": gaps, "limit": limit,
-                                  "t_grid": list(t_grid), "dps": dps})
+                                  "t_grid": list(PENALTY_GRID), "dps": dps})
     return replace(rep, passed=rep.passed and monotone)
 
 
@@ -231,18 +230,16 @@ def derivative_form_value(big_a, big_b, outer, step):
     return (probe(step) - probe(-step)) / (2.0 * step)
 
 
-def _quotients(chain, step):
+def _quotients(chain):
     """(step, quotient at step, quotient at step / 2) per chain, shape (K, 3)."""
     big_a, big_b, outer = tensor_operands(chain)
-    if step is None:
-        lam_min = big_a.spectral.eigenvalues[:, 0]
-        step = np.minimum(1e-3, 0.05 * lam_min / np.linalg.norm(big_b, 2, axis=(-2, -1)))
+    lam_min = big_a.spectral.eigenvalues[:, 0]
+    step = np.minimum(1e-3, 0.05 * lam_min / np.linalg.norm(big_b, 2, axis=(-2, -1)))
     quotients = [derivative_form_value(big_a, big_b, outer, r) for r in (step, step / 2.0)]
     return np.stack(np.broadcast_arrays(step, *quotients), axis=-1)
 
 
-def check_derivative_form(mats, step: float | None = None, atol: float = 1e-5,
-                          seed=None):
+def check_derivative_form(mats, seed=None):
     """Difference quotient vs the closed tensor value.
 
     Two quotients are taken, at ``step`` and ``step / 2``; their error
@@ -251,20 +248,19 @@ def check_derivative_form(mats, step: float | None = None, atol: float = 1e-5,
     cancels the quadratic term so the headline comparison is not
     limited by the truncation error of either quotient alone.
 
-    The default step adapts to the chain: it must keep A + r B well
-    inside the positive cone, so it is capped at a twentieth of the
-    smallest eigenvalue of A per unit of ||B||. An explicit step is
-    taken as given and may raise StepTooLarge. K chains, given K seeds,
+    The step adapts to the chain: it must keep A + r B well inside the
+    positive cone, so it is at most 1e-3 and a twentieth of the smallest
+    eigenvalue of A per unit of ||B||. K chains, given K seeds,
     are decomposed once and probed by (K, D, D) eighs within STACK_BUDGET.
     """
     chain, single = _coerce_chain(mats)
     exact = rhs_tensor_resolvent(chain)
     size = build_layout(chain.matrix.shape[1], chain.dim, dense=True).total_dim
-    steps, fd_full, fd_half = _sliced(lambda c: _quotients(c, step), chain, size * size).T
+    steps, fd_full, fd_half = _sliced(_quotients, chain, size * size).T
     err_full, err_half = np.abs(fd_full - exact).tolist(), np.abs(fd_half - exact).tolist()
     extrapolated = (4.0 * fd_half - fd_full) / 3.0
     return stack_reports(single, seed, len(exact), lambda i, s: identity_report(
-        "derivative_form", extrapolated[i], exact[i], atol=atol, rtol=atol,
+        "derivative_form", extrapolated[i], exact[i], atol=1e-5, rtol=1e-5,
         n=chain.matrix.shape[1], seed=s,
         params={"step": float(steps[i]), "err_full": err_full[i], "err_half": err_half[i],
                 "halving_ratio": err_half[i] / err_full[i] if err_full[i] > 0 else 0.0}))

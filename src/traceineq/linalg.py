@@ -83,8 +83,8 @@ class PosDefMatrix:
     before sharing across workers.
     """
 
-    def __init__(self, array, *, tol: float = ASYMMETRY_TOL):
-        self.matrix = hermitize(array, tol=tol)
+    def __init__(self, array):
+        self.matrix = hermitize(array)
 
     @classmethod
     def _known(cls, matrix, spectral=None) -> "PosDefMatrix":

@@ -103,10 +103,9 @@ def scalar_log_kernel(x: float, y: float) -> float:
 
 
 def scalar_identity_check(x: float, y: float,
-                          rule: QuadratureRule | None = None,
-                          atol: float = 1e-8) -> TrialReport:
+                          rule: QuadratureRule | None = None) -> TrialReport:
     """Quadrature vs closed form for the scalar conjugated-power average."""
     lhs = scalar_power_average(x, y, rule)
     rhs = scalar_log_kernel(x, y)
-    return identity_report("scalar_power_identity", lhs, rhs, atol=atol,
+    return identity_report("scalar_power_identity", lhs, rhs, atol=1e-8,
                            params={"x": x, "y": y})

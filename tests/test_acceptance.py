@@ -112,7 +112,7 @@ def test_integral_tensor_equivalence_and_three_matrix_collapse(rule):
     worst_lieb = 0.0
     for seed in range(200):
         mats = _chain(14_000 + seed, 3)
-        rep = ti.check_lieb_equivalence(mats, rule, seed=seed)
+        rep = ti.compare("lieb_equivalence", mats, rule, seed=seed)
         worst_lieb = max(worst_lieb, rep.rel_gap)
         ok = ok and rep.passed
     _verdict("integral form equals tensor form, collapses for triples", ok,

@@ -99,6 +99,18 @@ def test_tensor_checks_clean_on_wide_spectra(local_dim):
     assert not bad
 
 
+@pytest.mark.xfail(strict=True, reason="the half-line resolvent rule has no unit "
+                   "scale: its smallest node, 3.6e-5, is near the eigenvalues of "
+                   "X = A2^-1 on scaled spectra (ROADMAP item 1)")
+@pytest.mark.parametrize("lam", [(1e3, 1e4), (1e4, 1e5)])
+def test_commutator_chain_clean_on_scaled_spectra(lam):
+    # condition 10 at most, as at the default spectrum, only scaled; the
+    # three half-line routes agree with one another, not with the average
+    summary = run_campaign(_cfg(suite="all", checks=("commutator_chain",), trials=30,
+                                seed=2024, lam_lo=lam[0], lam_hi=lam[1]))
+    assert summary.trial_count == 30 and summary.passed
+
+
 def test_selected_checks_filters():
     specs = selected_checks(_cfg(suite="inequalities"))
     assert all(s.suite == "inequalities" for s in specs)
@@ -437,10 +449,8 @@ def test_public_api_is_pinned():
         "TrialReport", "UnknownCheck", "as_posdef", "beta_density",
         "beta_normalization_gap", "build_layout",
         "chain_product_trace", "check_commutator_chain", "check_derivative_form",
-        "check_equivalence", "check_golden_thompson", "check_jensen_trace",
-        "check_key_identity", "check_lieb_equivalence", "check_lieb_three",
-        "check_penalized_trace_limit", "check_power_integral",
-        "check_scaled_exponential", "check_tensor_resolvent", "commutator_chain",
+        "check_equivalence", "check_key_identity", "check_penalized_trace_limit",
+        "check_tensor_resolvent", "commutator_chain", "compare",
         "conjugated_power_average", "derivative_form_value", "doubling_permutation",
         "draw_posdef", "half_line_rule", "hermitian_fn", "hermitize",
         "identity_report", "inequality_report", "kron_all", "lhs_exp_sum_log",

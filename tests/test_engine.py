@@ -15,14 +15,9 @@ from traceineq import (
     check_commutator_chain,
     check_derivative_form,
     check_equivalence,
-    check_golden_thompson,
-    check_jensen_trace,
     check_key_identity,
-    check_lieb_equivalence,
-    check_lieb_three,
-    check_power_integral,
-    check_scaled_exponential,
     check_tensor_resolvent,
+    compare,
     draw_posdef,
     half_line_rule,
     identity_report,
@@ -153,14 +148,14 @@ def _stacked_and_single(check_id, stack, seeds, rule):
     half = half_line_rule()
     ctx = campaign._Ctx(_engine_cfg())
     calls = {
-        "golden_thompson": lambda c, s: check_golden_thompson(c, seed=s),
-        "lieb_three": lambda c, s: check_lieb_three(c, seed=s),
-        "power_integral": lambda c, s: check_power_integral(c, rule, seed=s),
+        "golden_thompson": lambda c, s: compare("golden_thompson", c, seed=s),
+        "lieb_three": lambda c, s: compare("lieb_three", c, seed=s),
+        "power_integral": lambda c, s: compare("power_integral", c, rule, seed=s),
         "tensor_resolvent": lambda c, s: check_tensor_resolvent(c, seed=s),
-        "scaled_exponential": lambda c, s: check_scaled_exponential(c, seed=s),
-        "jensen_trace": lambda c, s: check_jensen_trace(c, seed=s),
+        "scaled_exponential": lambda c, s: compare("scaled_exponential", c, seed=s),
+        "jensen_trace": lambda c, s: compare("jensen_trace", c, seed=s),
         "equivalence_integral_tensor": lambda c, s: check_equivalence(c, rule, seed=s),
-        "lieb_equivalence": lambda c, s: check_lieb_equivalence(c, rule, seed=s),
+        "lieb_equivalence": lambda c, s: compare("lieb_equivalence", c, rule, seed=s),
         "key_identity": lambda c, s: check_key_identity(c, seed=s),
         "derivative_form": lambda c, s: check_derivative_form(c, seed=s),
         "commutator_chain": lambda c, s: check_commutator_chain(c[0], c[1], rule, half,
@@ -255,11 +250,12 @@ def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
         assert r.passed and _close(r.lhs, ref.lhs) and _close(r.rhs, ref.rhs)
 
 
-def test_pool_blocks_split_at_chunk_boundaries(monkeypatch):
-    pools, blocks = [], []
+def test_pool_maps_one_task_per_chunk(monkeypatch):
+    pools, tasks = [], []
 
     class InlinePool:
-        """Runs each block at submit time; records its size and blocks."""
+        """Runs each task when it is submitted or mapped; records the tasks
+        and the worker count it was asked for."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -271,26 +267,36 @@ def test_pool_blocks_split_at_chunk_boundaries(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            blocks.append(args)
+            tasks.append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
 
+        def map(self, fn, *iterables):
+            return [self.submit(fn, *args).result() for args in zip(*iterables)]
+
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", InlinePool)
+    serial = run_campaign(_engine_cfg(checks=("beta_normalization", "jensen_trace"),
+                                      n_values=(3, 4)))
+    assert pools == [] and tasks == []
     for workers in (2, 3, 5, 64):
         pools.clear()
-        blocks.clear()
-        cfg = _engine_cfg(checks=("jensen_trace",), n_values=(3, 4), parallel=workers)
-        assert run_campaign(cfg).passed
-        # one block per worker at most, each a contiguous run of whole chunks,
-        # and together the seeds once, in order; no more workers than blocks
-        split = [seeds for _, seeds in blocks]
-        assert 2 <= len(split) <= workers and pools == [len(split)]
-        for seeds in split:
-            assert (seeds[0] - 4_100) % campaign.CHUNK == 0
-        for seeds in split[:-1]:
-            assert len(seeds) % campaign.CHUNK == 0
-        assert sum(split, []) == [4_100 + i for i in range(37)]
+        tasks.clear()
+        cfg = _engine_cfg(checks=("beta_normalization", "jensen_trace"), n_values=(3, 4),
+                          parallel=workers)
+        summary = run_campaign(cfg)
+        assert summary.reports == serial.reports
+        # the deterministic rows as one task, then the three chunks of the 37
+        # seeds in order, one task each; no more workers than tasks
+        seeds = [4_100 + i for i in range(37)]
+        assert tasks == [((cfg, True, [4_100]),)] + [
+            ((cfg, False, seeds[i:i + campaign.CHUNK]),) for i in (0, 16, 32)]
+        assert pools == [min(workers, 4)]
+    # a selection of deterministic rows only is one task, so no pool starts
+    pools.clear()
+    summary = run_campaign(_engine_cfg(checks=("beta_normalization",
+                                               "scalar_power_identity"), parallel=4))
+    assert summary.passed and pools == []
 
 
 def test_identity_rows_make_one_call_per_chunk(monkeypatch):

@@ -11,16 +11,11 @@ from traceineq import (
     check_commutator_chain,
     check_derivative_form,
     check_equivalence,
-    check_golden_thompson,
-    check_jensen_trace,
     check_key_identity,
-    check_lieb_equivalence,
-    check_lieb_three,
     check_penalized_trace_limit,
-    check_power_integral,
-    check_scaled_exponential,
     check_tensor_resolvent,
     commutator_chain,
+    compare,
     derivative_form_value,
     draw_posdef,
     kron_all,
@@ -48,7 +43,7 @@ def test_lhs_permutation_invariant(make_chain):
 
 def test_golden_thompson_holds_and_saturates_commuting(make_chain):
     mats = make_chain(12, 2, d=3)
-    assert check_golden_thompson(mats, seed=12).passed
+    assert compare("golden_thompson", mats, seed=12).passed
     fam = random_commuting_family(3, 2, seed=13)
     lhs = lhs_exp_sum_log(fam)
     rhs = rhs_golden_thompson(fam)
@@ -57,7 +52,7 @@ def test_golden_thompson_holds_and_saturates_commuting(make_chain):
 
 def test_lieb_three_holds(make_chain):
     mats = make_chain(14, 3, d=3)
-    rep = check_lieb_three(mats, seed=14)
+    rep = compare("lieb_three", mats, seed=14)
     assert rep.passed
     assert rep.lhs <= rep.rhs + 1e-9
 
@@ -70,7 +65,7 @@ def test_power_integral_and_tensor_hold(make_chain, beta_rule):
         rt = rhs_tensor_resolvent(mats)
         assert lhs <= ri + 1e-9 + 1e-8 * abs(ri)
         assert abs(ri - rt) / abs(rt) < 1e-7
-        assert check_power_integral(mats, beta_rule, seed=n).passed
+        assert compare("power_integral", mats, beta_rule, seed=n).passed
         assert check_tensor_resolvent(mats, seed=n).passed
 
 
@@ -193,17 +188,17 @@ def test_chain_product_trace_real_at_zero(make_chain, spectral_power):
 def test_equivalence_and_lieb_collapse(make_chain, beta_rule):
     mats = make_chain(41, 3)
     assert check_equivalence(mats, beta_rule, seed=41).passed
-    assert check_lieb_equivalence(mats, beta_rule, seed=41).passed
+    assert compare("lieb_equivalence", mats, beta_rule, seed=41).passed
     lhs = rhs_power_integral(mats, beta_rule)
     assert rhs_lieb_three(mats) == pytest.approx(lhs, rel=1e-9)
 
 
 def test_scaled_exponential_quadruples_only(make_chain):
     mats = make_chain(51, 4)
-    rep = check_scaled_exponential(mats, seed=51)
+    rep = compare("scaled_exponential", mats, seed=51)
     assert rep.passed
     with pytest.raises(DimensionMismatch):
-        check_scaled_exponential(mats[:3], seed=51)
+        compare("scaled_exponential", mats[:3], seed=51)
     # the scaled left side sits below the plain trace left side
     assert scaled_exponential_lhs(mats) <= lhs_exp_sum_log(mats) + 1e-12
 
@@ -211,7 +206,7 @@ def test_scaled_exponential_quadruples_only(make_chain):
 def test_jensen_trace(make_chain):
     for n in (3, 5):
         mats = make_chain(61 + n, n)
-        assert check_jensen_trace(mats, seed=n).passed
+        assert compare("jensen_trace", mats, seed=n).passed
 
 
 def test_all_identity_chain_exact_values(beta_rule):
