@@ -48,7 +48,7 @@ from .limits import (
     check_derivative_form,
     check_penalized_trace_limit,
 )
-from .linalg import draw_posdef, hermitize, random_commuting_family
+from .linalg import draw_posdef, random_commuting_family
 from .quadrature import (
     beta_normalization_gap,
     half_line_rule,
@@ -74,9 +74,6 @@ class CampaignConfig:
     seed: int = 2024
     lam_lo: float = 0.1
     lam_hi: float = 10.0
-    half_width: float = 12.0
-    beta_nodes: int = 400
-    half_nodes: int = 200
     parallel: int = 0  # 0 = one worker per available core
     out: str | None = None
     fmt: str = "jsonl"
@@ -97,11 +94,6 @@ class CampaignConfig:
         if not (0 < self.lam_lo <= self.lam_hi < math.inf):
             raise ConfigError(f"eigenvalue range must satisfy 0 < lam_lo <= lam_hi "
                               f"< inf, got ({self.lam_lo}, {self.lam_hi})")
-        if not (0 < self.half_width < math.inf
-                and min(self.beta_nodes, self.half_nodes) >= 2):
-            raise ConfigError(f"need half_width > 0 and finite, and beta_nodes, "
-                              f"half_nodes >= 2, got ({self.half_width}, "
-                              f"{self.beta_nodes}, {self.half_nodes})")
         if self.parallel < 0:
             raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
         for cid in self.checks or ():
@@ -139,14 +131,14 @@ class CampaignConfig:
 
 
 class _Ctx:
-    """Per-process evaluation context: rules, ranges and the selected
-    (spec, n) rows, the deterministic ones under True."""
+    """Per-process evaluation context: the library's default rules, the
+    eigenvalue range and the selected (spec, n) rows, deterministic under True."""
 
     def __init__(self, cfg: CampaignConfig):
         self.d = cfg.local_dim
         self.lam_range = (cfg.lam_lo, cfg.lam_hi)
-        self.beta_rule = real_line_rule(cfg.half_width, cfg.beta_nodes)
-        self.half_rule = half_line_rule(cfg.half_nodes)
+        self.beta_rule = real_line_rule()
+        self.half_rule = half_line_rule()
         self.rows = {True: [], False: []}
         for spec in selected_checks(cfg):
             self.rows[spec.deterministic] += [(spec, n) for n in _lengths(spec, cfg)]
@@ -194,7 +186,7 @@ def _run_penalized_limit(ctx, seed):
     rng = np.random.default_rng(seed)
     dim = 3
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    a = hermitize(0.5 * (g + g.conj().T), tol=1.0)
+    a = 0.5 * (g + g.conj().T)
     a = a / max(1.0, float(np.linalg.norm(a, 2)))
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return [check_penalized_trace_limit(a, v, seed=seed)]

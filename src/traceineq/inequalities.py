@@ -280,9 +280,7 @@ def check_key_identity(mats, seed=None):
 
 # ------------------------------------------------------------- comparisons
 
-INEQ_ATOL = 1e-9
-INEQ_RTOL = 1e-8
-_INEQ = ("inequality_report", {"atol": INEQ_ATOL, "rtol": INEQ_RTOL})
+_INEQ = ("inequality_report", {})  # its default tolerances
 
 
 class Comparison(NamedTuple):

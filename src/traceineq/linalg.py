@@ -35,12 +35,12 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def hermitize(a, *, tol: float = ASYMMETRY_TOL) -> np.ndarray:
+def hermitize(a) -> np.ndarray:
     """Return the Hermitian average (A + A*)/2 of a square array, or of
     each matrix in a stack.
 
     Raises NonFinite on any NaN or inf entry, and NotHermitian when the
-    anti-Hermitian part exceeds ``tol`` relative to the norm of A, so
+    anti-Hermitian part exceeds ASYMMETRY_TOL relative to the norm of A, so
     silent repair only ever touches roundoff-level asymmetry.
     """
     a = np.asarray(a, dtype=complex)
@@ -50,8 +50,9 @@ def hermitize(a, *, tol: float = ASYMMETRY_TOL) -> np.ndarray:
         raise NonFinite("matrix has NaN or inf entries")
     norm = np.linalg.norm(a - _adjoint(a), axis=(-2, -1))
     worst = np.max(norm / np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
-    if worst > tol:
-        raise NotHermitian(f"asymmetry {worst:.3e} exceeds {tol:.1e} of max(1, norm)")
+    if worst > ASYMMETRY_TOL:
+        raise NotHermitian(f"asymmetry {worst:.3e} exceeds {ASYMMETRY_TOL:.1e} "
+                           f"of max(1, norm)")
     return 0.5 * (a + _adjoint(a))
 
 
@@ -188,8 +189,9 @@ def real_trace(value, *, context: str = "trace"):
 
 def _check_lam_range(lam_range) -> tuple[float, float]:
     lo, hi = float(lam_range[0]), float(lam_range[1])
-    if not (lo > 0.0 and hi >= lo):
-        raise InvalidRange(f"eigenvalue range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    if not (0.0 < lo <= hi < np.inf):
+        raise InvalidRange(f"eigenvalue range must satisfy 0 < lo <= hi < inf, "
+                           f"got ({lo}, {hi})")
     return lo, hi
 
 

@@ -46,8 +46,8 @@ class QuadratureRule:
 def real_line_rule(half_width: float = BETA_HALF_WIDTH,
                    node_count: int = BETA_NODE_COUNT) -> QuadratureRule:
     """Gauss-Legendre on [-T, T] for beta-weighted averages."""
-    if half_width <= 0 or node_count < 2:
-        raise InvalidRange(f"need half_width > 0 and node_count >= 2, "
+    if not (0 < half_width < np.inf and node_count >= 2):
+        raise InvalidRange(f"need 0 < half_width < inf and node_count >= 2, "
                            f"got ({half_width}, {node_count})")
     return _cached_rule(int(node_count), float(half_width))
 

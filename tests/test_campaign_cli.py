@@ -9,7 +9,7 @@ import pytest
 import traceineq
 from traceineq import CHECKS, CampaignConfig, ConfigError, UnknownCheck, run_campaign
 from traceineq.campaign import config_from, load_config_file, selected_checks
-from traceineq.cli import _flag_overrides, build_parser
+from traceineq.cli import _flag_overrides, build_parser, main
 
 
 def _cfg(**kw):
@@ -50,8 +50,6 @@ def test_config_validation():
         _cfg(seed=-1).validate()
     with pytest.raises(ConfigError, match="lam_hi"):
         _cfg(lam_hi=float("inf")).validate()
-    with pytest.raises(ConfigError, match="half_width > 0 and finite"):
-        _cfg(half_width=float("inf")).validate()
     with pytest.raises(ConfigError, match="'golden_thompson' is selected more than"):
         _cfg(checks=("golden_thompson", "lieb_three", "golden_thompson")).validate()
     # a repeated chain length would run, and report, each of its trials twice
@@ -59,13 +57,14 @@ def test_config_validation():
         _cfg(n_values=(3, 4, 3)).validate()
 
 
-@pytest.mark.parametrize("field, value", [("half_width", 0.0),
-                                          ("beta_nodes", 1),
-                                          ("half_nodes", 1)])
-def test_config_rejects_unrunnable_quadrature(field, value):
-    # these would raise InvalidRange only when a worker builds the rules
-    with pytest.raises(ConfigError, match=r"half_width > 0"):
-        _cfg(**{field: value}).validate()
+@pytest.mark.parametrize("line", ["half_width = 1", "beta_nodes = 40", "half_nodes = 4"])
+def test_config_file_rejects_quadrature_keys(tmp_path, line):
+    # campaigns use the library's rules; a file cannot pick a coarser one
+    path = tmp_path / "rule.cfg"
+    path.write_text(f"trials = 2\n{line}\n")
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=rf"rule\.cfg:2: unknown key '{key}'"):
+        load_config_file(str(path))
 
 
 def test_config_rejects_tensor_layout_over_cap():
@@ -202,7 +201,7 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
     # a runner that raises must yield a failed trial row
     from traceineq import campaign as camp
 
-    def boom(ctx, n, seeds):
+    def boom(ctx, chains, seeds):
         raise UnknownCheck("synthetic failure")
 
     monkeypatch.setitem(
@@ -224,7 +223,7 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
 def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
     from traceineq import campaign as camp
 
-    def singular(ctx, n, seeds):
+    def singular(ctx, chains, seeds):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setitem(
@@ -278,20 +277,19 @@ def test_config_file_keys_are_the_config_fields(tmp_path):
     path.write_text(
         "suite = all\nchecks = golden_thompson, lieb_three\nn_values = 3 4\n"
         "local_dim = 3\ntrials = 7\nseed = 11\nlam_lo = 0.5\nlam_hi = 2\n"
-        "half_width = 10.5\nbeta_nodes = 300\nhalf_nodes = 150\n"
         "parallel = 1\nout = reports/run\nfmt = csv\n")
     overrides = load_config_file(str(path))
     assert overrides == {
         "suite": "all", "checks": ("golden_thompson", "lieb_three"),
         "n_values": (3, 4), "local_dim": 3, "trials": 7, "seed": 11,
-        "lam_lo": 0.5, "lam_hi": 2.0, "half_width": 10.5, "beta_nodes": 300,
-        "half_nodes": 150, "parallel": 1, "out": "reports/run", "fmt": "csv"}
+        "lam_lo": 0.5, "lam_hi": 2.0, "parallel": 1, "out": "reports/run",
+        "fmt": "csv"}
     assert set(overrides) == set(CampaignConfig.__dataclass_fields__)
     assert isinstance(overrides["lam_hi"], float)
-    assert CampaignConfig(**overrides).validate().half_nodes == 150
+    assert CampaignConfig(**overrides).validate().lam_hi == 2.0
 
 
-@pytest.mark.parametrize("line", ["beta_nodes = 3.5", "half_width = wide",
+@pytest.mark.parametrize("line", ["trials = 3.5", "lam_lo = wide",
                                   "n_values = 3, four"])
 def test_config_file_bad_value_names_line(tmp_path, line):
     path = tmp_path / "bad.cfg"
@@ -312,7 +310,7 @@ def test_verify_flags_map_onto_config_fields():
     assert set(overrides) == set(CampaignConfig.__dataclass_fields__)
     assert overrides["n_values"] == (3, 5)
     assert overrides["checks"] == ("golden_thompson", "lieb_three")
-    assert overrides["half_width"] is None
+    assert overrides["parallel"] is None
     assert overrides["trials"] is None
 
 
@@ -372,23 +370,29 @@ def test_cli_config_file(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_bad_inputs_exit_two(tmp_path):
-    assert _run("verify", "--n", "99", "--parallel", "1").returncode == 2
-    assert _run("explain", "--check", "nope").returncode == 2
+def test_cli_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
+    # one case through the entry point; the rest in process through main
+    proc = _run("verify", "--n", "99", "--parallel", "1")
+    assert proc.returncode == 2
+    assert "[3, 10]" in proc.stderr and "Traceback" not in proc.stderr
+    monkeypatch.delenv("TRACEINEQ_OUT", raising=False)
+    assert main(["explain", "--check", "nope"]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
-    assert _run("verify", "--config", str(bad)).returncode == 2
+    assert main(["verify", "--config", str(bad)]) == 2
     wide = tmp_path / "wide.cfg"
     wide.write_text("half_width = inf\n")
+    capsys.readouterr()
     for args, named in [(("--seed", "-1"), "seed"),
                         (("--lam-max", "inf"), "lam_hi"),
                         (("--config", str(wide)), "half_width"),
                         (("--check", "golden_thompson", "--check", "golden_thompson"),
                          "'golden_thompson'"),
                         (("--check", "power_integral", "--n", "3", "3"), "chain length 3")]:
-        proc = _run("verify", *args, "--trials", "1", "--parallel", "1")
-        assert proc.returncode == 2, (args, proc.stderr)
-        assert named in proc.stderr and "Traceback" not in proc.stderr
+        code = main(["verify", *args, "--trials", "1", "--parallel", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, (args, err)
+        assert named in err and "Traceback" not in err
 
 
 def test_cli_tensor_layout_over_cap_exits_two():

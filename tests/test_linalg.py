@@ -188,6 +188,15 @@ def test_draw_posdef_spectrum_in_range(rng):
         draw_posdef(rng, 3, (-1.0, 2.0))
 
 
+@pytest.mark.parametrize("lam_range", [(0.1, np.inf), (np.nan, 1.0), (0.1, np.nan)])
+def test_draws_reject_non_finite_range(rng, lam_range):
+    # an infinite bound would reach numpy's uniform, which raises OverflowError
+    with pytest.raises(InvalidRange, match="< inf"):
+        draw_posdef(rng, 2, lam_range)
+    with pytest.raises(InvalidRange, match="< inf"):
+        random_commuting_family(2, 3, 0, lam_range)
+
+
 def test_random_posdef_deterministic_in_seed():
     a = draw_posdef(np.random.default_rng(5), 3)
     b = draw_posdef(np.random.default_rng(5), 3)

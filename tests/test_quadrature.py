@@ -101,6 +101,13 @@ def test_scalar_identity_check_reports(beta_rule):
     assert rep.abs_gap < 1e-10
 
 
+@pytest.mark.parametrize("half_width", [0.0, -1.0, np.inf, np.nan])
+def test_real_line_rule_needs_finite_positive_width(half_width):
+    # an infinite or NaN width gives NaN nodes, and beta_normalization_gap NaN
+    with pytest.raises(InvalidRange, match="half_width < inf"):
+        real_line_rule(half_width)
+
+
 def test_rules_are_built_once_and_read_only():
     rule = real_line_rule()
     assert real_line_rule() is rule
