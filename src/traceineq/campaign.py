@@ -148,19 +148,21 @@ _CONTEXT: tuple = (None, None)  # the running campaign's config and its _Ctx
 
 
 # ------------------------------------------------------------------ checks
-# A runner maps (ctx, chains, seeds) to a list of TrialReports, where seeds
-# is one chunk of trial seeds and chains their stack of chains, cut to the
-# row's length, or None for rows without a chain. Deterministic checks
-# ignore the seed and run exactly once per campaign. Checks that build
-# their own inputs have a named runner of one seed, wrapped in _each.
-# The two-sided checks have no runner: they are the rows of
-# inequalities.COMPARISONS, evaluated by compare. Library functions are
+# A runner maps (ctx, chains, seeds, sides) to a list of TrialReports, where
+# seeds is one chunk of trial seeds and chains their stack of chains, cut to
+# the row's length, or None for rows without a chain; sides holds the sides
+# already evaluated on these chains, as inequalities.compare takes them.
+# Deterministic checks ignore the seed and run exactly once per campaign.
+# Checks that build their own inputs have a named runner of one seed,
+# wrapped in _each. The two-sided checks have no runner: they are the rows
+# of inequalities.COMPARISONS, evaluated by compare. Library functions are
 # looked up as module globals at call time, never captured when the table
 # is built.
 
 def _each(runner):
     """A chunk runner from a runner of one seed."""
-    return lambda ctx, chains, seeds: [r for seed in seeds for r in runner(ctx, seed)]
+    return lambda ctx, chains, seeds, sides: [r for seed in seeds
+                                              for r in runner(ctx, seed)]
 
 
 def _run_beta_normalization(ctx, seed):
@@ -227,14 +229,14 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="The hyperbolic weight integrates to one on the truncated line.",
         formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
     CheckSpec("scalar_power_identity", "identities", None,
-        lambda ctx, chains, seeds: [scalar_identity_check(x, y, ctx.beta_rule)
-                               for x in SCALAR_GRID for y in SCALAR_GRID],
+        lambda ctx, chains, seeds, sides: [scalar_identity_check(x, y, ctx.beta_rule)
+                                      for x in SCALAR_GRID for y in SCALAR_GRID],
         deterministic=True,
         description="Scalar conjugated-power average equals the inverse log kernel "
                     "on a fixed grid.",
         formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
     CheckSpec("power_average_identity", "identities", 2,
-        lambda ctx, c, seeds: power_average_identity_check(
+        lambda ctx, c, seeds, sides: power_average_identity_check(
             c[:, 0].matrix, c[:, 1], ctx.beta_rule, seed=seeds),
         description="Matrix beta-average of conjugated powers equals the "
                     "log-derivative operator at the inverse base.",
@@ -243,7 +245,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
         formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
     CheckSpec("key_identity", "identities", "n",
-        lambda ctx, c, seeds: check_key_identity(c, seed=seeds),
+        lambda ctx, c, seeds, sides: check_key_identity(c, seed=seeds),
         layout_aware=True,
         description="Pointwise in t: the sandwiched chain trace equals the "
                     "entangled pairing of the slotted tensor powers.",
@@ -259,20 +261,20 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("commutator_chain", "identities", 2,
-        lambda ctx, c, seeds: check_commutator_chain(
+        lambda ctx, c, seeds, sides: check_commutator_chain(
             c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, seed=seeds),
         description="Four operator expressions for the deviation of the "
                     "conjugated-power average from the plain product.",
         formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
                 "int R X [A1, A2] X R^2 dtau"),
     CheckSpec("commutator_chain_commuting", "identities", 2,
-        lambda ctx, c, seeds: check_commutator_chain(
+        lambda ctx, c, seeds, sides: check_commutator_chain(
             c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, atol=1e-12, seed=seeds,
             check_id="commutator_chain_commuting"), commuting=True,
         description="The same chain vanishes identically on commuting pairs.",
         formula="[A1, A2] = 0  =>  all four expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
-        lambda ctx, c, seeds: check_derivative_form(c, seed=seeds),
+        lambda ctx, c, seeds, sides: check_derivative_form(c, seed=seeds, sides=sides),
         layout_aware=True, dense=True,
         description="The tensor bound is the directional derivative of a "
                     "trace functional along B.",
@@ -282,7 +284,8 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Rank-one penalties collapse the trace exponential to the "
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
-    CheckSpec("commuting_equality", "identities", "n", _commuting_equality,
+    CheckSpec("commuting_equality", "identities", "n",
+        lambda ctx, c, seeds, sides: _commuting_equality(ctx, c, seeds),
         commuting=True, layout_aware=True,
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
@@ -337,7 +340,7 @@ def _evaluate(ctx, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialR
     try:
         if spec.runner is None:
             return compare(spec.check_id, chains, ctx.beta_rule, seed=seeds, sides=sides)
-        return spec.runner(ctx, chains, seeds)
+        return spec.runner(ctx, chains, seeds, sides)
     except (TraceIneqError, np.linalg.LinAlgError) as exc:
         if len(seeds) == 1:  # an unevaluable trial is a failed trial, not a dead campaign
             return [error_report(spec.check_id, exc, n=n, seed=seeds[0])]

@@ -36,7 +36,10 @@ from .linalg import (
 from .quadrature import QuadratureRule, beta_density, real_line_rule
 from .report import identity_report, inequality_report, stack_reports
 
-STACK_BUDGET = 1 << 16  # complex entries per intermediate of a stacked evaluation
+# Complex entries per intermediate of a stacked evaluation, 64 KiB. An
+# evaluation holds a few at once; larger ones swing the heap past glibc's
+# default trim threshold (128 KiB), and every call page-faults fresh memory.
+STACK_BUDGET = 1 << 12
 
 
 def _coerce_chain(mats, min_len=3, exact=None):
@@ -130,12 +133,17 @@ def _power_traces(chain, z):
     count, n, d = lam.shape
     s = (vec_h[:, 1] @ chain.matrix[:, 0] @ vec[:, 1])[:, :, None, :]
     for k in range(1, n - 1):
-        if k > 1:
-            u = vec_h[:, k] @ vec[:, k - 1]
-            s = (u @ s.reshape(count, d, -1)).reshape(count, -1, d)
-            s = (s @ u.conj().swapaxes(-1, -2)).reshape(count, d, z.size, d)
         p = np.exp(np.log(lam[:, k])[:, :, None] * z)
-        s = s * (p[:, :, :, None] * p.conj().swapaxes(-1, -2)[:, None])
+        if k == 1:
+            s = s * p[:, :, :, None]
+            spare = np.empty_like(s)
+        else:  # both products into the other buffer and back, no new arrays
+            u = vec_h[:, k] @ vec[:, k - 1]
+            np.matmul(u, s.reshape(count, d, -1), out=spare.reshape(count, d, -1))
+            np.matmul(spare.reshape(count, -1, d), u.conj().swapaxes(-1, -2),
+                      out=s.reshape(count, -1, d))
+            s *= p[:, :, :, None]
+        s *= p.conj().swapaxes(-1, -2)[:, None]
     last = vec_h[:, -2] @ chain.matrix[:, -1] @ vec[:, -2]
     return np.einsum("kji,kitj->kt", last, s)
 
@@ -195,7 +203,7 @@ def rhs_tensor_resolvent(mats):
     kernel on A's factored spectrum, contracted factor by factor."""
     chain, single = _coerce_chain(mats)
     size = build_layout(chain.matrix.shape[1], chain.dim).total_dim
-    return _result(_sliced(_tensor_resolvent, chain, size * size), single,
+    return _result(_sliced(_tensor_resolvent, chain, size), single,
                    "tensor-resolvent form")
 
 
@@ -203,7 +211,8 @@ def _tensor_resolvent(chain):
     """V* B V = C (x) kron_m u_m u_m*, C = V_1* A_1 V_1 (x) V_2* conj(A_n) V_2
     and u_m = V_block* Omega_m, so the form is sum_ij conj(y_i) C[a_i, a_j]
     phi_ij y_j, y = (V* Omega) conj(kron_m u_m), a_i the index into C. The
-    Loewner kernel phi is made STACK_BUDGET entries at a time, by rows."""
+    Loewner kernel phi is made by rows, 2 STACK_BUDGET float entries (the
+    bytes of STACK_BUDGET complex ones) at a time."""
     layout, lam, slots = _slot_spectra(chain)
     vec_h = slots.eigenvectors.conj().swapaxes(-1, -2)
     count, size, pair = lam.shape[0], lam.shape[1], chain.dim ** 2
@@ -212,14 +221,15 @@ def _tensor_resolvent(chain):
     u = kron_all([_paired(vec_h, 2 * m, m)[:, None, :] for m in layout.pair_copies])
     y = _paired(vec_h, 0, layout.factor_count // 2).reshape(count, pair, -1) * u.conj()
     mu, rest = 1.0 / lam, size // pair
-    step = max(1, STACK_BUDGET // (count * size))
+    index = np.arange(size) // rest  # a_i
+    step = max(1, 2 * STACK_BUDGET // (count * size))
     total = np.zeros(count, dtype=complex)
     for i in range(0, size, step):
-        rows = np.arange(i, min(i + step, size))
+        rows = slice(i, i + step)
         phi = logarithmic_ratio(mu[:, rows, None], mu[:, None, :])
-        z = np.einsum("kibs,kbs->kib", phi.reshape(count, rows.size, pair, rest), y)
+        z = np.einsum("kibs,kbs->kib", phi.reshape(count, -1, pair, rest), y)
         total += np.einsum("ki,kib,kib->k", y.reshape(count, -1)[:, rows].conj(),
-                           c[:, rows // rest], z)
+                           c[:, index[rows]], z)
     return total
 
 

@@ -16,7 +16,13 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidRange, StepTooLarge
 from .frechet import conjugated_power_average
 from .entangle import build_layout
-from .inequalities import _coerce_chain, _sliced, rhs_tensor_resolvent, tensor_operands
+from .inequalities import (
+    STACK_BUDGET,
+    _coerce_chain,
+    _sliced,
+    rhs_tensor_resolvent,
+    tensor_operands,
+)
 from .linalg import PosDefMatrix, as_posdef, hermitian_fn, hermitize, real_trace
 from .quadrature import QuadratureRule, half_line_rule, real_line_rule
 from .report import TrialReport, identity_report, stack_reports
@@ -38,8 +44,9 @@ def commutator_chain(a1, a2, beta_rule: QuadratureRule | None = None,
       explicit_commutator     int R X [A1, A2] X R^2 dtau
 
     with X = A2^{-1} and R = R(tau) = (X + tau)^{-1}. Stacks of pairs
-    (K, d, d) give stacks of each; the resolvents are one batched inverse,
-    held node axis last, (K, d, d, T), so products run along the nodes.
+    (K, d, d) give stacks of each; the resolvents are batched inverses,
+    held node axis last, (K, d, d, T), so products run along the nodes,
+    over blocks of nodes of at most STACK_BUDGET resolvent entries.
     """
     a1 = as_posdef(a1)
     a2 = as_posdef(a2)
@@ -50,24 +57,28 @@ def commutator_chain(a1, a2, beta_rule: QuadratureRule | None = None,
 
     m1, m2 = a1.matrix, a2.matrix
     x = a2.inverse()
-    res = np.linalg.inv(x[..., None, :, :] + half_rule.nodes[:, None, None] * np.eye(a1.dim))
-    res = np.ascontiguousarray(np.moveaxis(res, -3, -1))
-    w = half_rule.weights
 
     average = conjugated_power_average(m1, a2, beta_rule)
     first = m1 @ m2 - average
 
-    r2 = np.einsum("...ijt,...jkt->...ikt", res, res)
-    second = (np.einsum("...ij,...jkt->...ikt", m1, r2)
-              - np.einsum("...ijt,...jk,...klt->...ilt", res, m1, res)) @ w
-
-    comm_r = (np.einsum("...ij,...jkt->...ikt", m1, res)
-              - np.einsum("...ijt,...jk->...ikt", res, m1))
-    third = np.einsum("...ijt,...jkt,t->...ik", comm_r, res, w)
-
     comm = m1 @ m2 - m2 @ m1
     core = x @ comm @ x
-    fourth = np.einsum("...ijt,...jk,...klt,t->...il", res, core, r2, w)
+    second = third = fourth = 0.0
+    step = max(1, STACK_BUDGET // m1.size)
+    for i in range(0, half_rule.node_count, step):
+        tau, w = half_rule.nodes[i:i + step], half_rule.weights[i:i + step]
+        res = np.linalg.inv(x[..., None, :, :] + tau[:, None, None] * np.eye(a1.dim))
+        res = np.ascontiguousarray(np.moveaxis(res, -3, -1))
+
+        r2 = np.einsum("...ijt,...jkt->...ikt", res, res)
+        second = second + (np.einsum("...ij,...jkt->...ikt", m1, r2)
+                           - np.einsum("...ijt,...jk,...klt->...ilt", res, m1, res)) @ w
+
+        comm_r = (np.einsum("...ij,...jkt->...ikt", m1, res)
+                  - np.einsum("...ijt,...jk->...ikt", res, m1))
+        third = third + np.einsum("...ijt,...jkt,t->...ik", comm_r, res, w)
+
+        fourth = fourth + np.einsum("...ijt,...jk,...klt,t->...il", res, core, r2, w)
 
     return {
         "product_minus_average": first,
@@ -239,7 +250,7 @@ def _quotients(chain):
     return np.stack(np.broadcast_arrays(step, *quotients), axis=-1)
 
 
-def check_derivative_form(mats, seed=None):
+def check_derivative_form(mats, seed=None, sides=None):
     """Difference quotient vs the closed tensor value.
 
     Two quotients are taken, at ``step`` and ``step / 2``; their error
@@ -252,9 +263,14 @@ def check_derivative_form(mats, seed=None):
     positive cone, so it is at most 1e-3 and a twentieth of the smallest
     eigenvalue of A per unit of ||B||. K chains, given K seeds,
     are decomposed once and probed by (K, D, D) eighs within STACK_BUDGET.
+    The closed value is ``sides["rhs_tensor_resolvent"]`` when given, as
+    ``compare`` takes its sides, and is added to ``sides`` when evaluated.
     """
     chain, single = _coerce_chain(mats)
-    exact = rhs_tensor_resolvent(chain)
+    sides = {} if sides is None else sides
+    if "rhs_tensor_resolvent" not in sides:
+        sides["rhs_tensor_resolvent"] = rhs_tensor_resolvent(chain)
+    exact = sides["rhs_tensor_resolvent"]
     size = build_layout(chain.matrix.shape[1], chain.dim, dense=True).total_dim
     steps, fd_full, fd_half = _sliced(_quotients, chain, size * size).T
     err_full, err_half = np.abs(fd_full - exact).tolist(), np.abs(fd_half - exact).tolist()

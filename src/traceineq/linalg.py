@@ -150,26 +150,36 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-# past this ratio atanh((a-b)/(a+b)) loses digits; the log difference does not
+# An absolute error e in h = (log a - log b) / 2 moves h / sinh(h) by
+# e (coth h - 1/h) relative, and h / ((a - b) / 2) by e / h: they cross
+# near |h| = 1.9, where a - b no longer cancels.
 LOG_RATIO_FAR = 2.0
 
 
 def logarithmic_ratio(a, b):
     """The divided difference (log a - log b) / (a - b) for a, b > 0.
 
-    Arguments further apart than a factor LOG_RATIO_FAR use that
-    quotient directly. Nearer ones use 2 atanh((a-b)/(a+b)) / (a-b),
-    which does not cancel, and within relative distance 1e-10 the limit
-    2/(a+b) is substituted. Broadcasts over arrays.
+    With h = (log a - log b) / 2 it is h / (sinh(h) sqrt(a) sqrt(b)),
+    which does not cancel, and is exactly symmetric in a and b. Where
+    |h| > LOG_RATIO_FAR the denominator is (a - b) / 2 instead, and where
+    h == 0 the quotient is the limit 2 / (a + b). Logs and roots are
+    taken before a and b broadcast, so they cost O(len a + len b) on an
+    outer pair, and the broadcast shape holds two arrays. Broadcasts
+    over arrays.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    s, d = a + b, a - b
-    big = np.maximum(a, b)
-    near = np.abs(d) <= 1e-10 * big
-    far = big > LOG_RATIO_FAR * np.minimum(a, b)
-    gap = np.where(far, np.log(a) - np.log(b),
-                   2.0 * np.arctanh(np.where(far, 0.0, d / s)))
-    out = np.where(near, 2.0 / s, gap / np.where(near, 1.0, d))
+    log_a, log_b, half_a, half_b = 0.5 * np.log(a), 0.5 * np.log(b), 0.5 * a, 0.5 * b
+    h = np.asarray(log_a - log_b)
+    den = np.asarray(np.abs(h))
+    far, zero = den > LOG_RATIO_FAR, h == 0
+    np.multiply(np.sqrt(a), np.sqrt(b), out=den)
+    with np.errstate(over="ignore"):  # only far entries overflow sinh
+        den *= np.sinh(h, out=h)
+    np.putmask(den, far, np.subtract(half_a, half_b, out=h))
+    np.putmask(den, zero, np.add(half_a, half_b, out=h))
+    np.subtract(log_a, log_b, out=h)
+    np.putmask(h, zero, 1.0)
+    out = np.divide(h, den, out=den)
     return float(out) if out.ndim == 0 else out
 
 

@@ -201,7 +201,7 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
     # a runner that raises must yield a failed trial row
     from traceineq import campaign as camp
 
-    def boom(ctx, chains, seeds):
+    def boom(ctx, chains, seeds, sides):
         raise UnknownCheck("synthetic failure")
 
     monkeypatch.setitem(
@@ -223,7 +223,7 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
 def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
     from traceineq import campaign as camp
 
-    def singular(ctx, chains, seeds):
+    def singular(ctx, chains, seeds, sides):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setitem(

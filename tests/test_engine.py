@@ -31,7 +31,7 @@ from traceineq import (
     scaled_exponential_lhs,
     tensor_pair_trace,
 )
-from traceineq import campaign, inequalities
+from traceineq import campaign, inequalities, limits
 from traceineq.inequalities import COMPARISONS
 from traceineq.quadrature import beta_density
 
@@ -344,6 +344,30 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
     assert {name: sorted(n) for name, n in lengths.items()} == {
         "lhs_exp_sum_log": [2, 3, 4, 5, 6], "rhs_power_integral": [3, 4, 5, 6],
         "rhs_tensor_resolvent": [3, 4, 5, 6]}
+
+
+def test_derivative_form_takes_the_stored_tensor_side(monkeypatch):
+    # a call count: inside suite all the comparison rows have evaluated the
+    # tensor form on the n = 4 chains, and the derivative form reads it from
+    # the chunk's sides; alone it evaluates it once per chunk. Its rows are
+    # the same bytes either way
+    calls = []
+    real = limits.rhs_tensor_resolvent
+
+    def counting(chain):
+        calls.append(chain.matrix.shape[1])
+        return real(chain)
+
+    monkeypatch.setattr(limits, "rhs_tensor_resolvent", counting)
+    rows = {}
+    for checks in (None, ("derivative_form",)):
+        calls.clear()
+        summary = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4), trials=37))
+        assert summary.passed
+        rows[checks] = [json.dumps(r.to_row(), sort_keys=True) for r in summary.reports
+                        if r.check_id == "derivative_form"]
+        assert calls == ([] if checks is None else [4] * 3)
+    assert len(rows[None]) == 37 and rows[None] == rows[("derivative_form",)]
 
 
 def test_rows_do_not_depend_on_the_other_rows():

@@ -137,12 +137,32 @@ def test_hermitize_checks_each_matrix_of_a_stack():
 def test_logarithmic_ratio_far_apart():
     assert logarithmic_ratio(1e16, 1.0) == pytest.approx(36.841361487904734e-16, rel=1e-14)
     assert logarithmic_ratio(1.0, 1e-300) == pytest.approx(690.7755278982137, rel=1e-14)
+    # sinh(709) overflows: the far branch must not warn on it
+    assert logarithmic_ratio(1e308, 1e-308) == pytest.approx(
+        616 * np.log(10.0) / 1e308, rel=1e-14)
     # every branch at once, with no warning from the branches not taken
     a = np.array([1.0, 1.0, 1.0 + 1e-13, 1.5, 1e16])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = logarithmic_ratio(a[:, None], a[None, :])
     assert np.all(np.isfinite(out)) and np.allclose(out, out.T, rtol=1e-15)
+
+
+@pytest.mark.parametrize("lam_range", [(0.1, 10.0), (1e-6, 1e6)])
+def test_logarithmic_ratio_matches_mpmath_on_a_product_spectrum(lam_range):
+    # 400 entries of the kernel on a Kronecker product spectrum, as the
+    # tensor form evaluates it: slot spectra and an identity pad (exact ties)
+    rng = np.random.default_rng(17)
+    lo, hi = np.log(lam_range[0]), np.log(lam_range[1])
+    slots = [np.exp(rng.uniform(lo, hi, size=size)) for size in (2, 5)] + [np.ones(2)]
+    mu = 1.0 / np.prod(np.meshgrid(*slots, indexing="ij"), axis=0).reshape(-1)
+    out = logarithmic_ratio(mu[:, None], mu[None, :])
+    with mpmath.workdps(40):
+        exact = [[1 / mpmath.mpf(a) if a == b else
+                  (mpmath.log(a) - mpmath.log(b)) / (mpmath.mpf(a) - mpmath.mpf(b))
+                  for b in mu] for a in mu]
+    rel = np.abs(out / np.array(exact, dtype=float) - 1.0)
+    assert out.shape == (20, 20) and rel.max() <= 1e-14
 
 
 _POSITIVE = st.floats(min_value=1e-12, max_value=1e12)

@@ -57,13 +57,25 @@ def test_tail_bound_matches_decay(beta_rule):
 
 
 def test_doubled_rule_refines(beta_rule):
-    fine = real_line_rule(beta_rule.half_width, 2 * beta_rule.node_count)
-    assert fine.node_count == 2 * beta_rule.node_count
+    # halving the trapezoid step keeps every node: 161 nodes are every
+    # other one of 321
+    fine = real_line_rule(beta_rule.half_width, 2 * beta_rule.node_count - 1)
+    assert fine.node_count == 2 * beta_rule.node_count - 1
     assert fine.half_width == beta_rule.half_width
+    assert np.array_equal(fine.nodes[::2], beta_rule.nodes)
     coarse_val = np.dot(beta_rule.weights * beta_density(beta_rule.nodes),
                         beta_rule.nodes ** 2)
     fine_val = np.dot(fine.weights * beta_density(fine.nodes), fine.nodes ** 2)
     assert fine_val == pytest.approx(coarse_val, abs=1e-9)
+
+
+@pytest.mark.parametrize("omega", range(9))
+def test_rule_reproduces_the_density_transform(beta_rule, omega):
+    # int beta(t) cos(omega t) dt = omega / sinh(omega); the trapezoid rule
+    # aliases frequency 2 pi / h - omega onto it, about 1e-13 at omega = 8
+    exact = omega / np.sinh(omega) if omega else 1.0
+    weights = beta_rule.weights * beta_density(beta_rule.nodes)
+    assert np.dot(weights, np.cos(omega * beta_rule.nodes)) == pytest.approx(exact, abs=1e-12)
 
 
 def test_half_line_rule_integrates_rational():
@@ -111,7 +123,7 @@ def test_real_line_rule_needs_finite_positive_width(half_width):
 def test_rules_are_built_once_and_read_only():
     rule = real_line_rule()
     assert real_line_rule() is rule
-    assert real_line_rule(12, 400) is rule
+    assert real_line_rule(12, 161) is rule
     assert half_line_rule() is half_line_rule(200)
     for arr in (rule.nodes, rule.weights):
         with pytest.raises(ValueError):
