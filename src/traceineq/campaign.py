@@ -18,7 +18,6 @@ the deterministic rows, in this process or mapped over a pool.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -453,15 +452,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
 def _write_csv(path, echo, fieldnames, rows):
     """Config echo line, header, then one line per row; floats as repr."""
-    buf = io.StringIO()
-    buf.write(f"# config {echo}\n")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v
-                         for k, v in row.items()})
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config {echo}\n")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(v) if isinstance(v, float) else v
+                             for k, v in row.items()})
 
 
 def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:

@@ -208,28 +208,44 @@ def rhs_tensor_resolvent(mats):
 
 
 def _tensor_resolvent(chain):
-    """V* B V = C (x) kron_m u_m u_m*, C = V_1* A_1 V_1 (x) V_2* conj(A_n) V_2
-    and u_m = V_block* Omega_m, so the form is sum_ij conj(y_i) C[a_i, a_j]
-    phi_ij y_j, y = (V* Omega) conj(kron_m u_m), a_i the index into C. The
-    Loewner kernel phi is made by rows, 2 STACK_BUDGET float entries (the
-    bytes of STACK_BUDGET complex ones) at a time."""
+    """V* B V = C (x) kron_m u_m u_m*, C = C_1 (x) C_2 with C_1 = V_1* A_1 V_1,
+    C_2 = V_2* conj(A_n) V_2, and u_m = V_block* Omega_m, so the form is
+    sum_ij conj(y_i) C[a_i, a_j] phi_ij y_j, y = (V* Omega) conj(kron_m u_m),
+    a_i the index into C. An identity pad has eigenvalue exactly 1 and
+    eigenvector I, so phi does not depend on its index: past slot 2 its
+    axis is summed out of y, and in slot 2 it becomes a column axis of y,
+    contracted once through C_2 = conj(A_n). phi is then the Loewner kernel
+    of the d^(n-2) products of the live slots' eigenvalues, made by rows,
+    2 STACK_BUDGET float entries (the bytes of STACK_BUDGET complex ones)
+    at a time."""
     layout, lam, slots = _slot_spectra(chain)
     vec_h = slots.eigenvectors.conj().swapaxes(-1, -2)
-    count, size, pair = lam.shape[0], lam.shape[1], chain.dim ** 2
+    count, d, factors = lam.shape[0], chain.dim, layout.factor_count
+    pads = [s.source is None for s in layout.mid_slots]
     ends = np.stack([chain.matrix[:, 0], chain.matrix[:, -1].conj()], axis=1)
-    c = kron_all((vec_h[:, :2] @ ends @ slots.eigenvectors[:, :2]).swapaxes(0, 1))
+    c = vec_h[:, :2] @ ends @ slots.eigenvectors[:, :2]
     u = kron_all([_paired(vec_h, 2 * m, m)[:, None, :] for m in layout.pair_copies])
-    y = _paired(vec_h, 0, layout.factor_count // 2).reshape(count, pair, -1) * u.conj()
-    mu, rest = 1.0 / lam, size // pair
+    y = (_paired(vec_h, 0, factors // 2).reshape(count, d * d, -1) * u.conj()).reshape(
+        (count,) + (d,) * factors).sum(axis=tuple(1 + j for j in range(2, factors) if pads[j]))
+    if pads[1]:
+        y = np.moveaxis(y, 2, -1).reshape(count, -1, d)
+        c, right = c[:, 0], y @ c[:, 1].swapaxes(-1, -2)
+    else:
+        y = y.reshape(count, -1, 1)
+        c, right = kron_all(c.swapaxes(0, 1)), y
+    live = (slice(None),) + tuple(0 if p else slice(None) for p in pads)
+    mu = 1.0 / lam.reshape((count,) + (d,) * factors)[live].reshape(count, -1)
+    size, pair = mu.shape[1], c.shape[-1]
+    rest = size // pair
     index = np.arange(size) // rest  # a_i
+    right = right.reshape(count, pair, rest, -1)
     step = max(1, 2 * STACK_BUDGET // (count * size))
     total = np.zeros(count, dtype=complex)
     for i in range(0, size, step):
         rows = slice(i, i + step)
         phi = logarithmic_ratio(mu[:, rows, None], mu[:, None, :])
-        z = np.einsum("kibs,kbs->kib", phi.reshape(count, -1, pair, rest), y)
-        total += np.einsum("ki,kib,kib->k", y.reshape(count, -1)[:, rows].conj(),
-                           c[:, index[rows]], z)
+        z = np.einsum("kibs,kbse->kibe", phi.reshape(count, -1, pair, rest), right)
+        total += np.einsum("kie,kib,kibe->k", y[:, rows].conj(), c[:, index[rows]], z)
     return total
 
 

@@ -163,9 +163,35 @@ def test_pair_trace_at_d6561(make_chain, n):
 
 
 def test_tensor_form_matches_integral_at_d6561(make_chain, beta_rule):
-    mats = make_chain(3007, 7, d=3)
-    assert rhs_tensor_resolvent(mats) == pytest.approx(
-        rhs_power_integral(mats, beta_rule), rel=1e-13)
+    for n in (7, 8, 9):
+        mats = make_chain(3000 + n, n, d=3)
+        assert rhs_tensor_resolvent(mats) == pytest.approx(
+            rhs_power_integral(mats, beta_rule), rel=1e-13)
+
+
+@pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 11)]
+                         + [(3, n) for n in range(3, 8)])
+def test_tensor_kernel_spans_the_live_slots(monkeypatch, d, n):
+    # identity pads drop out of the Loewner kernel: d^(n-2) eigenvalue
+    # products per side, not D = d^(2^L)
+    entries, real_ratio = [], inequalities.logarithmic_ratio
+
+    def counted(a, b):
+        entries.append(np.broadcast(a, b).size)
+        return real_ratio(a, b)
+
+    monkeypatch.setattr(inequalities, "logarithmic_ratio", counted)
+    chains = draw_posdef([np.random.default_rng(s) for s in (5, 6)], d, count=n)
+    rhs_tensor_resolvent(chains)
+    assert sum(entries) == 2 * d ** (2 * (n - 2))
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (2, 8), (3, 5)])
+def test_tensor_form_saturates_commuting_chains_with_pads(d, n):
+    # the pad in the second slot contracts through conj(A_n) alone
+    for seed in range(90, 95):
+        fam = random_commuting_family(d, n, seed=seed)
+        assert rhs_tensor_resolvent(fam) == pytest.approx(lhs_exp_sum_log(fam), rel=1e-12)
 
 
 def test_tensor_form_real_on_very_wide_commuting_chains():
