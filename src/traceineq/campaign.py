@@ -13,17 +13,18 @@ one row.
 A chunk of CHUNK seeds is the unit of work: it draws its chains once,
 and the rows at one chain length share its prefix of them and the sides
 evaluated on it. One function runs every task, one per chunk and one for
-the deterministic rows, in this process or mapped over a pool.
+the deterministic rows, claimed by this process and its pool from one counter.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
+import multiprocessing
 import os
 import time
 import types
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import get_args, get_origin, get_type_hints
 
@@ -143,7 +144,7 @@ class _Ctx:
             self.rows[spec.deterministic] += [(spec, n) for n in _lengths(spec, cfg)]
 
 
-_CONTEXT: tuple = (None, None)  # the running campaign's config and its _Ctx
+_CONTEXT: tuple = (None, None, None)  # the running campaign's config, _Ctx, counter
 
 
 # ------------------------------------------------------------------ checks
@@ -347,19 +348,17 @@ def _evaluate(ctx, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialR
             ctx, spec, n, None if chains is None else chains[i:i + 1], seeds[i:i + 1])]
 
 
-def _run_task(task) -> list[TrialReport]:
-    """The trials of one task (cfg, deterministic, seeds): the deterministic
+def _run_task(task, index) -> list[tuple]:
+    """The trials of one task (deterministic, seeds): the deterministic
     rows once, or every seeded (spec, n) row on one chunk of seeds, drawn
     once at the longest n. Each (commuting, n) prefix chains[:, :n], equal
     to a draw of n, is cut once: the rows at that length share it, its
     decomposition and the sides evaluated on it. The full stack is never
     decomposed, so a matrix past n cannot turn that trial's shorter rows
-    into errors."""
-    global _CONTEXT
-    cfg, deterministic, seeds = task
-    if _CONTEXT[0] != cfg:  # a worker that run_campaign did not fork
-        _CONTEXT = (cfg, _Ctx(cfg))
-    ctx = _CONTEXT[1]
+    into errors. Per row: its key (check_id, n or -1, index), reports, trial
+    lines if cfg writes any, failures, and worst |gaps|, NaN as the worst."""
+    cfg, ctx, _ = _CONTEXT
+    deterministic, seeds = task
     rows = ctx.rows[deterministic]
     longest = max((n for _, n in rows if n is not None), default=None)
     stacks = {}
@@ -370,18 +369,36 @@ def _run_task(task) -> list[TrialReport]:
             else draw_posdef(rngs, ctx.d, ctx.lam_range, count=longest))
     prefixes = {(c, n): (stacks[c][:, :n], {})
                 for c, n in {(spec.commuting, n) for spec, n in rows if n is not None}}
-    reports = []
+    groups = []
     for spec, n in rows:
         chains, sides = prefixes.get((spec.commuting, n), (None, None))
-        reports += _evaluate(ctx, spec, n, chains, seeds, sides)
-    return reports
+        reports = _evaluate(ctx, spec, n, chains, seeds, sides)
+        cells = [r.to_row() for r in reports] if cfg.out else []
+        lines = ([json.dumps({"record": "trial", **row}, sort_keys=True) + "\n"
+                  for row in cells] if cfg.fmt == "jsonl" else
+                 [{k: _csv_cell(v) for k, v in row.items()} for row in cells])
+        groups.append(((spec.check_id, -1 if n is None else n, index), reports, lines,
+                       sum(not r.passed for r in reports),
+                       np.abs([(r.abs_gap, r.rel_gap) for r in reports]).max(axis=0)))
+    return groups
 
 
-def _sort_key(r: TrialReport):
-    """(check, n, seed); the sort is stable, so tied rows keep the order
-    the runners made them in, which no worker count changes."""
-    return (r.check_id, r.n if r.n is not None else -1,
-            r.seed if r.seed is not None else -1)
+def _enter(cfg, claims) -> None:
+    """The pool's initializer: a worker run_campaign did not fork builds its _Ctx."""
+    global _CONTEXT
+    _CONTEXT = (cfg, _CONTEXT[1] or _Ctx(cfg), claims)
+
+
+def _run_claimed(tasks) -> list[tuple]:
+    """Run tasks, each claimed as the next index of the campaign's counter,
+    until none are left; the groups of the tasks run here."""
+    claims, groups = _CONTEXT[2], []
+    while True:
+        with claims.get_lock():
+            i, claims.value = claims.value, claims.value + 1
+        if i >= len(tasks):
+            return groups
+        groups += _run_task(tasks[i], i)
 
 
 @dataclass(frozen=True)
@@ -393,6 +410,7 @@ class CampaignSummary:
     config: dict
     runtime_s: float
     reports: list[TrialReport] = field(repr=False, default_factory=list)
+    lines: list = field(repr=False, default_factory=list)  # see _run_task
 
     def to_text(self) -> str:
         lines = [f"{'check':32s} {'trials':>7s} {'fail':>5s} "
@@ -407,22 +425,23 @@ class CampaignSummary:
         return "\n".join(lines)
 
 
-def _summarize(cfg, reports, runtime_s) -> CampaignSummary:
-    per = {}
-    for r in reports:
-        row = per.setdefault(r.check_id, {"check_id": r.check_id, "trials": 0,
-                                          "failures": 0, "worst_abs_gap": 0.0,
-                                          "worst_rel_gap": 0.0})
-        row["trials"] += 1
-        row["failures"] += 0 if r.passed else 1
-        # magnitudes (inequalities report slack); np.maximum keeps NaN as worst
-        row["worst_abs_gap"] = float(np.maximum(row["worst_abs_gap"], abs(r.abs_gap)))
-        row["worst_rel_gap"] = float(np.maximum(row["worst_rel_gap"], abs(r.rel_gap)))
-    per_rows = [per[k] for k in sorted(per)]
+def _summarize(cfg, groups, runtime_s) -> CampaignSummary:
+    """Join the groups in (check, n, task) order, which is (check, n, seed)
+    order, and merge their partials; np.maximum keeps NaN as the worst gap."""
+    reports, lines, per = [], [], {}
+    for (check_id, _, _), group_reports, group_lines, fails, worst in sorted(groups):
+        reports += group_reports
+        lines += group_lines
+        trials, failures, so_far = per.get(check_id, (0, 0, worst))
+        per[check_id] = (trials + len(group_reports), failures + fails,
+                         np.maximum(so_far, worst))
+    per_rows = [{"check_id": check_id, "trials": trials, "failures": failures,
+                 "worst_abs_gap": float(worst[0]), "worst_rel_gap": float(worst[1])}
+                for check_id, (trials, failures, worst) in per.items()]
     failures = sum(row["failures"] for row in per_rows)
     return CampaignSummary(passed=failures == 0, trial_count=len(reports),
-                           failure_count=failures, per_check=per_rows,
-                           config=cfg.echo(), runtime_s=runtime_s, reports=reports)
+                           failure_count=failures, per_check=per_rows, config=cfg.echo(),
+                           runtime_s=runtime_s, reports=reports, lines=lines)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
@@ -430,19 +449,22 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     cfg = cfg.validate()
     start = time.perf_counter()
     ctx = _Ctx(cfg)  # rows from CHECKS as it is now; forked workers inherit it
-    _CONTEXT = (cfg, ctx)
     seeds = [cfg.seed + i for i in range(cfg.trials)]
-    tasks = [(cfg, True, [cfg.seed])] + [(cfg, False, seeds[i:i + CHUNK])
-                                         for i in range(0, len(seeds), CHUNK)]
-    tasks = [task for task in tasks if ctx.rows[task[1]]]  # none without rows
-    workers = min(cfg.parallel or os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_task, tasks))
-    else:
-        parts = map(_run_task, tasks)
-    reports = sorted((r for part in parts for r in part), key=_sort_key)
-    summary = _summarize(cfg, reports, time.perf_counter() - start)
+    tasks = [(True, [cfg.seed])] + [(False, seeds[i:i + CHUNK])
+                                    for i in range(0, len(seeds), CHUNK)]
+    tasks = [task for task in tasks if ctx.rows[task[0]]]  # none without rows
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    workers = min(cfg.parallel or cores or 1, len(tasks))
+    # this process claims tasks too, from the start, while the pool forks
+    _CONTEXT = (cfg, ctx, multiprocessing.Value("i", 0) if workers > 1
+                else types.SimpleNamespace(value=0, get_lock=nullcontext))
+    pool = (ProcessPoolExecutor(max_workers=workers - 1, initializer=_enter,
+                                initargs=(cfg, _CONTEXT[2])) if workers > 1 else nullcontext())
+    with pool:
+        futures = [pool.submit(_run_claimed, tasks) for _ in range(workers - 1)]
+        groups = _run_claimed(tasks) + [g for f in futures for g in f.result()]
+    summary = _summarize(cfg, groups, time.perf_counter() - start)
     if cfg.out:
         write_reports(cfg, summary)
     return summary
@@ -450,41 +472,44 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
 # ------------------------------------------------------------------ writers
 
+def _csv_cell(value) -> str:
+    """One csv cell as csv.writer writes it, but floats as repr."""
+    text = repr(value) if isinstance(value, float) else "" if value is None else str(value)
+    quote = "," in text or '"' in text or "\n" in text or "\r" in text
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
 def _write_csv(path, echo, fieldnames, rows):
-    """Config echo line, header, then one line per row; floats as repr."""
+    """Config echo line, header, then one line per row of cells."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config {echo}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
-                             for k, v in row.items()})
+        fh.write(f"# config {echo}\n" + ",".join(map(_csv_cell, fieldnames)) + "\r\n")
+        fh.writelines(",".join([row.get(k, "") for k in fieldnames]) + "\r\n"
+                      for row in rows)
 
 
 def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
     """Write the per-trial file (jsonl or csv) and the csv summary.
 
-    Returns the paths written. Bodies are deterministic functions of
-    the configuration: trials are sorted, floats use repr, and no
-    timestamps or durations appear.
+    Returns the paths written; the trial lines are those run_campaign(cfg)
+    formatted. Bodies are deterministic functions of the configuration:
+    trials are sorted, floats use repr, and no timestamps or durations appear.
     """
+    if len(summary.lines) != summary.trial_count:  # the campaign ran without out
+        raise ValueError("the summary holds no trial lines; run the campaign with out set")
     base = cfg.out
     os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
     echo = json.dumps(summary.config, sort_keys=True)
     path = f"{base}.trials.{cfg.fmt}"
     if cfg.fmt == "jsonl":
         with open(path, "w") as fh:
-            fh.write(json.dumps({"record": "config", "config": summary.config},
-                                sort_keys=True) + "\n")
-            for r in summary.reports:
-                fh.write(json.dumps({"record": "trial", **r.to_row()},
-                                    sort_keys=True) + "\n")
+            fh.writelines([json.dumps({"record": "config", "config": summary.config},
+                                      sort_keys=True) + "\n", *summary.lines])
     else:
-        rows = [r.to_row() for r in summary.reports]
-        _write_csv(path, echo, sorted({k for row in rows for k in row}), rows)
+        _write_csv(path, echo, sorted(set().union(*summary.lines)), summary.lines)
     spath = base + ".summary.csv"
     _write_csv(spath, echo, ["check_id", "trials", "failures", "worst_abs_gap",
-                             "worst_rel_gap"], summary.per_check)
+                             "worst_rel_gap"],
+               [{k: _csv_cell(v) for k, v in row.items()} for row in summary.per_check])
     return [path, spath]
 
 

@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key = value configuration file; flags override it")
     p.add_argument("--parallel", type=int, default=None, metavar="W",
-                   help="worker processes (0 = one per core, 1 = in process)")
+                   help="worker processes (0 = one per available core, 1 = in process)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("explain", help="describe one check")

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +169,14 @@ def test_campaign_rerun_byte_identical(tmp_path):
     assert b"runtime" not in first.lower()
 
 
+def test_write_reports_needs_the_lines_the_tasks_made(tmp_path):
+    from traceineq import write_reports
+
+    cfg = _cfg(checks=("pairing_identity",))
+    with pytest.raises(ValueError, match="no trial lines"):
+        write_reports(replace(cfg, out=str(tmp_path / "run")), run_campaign(cfg))
+
+
 def test_jsonl_structure(tmp_path):
     out = str(tmp_path / "run")
     run_campaign(_cfg(checks=("beta_normalization", "scalar_power_identity"),
@@ -239,19 +249,30 @@ def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
     assert summary.reports[0].params["error"] == "LinAlgError: Singular matrix"
 
 
-def test_summary_keeps_nan_gap_as_worst():
+def test_summary_keeps_nan_gap_as_worst(monkeypatch):
+    # each task summarizes its own rows; a NaN gap first or last in its
+    # group, in either task's partial, stays the check's worst gap
+    from traceineq import campaign as camp
     from traceineq import identity_report
-    from traceineq.campaign import _summarize
 
-    cfg = _cfg()
-    clean = identity_report("key_identity", 1.0, 1.0 + 1e-12, rtol=1e-9)
-    broken = identity_report("key_identity", float("nan"), 1.0)
-    for order in ([broken], [clean, broken], [broken, clean]):
-        row = _summarize(cfg, order, 0.0).per_check[0]
-        assert row["failures"] == 1
-        assert np.isnan(row["worst_abs_gap"]) and np.isnan(row["worst_rel_gap"])
-    row = _summarize(cfg, [clean, clean], 0.0).per_check[0]
-    assert row["worst_abs_gap"] == clean.abs_gap
+    bad = None
+
+    def runner(ctx, chains, seeds, sides):
+        return [identity_report("key_identity", math.nan if seed == bad else 1.0,
+                                1.0 + 1e-12, rtol=1e-9, seed=seed) for seed in seeds]
+
+    monkeypatch.setitem(camp.CHECKS, "key_identity", camp.CheckSpec(
+        "key_identity", "identities", "n", runner, description="x", formula="y"))
+    cfg = _cfg(checks=("key_identity",), trials=2 * camp.CHUNK)
+    for bad in (77, 77 + camp.CHUNK - 1, 77 + camp.CHUNK, 77 + 2 * camp.CHUNK - 1):
+        for parallel in (1, 2):
+            row = run_campaign(replace(cfg, parallel=parallel)).per_check[0]
+            assert row["trials"] == 2 * camp.CHUNK and row["failures"] == 1
+            assert math.isnan(row["worst_abs_gap"]) and math.isnan(row["worst_rel_gap"])
+    bad = None
+    row = run_campaign(cfg).per_check[0]
+    clean = identity_report("key_identity", 1.0, 1.0 + 1e-12)
+    assert row["failures"] == 0 and row["worst_abs_gap"] == clean.abs_gap
     assert type(row["worst_rel_gap"]) is float
 
 

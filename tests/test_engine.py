@@ -1,8 +1,13 @@
 """The chunked campaign engine: stacked chains agree with single chains,
 reports do not depend on the worker count, and an error in one trial of
 a chunk lands on that trial's seed alone."""
+import csv
 import json
-from concurrent.futures import Future
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,7 @@ from traceineq import (
     tensor_pair_trace,
 )
 from traceineq import campaign, inequalities, limits
+from traceineq.errors import NonFinite
 from traceineq.inequalities import COMPARISONS
 from traceineq.quadrature import beta_density
 
@@ -209,17 +215,36 @@ def _engine_cfg(**kw):
     return CampaignConfig(**base)
 
 
-def test_report_bytes_do_not_depend_on_workers(tmp_path):
+def test_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     # suite all at 37 trials: two full chunks and a partial one, split
-    # across workers; 26 deterministic trials and 35 per seed
-    digests = set()
-    for workers in (1, 2, 3):
-        out = tmp_path / f"w{workers}"
-        summary = run_campaign(_engine_cfg(checks=None, parallel=workers, out=str(out)))
-        assert summary.passed and summary.trial_count == 26 + 35 * 37
-        digests.add(Path(f"{out}.trials.jsonl").read_bytes()
-                    + Path(f"{out}.summary.csv").read_bytes())
-    assert len(digests) == 1
+    # across workers; 26 deterministic trials and 35 per seed. key_identity
+    # raises on one seed, so only its groups in that seed's chunk carry an
+    # error row and the p_error column, with text csv has to quote
+    bad_seed, message = 4_100 + 20, 'synthetic, "quoted"\nfailure'
+    real = campaign.check_key_identity
+
+    def failing(chains, seed):
+        if bad_seed in seed:
+            raise NonFinite(message)
+        return real(chains, seed=seed)
+
+    monkeypatch.setattr(campaign, "check_key_identity", failing)
+    for fmt in ("jsonl", "csv"):
+        digests = set()
+        for workers in (1, 2, 3):
+            out = tmp_path / f"{fmt}{workers}"
+            summary = run_campaign(_engine_cfg(checks=None, parallel=workers,
+                                               out=str(out), fmt=fmt))
+            assert summary.trial_count == 26 + 35 * 37
+            assert summary.failure_count == 4  # key_identity at n = 3..6
+            digests.add(Path(f"{out}.trials.{fmt}").read_bytes()
+                        + Path(f"{out}.summary.csv").read_bytes())
+        assert len(digests) == 1
+    with open(f"{out}.trials.csv", newline="") as fh:
+        fh.readline()  # the config echo
+        rows = list(csv.DictReader(fh))
+    assert [(r["n"], r["seed"], r["p_error"]) for r in rows if r["p_error"]] == [
+        (str(n), str(bad_seed), f"NonFinite: {message}") for n in (3, 4, 5, 6)]
 
 
 def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
@@ -251,52 +276,85 @@ def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
 
 
 def test_pool_maps_one_task_per_chunk(monkeypatch):
-    pools, tasks = [], []
+    pools, ran = [], []
+    real_run_task = campaign._run_task
 
-    class InlinePool:
-        """Runs each task when it is submitted or mapped; records the tasks
-        and the worker count it was asked for."""
+    class ThreadPool(ThreadPoolExecutor):
+        """The pool's workers as threads of this process, so the tasks they
+        claim are recorded here; records the worker count asked for."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-        def __enter__(self):
-            return self
+    def recording(task, index):
+        ran.append((index, task))
+        return real_run_task(task, index)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            tasks.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-        def map(self, fn, *iterables):
-            return [self.submit(fn, *args).result() for args in zip(*iterables)]
-
-    monkeypatch.setattr(campaign, "ProcessPoolExecutor", InlinePool)
-    serial = run_campaign(_engine_cfg(checks=("beta_normalization", "jensen_trace"),
-                                      n_values=(3, 4)))
-    assert pools == [] and tasks == []
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", ThreadPool)
+    monkeypatch.setattr(campaign, "_run_task", recording)
+    checks = ("beta_normalization", "jensen_trace")
+    serial = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4)))
+    # the deterministic rows as one task, then the three chunks of the 37
+    # seeds in order, one task each; a serial run claims them in order
+    seeds = [4_100 + i for i in range(37)]
+    tasks = [(True, [4_100])] + [(False, seeds[i:i + campaign.CHUNK]) for i in (0, 16, 32)]
+    assert pools == [] and ran == list(enumerate(tasks))
     for workers in (2, 3, 5, 64):
         pools.clear()
-        tasks.clear()
-        cfg = _engine_cfg(checks=("beta_normalization", "jensen_trace"), n_values=(3, 4),
-                          parallel=workers)
-        summary = run_campaign(cfg)
+        ran.clear()
+        summary = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4), parallel=workers))
         assert summary.reports == serial.reports
-        # the deterministic rows as one task, then the three chunks of the 37
-        # seeds in order, one task each; no more workers than tasks
-        seeds = [4_100 + i for i in range(37)]
-        assert tasks == [((cfg, True, [4_100]),)] + [
-            ((cfg, False, seeds[i:i + campaign.CHUNK]),) for i in (0, 16, 32)]
-        assert pools == [min(workers, 4)]
+        # every task runs once, in this process or in the pool, which has one
+        # worker fewer than the campaign; no more workers than tasks
+        assert sorted(ran) == list(enumerate(tasks))
+        assert pools == [min(workers, 4) - 1]
     # a selection of deterministic rows only is one task, so no pool starts
     pools.clear()
     summary = run_campaign(_engine_cfg(checks=("beta_normalization",
                                                "scalar_power_identity"), parallel=4))
     assert summary.passed and pools == []
+
+
+def test_spawned_workers_share_the_counter(monkeypatch):
+    # a worker that was not forked gets the counter and builds its rows
+    # through the pool's initializer
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(campaign, "multiprocessing", spawn)
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=spawn))
+    cfg = _engine_cfg(checks=("beta_normalization", "jensen_trace"), n_values=(3, 4))
+    serial = run_campaign(cfg)
+    assert run_campaign(replace(cfg, parallel=3)).reports == serial.reports
+
+
+def test_parallel_zero_counts_usable_cores(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started with one usable core")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", no_pool)
+    assert run_campaign(_engine_cfg(checks=("jensen_trace",), parallel=0)).passed
+
+
+def test_no_child_outlives_a_campaign(monkeypatch):
+    cfg = _engine_cfg(checks=("jensen_trace",), n_values=(3,), trials=64, parallel=2)
+    assert run_campaign(cfg).passed
+    assert multiprocessing.active_children() == []
+    # an exception that is no library error, in this process's own share of
+    # the tasks, propagates; the pool's worker is still joined
+    parent, real = os.getpid(), campaign.compare
+
+    def raising_here(*args, **kwargs):
+        if os.getpid() == parent:
+            raise RuntimeError("not a library error")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "compare", raising_here)
+    with pytest.raises(RuntimeError, match="not a library error"):
+        run_campaign(cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_identity_rows_make_one_call_per_chunk(monkeypatch):
