@@ -50,9 +50,9 @@ from .limits import (
 )
 from .linalg import draw_posdef, random_commuting_family
 from .quadrature import (
+    BETA_HALF_WIDTH,
+    BETA_NODE_COUNT,
     beta_normalization_gap,
-    half_line_rule,
-    real_line_rule,
     scalar_identity_check,
 )
 from .report import TrialReport, error_report, identity_report
@@ -130,25 +130,11 @@ class CampaignConfig:
         return d
 
 
-class _Ctx:
-    """Per-process evaluation context: the library's default rules, the
-    eigenvalue range and the selected (spec, n) rows, deterministic under True."""
-
-    def __init__(self, cfg: CampaignConfig):
-        self.d = cfg.local_dim
-        self.lam_range = (cfg.lam_lo, cfg.lam_hi)
-        self.beta_rule = real_line_rule()
-        self.half_rule = half_line_rule()
-        self.rows = {True: [], False: []}
-        for spec in selected_checks(cfg):
-            self.rows[spec.deterministic] += [(spec, n) for n in _lengths(spec, cfg)]
-
-
-_CONTEXT: tuple = (None, None, None)  # the running campaign's config, _Ctx, counter
+_CONTEXT: tuple = (None, None, None)  # the running campaign's config, _rows(cfg), counter
 
 
 # ------------------------------------------------------------------ checks
-# A runner maps (ctx, chains, seeds, sides) to a list of TrialReports, where
+# A runner maps (cfg, chains, seeds, sides) to a list of TrialReports, where
 # seeds is one chunk of trial seeds and chains their stack of chains, cut to
 # the row's length, or None for rows without a chain; sides holds the sides
 # already evaluated on these chains, as inequalities.compare takes them.
@@ -161,30 +147,29 @@ _CONTEXT: tuple = (None, None, None)  # the running campaign's config, _Ctx, cou
 
 def _each(runner):
     """A chunk runner from a runner of one seed."""
-    return lambda ctx, chains, seeds, sides: [r for seed in seeds
-                                              for r in runner(ctx, seed)]
+    return lambda cfg, chains, seeds, sides: [r for seed in seeds
+                                              for r in runner(cfg, seed)]
 
 
-def _run_beta_normalization(ctx, seed):
-    gap = beta_normalization_gap(ctx.beta_rule)
-    return [identity_report("beta_normalization", 1.0 + gap, 1.0, atol=1e-10,
-                            seed=seed,
-                            params={"nodes": ctx.beta_rule.node_count,
-                                    "half_width": ctx.beta_rule.half_width})]
+def _run_beta_normalization(cfg, seed):
+    return [identity_report("beta_normalization", 1.0 + beta_normalization_gap(), 1.0,
+                            atol=1e-10, seed=seed,
+                            params={"nodes": BETA_NODE_COUNT,
+                                    "half_width": BETA_HALF_WIDTH})]
 
 
-def _run_pairing(ctx, seed):
+def _run_pairing(cfg, seed):
     rng = np.random.default_rng(seed)
     out = []
     for copies in (1, 2):
-        dim = ctx.d ** copies
+        dim = cfg.local_dim ** copies
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         out.append(pairing_check(x, y, copies=copies, seed=seed))
     return out
 
 
-def _run_penalized_limit(ctx, seed):
+def _run_penalized_limit(cfg, seed):
     rng = np.random.default_rng(seed)
     dim = 3
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -194,12 +179,12 @@ def _run_penalized_limit(ctx, seed):
     return [check_penalized_trace_limit(a, v, seed=seed)]
 
 
-def _commuting_equality(ctx, fam, seeds):
+def _commuting_equality(fam, seeds):
     """Simultaneously diagonalizable chains collapse every bound to the
     left side; report the worst relative gap across the closed forms."""
     n = fam.matrix.shape[1]
     lhs = lhs_exp_sum_log(fam)
-    values = [rhs_power_integral(fam, ctx.beta_rule), rhs_tensor_resolvent(fam)]
+    values = [rhs_power_integral(fam), rhs_tensor_resolvent(fam)]
     if n == 3:
         values.append(rhs_lieb_three(fam))
     values = np.array(values)
@@ -229,15 +214,15 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="The hyperbolic weight integrates to one on the truncated line.",
         formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
     CheckSpec("scalar_power_identity", "identities", None,
-        lambda ctx, chains, seeds, sides: [scalar_identity_check(x, y, ctx.beta_rule)
-                                      for x in SCALAR_GRID for y in SCALAR_GRID],
+        lambda cfg, chains, seeds, sides: [scalar_identity_check(x, y)
+                                           for x in SCALAR_GRID for y in SCALAR_GRID],
         deterministic=True,
         description="Scalar conjugated-power average equals the inverse log kernel "
                     "on a fixed grid.",
         formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
     CheckSpec("power_average_identity", "identities", 2,
-        lambda ctx, c, seeds, sides: power_average_identity_check(
-            c[:, 0].matrix, c[:, 1], ctx.beta_rule, seed=seeds),
+        lambda cfg, c, seeds, sides: power_average_identity_check(
+            c[:, 0].matrix, c[:, 1], seed=seeds),
         description="Matrix beta-average of conjugated powers equals the "
                     "log-derivative operator at the inverse base.",
         formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"),
@@ -245,7 +230,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
         formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
     CheckSpec("key_identity", "identities", "n",
-        lambda ctx, c, seeds, sides: check_key_identity(c, seed=seeds),
+        lambda cfg, c, seeds, sides: check_key_identity(c, seed=seeds),
         layout_aware=True,
         description="Pointwise in t: the sandwiched chain trace equals the "
                     "entangled pairing of the slotted tensor powers.",
@@ -261,20 +246,19 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("commutator_chain", "identities", 2,
-        lambda ctx, c, seeds, sides: check_commutator_chain(
-            c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, seed=seeds),
+        lambda cfg, c, seeds, sides: check_commutator_chain(c[:, 0], c[:, 1], seed=seeds),
         description="Four operator expressions for the deviation of the "
                     "conjugated-power average from the plain product.",
         formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
                 "int R X [A1, A2] X R^2 dtau"),
     CheckSpec("commutator_chain_commuting", "identities", 2,
-        lambda ctx, c, seeds, sides: check_commutator_chain(
-            c[:, 0], c[:, 1], ctx.beta_rule, ctx.half_rule, atol=1e-12, seed=seeds,
+        lambda cfg, c, seeds, sides: check_commutator_chain(
+            c[:, 0], c[:, 1], atol=1e-12, seed=seeds,
             check_id="commutator_chain_commuting"), commuting=True,
         description="The same chain vanishes identically on commuting pairs.",
         formula="[A1, A2] = 0  =>  all four expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
-        lambda ctx, c, seeds, sides: check_derivative_form(c, seed=seeds, sides=sides),
+        lambda cfg, c, seeds, sides: check_derivative_form(c, seed=seeds, sides=sides),
         layout_aware=True, dense=True,
         description="The tensor bound is the directional derivative of a "
                     "trace functional along B.",
@@ -285,7 +269,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
     CheckSpec("commuting_equality", "identities", "n",
-        lambda ctx, c, seeds, sides: _commuting_equality(ctx, c, seeds),
+        lambda cfg, c, seeds, sides: _commuting_equality(c, seeds),
         commuting=True, layout_aware=True,
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
@@ -332,20 +316,28 @@ def _lengths(spec: CheckSpec, cfg: CampaignConfig) -> tuple:
     return cfg.n_values if spec.length == "n" else (spec.length,)
 
 
-def _evaluate(ctx, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialReport]:
+def _rows(cfg: CampaignConfig) -> dict:
+    """The selected (spec, n) rows, the deterministic ones under True."""
+    rows = {True: [], False: []}
+    for spec in selected_checks(cfg):
+        rows[spec.deterministic] += [(spec, n) for n in _lengths(spec, cfg)]
+    return rows
+
+
+def _evaluate(cfg, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialReport]:
     """One row's trials on one chunk; ``sides`` holds the comparison sides
     already evaluated on these chains. A row that raises runs again a trial
     at a time on that trial's chains, with no stored sides, so errors land
     on their seeds."""
     try:
         if spec.runner is None:
-            return compare(spec.check_id, chains, ctx.beta_rule, seed=seeds, sides=sides)
-        return spec.runner(ctx, chains, seeds, sides)
+            return compare(spec.check_id, chains, seed=seeds, sides=sides)
+        return spec.runner(cfg, chains, seeds, sides)
     except (TraceIneqError, np.linalg.LinAlgError) as exc:
         if len(seeds) == 1:  # an unevaluable trial is a failed trial, not a dead campaign
             return [error_report(spec.check_id, exc, n=n, seed=seeds[0])]
         return [r for i in range(len(seeds)) for r in _evaluate(
-            ctx, spec, n, None if chains is None else chains[i:i + 1], seeds[i:i + 1])]
+            cfg, spec, n, None if chains is None else chains[i:i + 1], seeds[i:i + 1])]
 
 
 def _run_task(task, index) -> list[tuple]:
@@ -357,22 +349,22 @@ def _run_task(task, index) -> list[tuple]:
     decomposed, so a matrix past n cannot turn that trial's shorter rows
     into errors. Per row: its key (check_id, n or -1, index), reports, trial
     lines if cfg writes any, failures, and worst |gaps|, NaN as the worst."""
-    cfg, ctx, _ = _CONTEXT
+    cfg, rows, _ = _CONTEXT
     deterministic, seeds = task
-    rows = ctx.rows[deterministic]
+    rows, lam_range = rows[deterministic], (cfg.lam_lo, cfg.lam_hi)
     longest = max((n for _, n in rows if n is not None), default=None)
     stacks = {}
     for commuting in {spec.commuting for spec, n in rows if n is not None}:
         rngs = [np.random.default_rng(seed) for seed in seeds]
         stacks[commuting] = (
-            random_commuting_family(ctx.d, longest, rngs, ctx.lam_range) if commuting
-            else draw_posdef(rngs, ctx.d, ctx.lam_range, count=longest))
+            random_commuting_family(cfg.local_dim, longest, rngs, lam_range) if commuting
+            else draw_posdef(rngs, cfg.local_dim, lam_range, count=longest))
     prefixes = {(c, n): (stacks[c][:, :n], {})
                 for c, n in {(spec.commuting, n) for spec, n in rows if n is not None}}
     groups = []
     for spec, n in rows:
         chains, sides = prefixes.get((spec.commuting, n), (None, None))
-        reports = _evaluate(ctx, spec, n, chains, seeds, sides)
+        reports = _evaluate(cfg, spec, n, chains, seeds, sides)
         cells = [r.to_row() for r in reports] if cfg.out else []
         lines = ([json.dumps({"record": "trial", **row}, sort_keys=True) + "\n"
                   for row in cells] if cfg.fmt == "jsonl" else
@@ -384,9 +376,9 @@ def _run_task(task, index) -> list[tuple]:
 
 
 def _enter(cfg, claims) -> None:
-    """The pool's initializer: a worker run_campaign did not fork builds its _Ctx."""
+    """The pool's initializer: a worker run_campaign did not fork builds its rows."""
     global _CONTEXT
-    _CONTEXT = (cfg, _CONTEXT[1] or _Ctx(cfg), claims)
+    _CONTEXT = (cfg, _CONTEXT[1] or _rows(cfg), claims)
 
 
 def _run_claimed(tasks) -> list[tuple]:
@@ -448,16 +440,16 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     global _CONTEXT
     cfg = cfg.validate()
     start = time.perf_counter()
-    ctx = _Ctx(cfg)  # rows from CHECKS as it is now; forked workers inherit it
+    rows = _rows(cfg)  # from CHECKS as it is now; forked workers inherit them
     seeds = [cfg.seed + i for i in range(cfg.trials)]
     tasks = [(True, [cfg.seed])] + [(False, seeds[i:i + CHUNK])
                                     for i in range(0, len(seeds), CHUNK)]
-    tasks = [task for task in tasks if ctx.rows[task[0]]]  # none without rows
+    tasks = [task for task in tasks if rows[task[0]]]  # none without rows
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     workers = min(cfg.parallel or cores or 1, len(tasks))
     # this process claims tasks too, from the start, while the pool forks
-    _CONTEXT = (cfg, ctx, multiprocessing.Value("i", 0) if workers > 1
+    _CONTEXT = (cfg, rows, multiprocessing.Value("i", 0) if workers > 1
                 else types.SimpleNamespace(value=0, get_lock=nullcontext))
     pool = (ProcessPoolExecutor(max_workers=workers - 1, initializer=_enter,
                                 initargs=(cfg, _CONTEXT[2])) if workers > 1 else nullcontext())

@@ -27,7 +27,7 @@ from .linalg import (
     as_posdef,
     logarithmic_ratio,
 )
-from .quadrature import QuadratureRule, beta_density, half_line_rule, real_line_rule
+from .quadrature import beta_density, half_line_rule, real_line_rule
 from .report import identity_report, stack_reports
 
 FD_STEP_SCALE = 1e-5
@@ -55,7 +55,7 @@ def log_derivative_closed(x, y) -> np.ndarray:
     return vec @ (ytil * phi) @ vec_h
 
 
-def log_derivative_quadrature(x, y, rule: QuadratureRule | None = None) -> np.ndarray:
+def log_derivative_quadrature(x, y) -> np.ndarray:
     """Half-line integral of resolvent sandwiches, via batched solves.
 
     Kept eigenbasis-free on purpose: the resolvents come from
@@ -64,7 +64,7 @@ def log_derivative_quadrature(x, y, rule: QuadratureRule | None = None) -> np.nd
     """
     x = as_posdef(x)
     y = _conformable(x, y)
-    rule = rule or half_line_rule()
+    rule = half_line_rule()
     eye = np.eye(x.dim)
     shifted = x.matrix[None, :, :] + rule.nodes[:, None, None] * eye[None, :, :]
     res = np.linalg.inv(shifted)
@@ -96,7 +96,7 @@ def log_derivative_finite_difference(x, y, step: float | None = None) -> np.ndar
     return (plus - minus) / (2.0 * step)
 
 
-def conjugated_power_average(a1, a2, rule: QuadratureRule | None = None) -> np.ndarray:
+def conjugated_power_average(a1, a2) -> np.ndarray:
     """Beta-weighted average of A2^{(1+it)/2} A1 A2^{(1-it)/2}.
 
     In the eigenbasis V of A2 the node t scales entry (i, j) of V* A1 V by
@@ -106,7 +106,7 @@ def conjugated_power_average(a1, a2, rule: QuadratureRule | None = None) -> np.n
     """
     a2 = as_posdef(a2)
     a1 = _conformable(a2, a1)
-    rule = rule or real_line_rule()
+    rule = real_line_rule()
     lam, vec = a2.spectral.eigenvalues, a2.spectral.eigenvectors
     vec_h = vec.conj().swapaxes(-1, -2)
     p = np.exp(np.log(lam)[..., None, :] * (0.5 * (1.0 + 1j * rule.nodes))[:, None])
@@ -114,14 +114,14 @@ def conjugated_power_average(a1, a2, rule: QuadratureRule | None = None) -> np.n
     return vec @ ((vec_h @ a1 @ vec) * (weighted @ p.conj())) @ vec_h
 
 
-def power_average_identity_check(a1, a2, rule: QuadratureRule | None = None, seed=None):
+def power_average_identity_check(a1, a2, seed=None):
     """The average above vs T_{A2^{-1}}(A1), compared in Frobenius norm;
     stacks of pairs give one report per pair, given a list of seeds."""
     a2 = as_posdef(a2)
-    avg = conjugated_power_average(a1, a2, rule)
+    avg = conjugated_power_average(a1, a2)
     closed = log_derivative_closed(PosDefMatrix(a2.inverse()), a1)
     gaps = np.linalg.norm(avg - closed, axis=(-2, -1))
     scales = np.maximum(np.linalg.norm(closed, axis=(-2, -1)), 1e-300)
     return stack_reports(gaps.ndim == 0, seed, gaps.size, lambda i, s: identity_report(
         "power_average_identity", gaps.flat[i], 0.0, atol=0.0, rtol=1e-8,
-        scale=float(scales.flat[i]), seed=s, params={"dim": a2.dim}))
+        scale=float(scales.flat[i]), n=2, seed=s, params={"dim": a2.dim}))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entangle import build_layout, omega_vector, projector
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidRange
 from .frechet import log_derivative_closed
 from .linalg import (
     PosDefMatrix,
@@ -33,7 +33,7 @@ from .linalg import (
     logarithmic_ratio,
     real_trace,
 )
-from .quadrature import QuadratureRule, beta_density, real_line_rule
+from .quadrature import beta_density, real_line_rule
 from .report import identity_report, inequality_report, stack_reports
 
 # Complex entries per intermediate of a stacked evaluation, 64 KiB. An
@@ -111,11 +111,11 @@ def rhs_lieb_three(mats):
                    "three-matrix bound")
 
 
-def rhs_power_integral(mats, rule: QuadratureRule | None = None):
+def rhs_power_integral(mats):
     """Beta-average of Tr[A_n A_{n-1}^{(1+it)/2} .. A_2^{(1+it)/2} A_1
     A_2^{(1-it)/2} .. A_{n-1}^{(1-it)/2}]."""
     chain, single = _coerce_chain(mats)
-    rule = rule or real_line_rule()
+    rule = real_line_rule()
     z = 0.5 * (1.0 + 1j * rule.nodes)
     weights = rule.weights * beta_density(rule.nodes)
     return _result(_sliced(lambda c: _power_traces(c, z) @ weights, chain,
@@ -335,20 +335,18 @@ COMPARISONS = {
 }
 
 
-def compare(check_id, mats, rule: QuadratureRule | None = None, *, seed=None,
-            sides=None):
+def compare(check_id, mats, *, seed=None, sides=None):
     """The verdict of one COMPARISONS row on a chain, or the list of them
     on a stack of chains, where ``seed`` lists their seeds. ``sides`` maps
-    side names to their values already evaluated on this stack with this
-    rule; a side evaluated here is added to it, one that raises is not."""
+    side names to their values already evaluated on this stack; a side
+    evaluated here is added to it, one that raises is not."""
     row = COMPARISONS[check_id]
     chain, single = _coerce_chain(mats, min_len=2,
                                   exact=None if row.length == "n" else row.length)
     sides = {} if sides is None else sides
     for name in (row.lhs, row.rhs):
         if name not in sides:
-            side = globals()[name]  # rhs_power_integral alone takes the rule
-            sides[name] = side(chain, rule) if name == "rhs_power_integral" else side(chain)
+            sides[name] = globals()[name](chain)
     lhs, rhs, verdict = sides[row.lhs], sides[row.rhs], globals()[row.verdict]
     return stack_reports(single, seed, len(lhs), lambda i, s: verdict(
         check_id, lhs[i], rhs[i], n=chain.matrix.shape[1], seed=s, **row.tol))
@@ -358,6 +356,10 @@ def check_tensor_resolvent(mats, seed=None):
     return compare("tensor_resolvent", mats, seed=seed)
 
 
-def check_equivalence(mats, rule: QuadratureRule | None = None, *, seed=None):
-    """Integrated form vs tensor form on the same chain."""
-    return compare("equivalence_integral_tensor", mats, rule, seed=seed)
+def check_equivalence(mats, rule=None, *, seed=None):
+    """Integrated form vs tensor form on the same chain. ``rule``, if
+    given, must be real_line_rule() itself, the one rule the integral form
+    uses; any other rule raises rather than being ignored."""
+    if rule is not None and rule is not real_line_rule():
+        raise InvalidRange("the integral form takes no rule but real_line_rule()")
+    return compare("equivalence_integral_tensor", mats, seed=seed)

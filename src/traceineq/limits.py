@@ -24,14 +24,13 @@ from .inequalities import (
     tensor_operands,
 )
 from .linalg import PosDefMatrix, as_posdef, hermitian_fn, hermitize, real_trace
-from .quadrature import QuadratureRule, half_line_rule, real_line_rule
+from .quadrature import half_line_rule
 from .report import TrialReport, identity_report, stack_reports
 
 
 # ---------------------------------------------------------- commutator chain
 
-def commutator_chain(a1, a2, beta_rule: QuadratureRule | None = None,
-                     half_rule: QuadratureRule | None = None):
+def commutator_chain(a1, a2):
     """Four expressions for A1 A2 minus the conjugated-power average.
 
     All four are equal as matrices; the last makes the linear dependence
@@ -52,21 +51,19 @@ def commutator_chain(a1, a2, beta_rule: QuadratureRule | None = None,
     a2 = as_posdef(a2)
     if a1.matrix.shape != a2.matrix.shape:
         raise DimensionMismatch("operands must share one shape")
-    beta_rule = beta_rule or real_line_rule()
-    half_rule = half_rule or half_line_rule()
-
+    rule = half_line_rule()
     m1, m2 = a1.matrix, a2.matrix
     x = a2.inverse()
 
-    average = conjugated_power_average(m1, a2, beta_rule)
+    average = conjugated_power_average(m1, a2)
     first = m1 @ m2 - average
 
     comm = m1 @ m2 - m2 @ m1
     core = x @ comm @ x
     second = third = fourth = 0.0
     step = max(1, STACK_BUDGET // m1.size)
-    for i in range(0, half_rule.node_count, step):
-        tau, w = half_rule.nodes[i:i + step], half_rule.weights[i:i + step]
+    for i in range(0, rule.nodes.size, step):
+        tau, w = rule.nodes[i:i + step], rule.weights[i:i + step]
         res = np.linalg.inv(x[..., None, :, :] + tau[:, None, None] * np.eye(a1.dim))
         res = np.ascontiguousarray(np.moveaxis(res, -3, -1))
 
@@ -88,15 +85,14 @@ def commutator_chain(a1, a2, beta_rule: QuadratureRule | None = None,
     }
 
 
-def check_commutator_chain(a1, a2, beta_rule=None, half_rule=None,
-                           atol: float = 1e-6, seed=None,
+def check_commutator_chain(a1, a2, atol: float = 1e-6, seed=None,
                            check_id: str = "commutator_chain"):
     """Max pairwise Frobenius gap across the four routes, per unit of
     ||A1|| ||A2||; a NaN gap is the max, and fails the trial. Stacks of
     pairs give one report per pair, given a list of seeds."""
     a1 = as_posdef(a1)
     a2 = as_posdef(a2)
-    exprs = list(commutator_chain(a1, a2, beta_rule, half_rule).values())
+    exprs = list(commutator_chain(a1, a2).values())
     worst = np.max([np.linalg.norm(exprs[i] - exprs[j], axis=(-2, -1))
                     for i in range(len(exprs)) for j in range(i + 1, len(exprs))], axis=0)
     scales = np.maximum(1.0, np.linalg.norm(a1.matrix, axis=(-2, -1))

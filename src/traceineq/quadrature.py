@@ -5,17 +5,20 @@ overflow-free form pi e^{-pi|t|} / (1 + e^{-pi|t|})^2. It is an even
 probability density with tails bounded by pi e^{-pi|t|}, so truncating
 the real line to [-T, T] loses at most 2 e^{-pi T} of the mass.
 
-Two rules cover every integral in the library: the trapezoid rule on
-a truncated real line for beta-averages, and Gauss-Legendre in the
-variable s with tau = s / (1 - s) for half-line resolvent integrals.
-Rules are built once per process, on first use, with read-only arrays.
+The library has two rules, and every integral in it uses one of them:
+real_line_rule(), the trapezoid rule on a truncated real line for
+beta-averages, and half_line_rule(), Gauss-Legendre in the variable s
+with tau = s / (1 - s) for half-line resolvent integrals. Like the
+tolerances, they are constants, not arguments: no function takes a
+rule. Each is built once per process, on first use, with read-only
+arrays.
 
 beta has its poles at t = +-i, and every integrand it weights here is
 entire, so their product is analytic in the strip |Im t| < 1 and the
 equispaced trapezoid rule converges geometrically: for an integrand
 bounded in the strip its error is of order exp(-2 pi / h) at step h
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Review 56, 2014). The default step, h = 24 / 160 = 0.15, puts that
+SIAM Review 56, 2014). Its step, h = 24 / 160 = 0.15, puts that
 near 6e-19, under the 2 e^{-12 pi} (about 9e-17) of the truncation to
 [-12, 12]. Gauss-Legendre would crowd its nodes at the ends, where beta
 is about 1e-16.
@@ -23,7 +26,7 @@ is about 1e-16.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -44,71 +47,64 @@ def beta_density(t):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights, their count, and the truncation half-width T
-    of a real-line rule (None on the half line).
-
-    A real-line rule is the trapezoid rule at step h = 2T / (node_count - 1).
-    On beta times an integrand of growth at most e^{w |Im t|} in the strip
-    |Im t| < 1 its error is at most of order exp(w - 2 pi / h) (Trefethen
-    & Weideman, SIAM Review 56, 2014); a chain's trace has w at most half
-    the sum of log(lam_max / lam_min) over its sandwiched matrices.
-    """
+    """Nodes and weights, as read-only arrays."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    node_count: int
-    half_width: float | None = None
 
 
-def real_line_rule(half_width: float = BETA_HALF_WIDTH,
-                   node_count: int = BETA_NODE_COUNT) -> QuadratureRule:
-    """The trapezoid rule on [-T, T] for beta-weighted averages:
-    node_count equispaced nodes, the two end weights halved. Doubling
-    node_count - 1 halves the step and keeps every node."""
-    if not (0 < half_width < np.inf and node_count >= 2):
-        raise InvalidRange(f"need 0 < half_width < inf and node_count >= 2, "
-                           f"got ({half_width}, {node_count})")
-    return _cached_rule(int(node_count), float(half_width))
+@cache
+def real_line_rule() -> QuadratureRule:
+    """The trapezoid rule on [-BETA_HALF_WIDTH, BETA_HALF_WIDTH] at
+    BETA_NODE_COUNT nodes, for beta-weighted averages.
+
+    At its step h = 2 BETA_HALF_WIDTH / (BETA_NODE_COUNT - 1), on beta
+    times an integrand of growth at most e^{w |Im t|} in the strip
+    |Im t| < 1, its error is at most of
+    order exp(w - 2 pi / h) (Trefethen & Weideman, SIAM Review 56, 2014);
+    a chain's trace has w at most half the sum of log(lam_max / lam_min)
+    over its sandwiched matrices.
+    """
+    return _trapezoid_rule(BETA_HALF_WIDTH, BETA_NODE_COUNT)
 
 
-def half_line_rule(node_count: int = HALFLINE_NODE_COUNT) -> QuadratureRule:
-    """Gauss-Legendre on (0, infinity) via tau = s / (1 - s).
+@cache
+def half_line_rule() -> QuadratureRule:
+    """Gauss-Legendre at HALFLINE_NODE_COUNT nodes on (0, infinity) via
+    tau = s / (1 - s).
 
     The Jacobian 1/(1-s)^2 is folded into the weights, so integrands
     decaying like tau^{-2} become smooth bounded functions of s.
     """
-    if node_count < 2:
-        raise InvalidRange(f"need node_count >= 2, got {node_count}")
-    return _cached_rule(int(node_count))
+    x, w = np.polynomial.legendre.leggauss(HALFLINE_NODE_COUNT)
+    s = 0.5 * (x + 1.0)  # the half-line variable
+    return _read_only(s / (1.0 - s), 0.5 * w / (1.0 - s) ** 2)
 
 
-@lru_cache(maxsize=16)
-def _cached_rule(node_count: int, half_width: float | None = None) -> QuadratureRule:
-    """The real-line rule on [-half_width, half_width], or the half-line
-    rule when half_width is None."""
-    if half_width is None:
-        x, w = np.polynomial.legendre.leggauss(node_count)
-        s = 0.5 * (x + 1.0)  # the half-line variable
-        nodes, weights = s / (1.0 - s), 0.5 * w / (1.0 - s) ** 2
-    else:
-        nodes = np.linspace(-half_width, half_width, node_count)
-        weights = np.full(node_count, 2.0 * half_width / (node_count - 1))
-        weights[[0, -1]] *= 0.5
+def _trapezoid_rule(half_width: float, node_count: int) -> QuadratureRule:
+    """node_count equispaced nodes on [-half_width, half_width], the two
+    end weights halved. Doubling node_count - 1 halves the step and keeps
+    every node."""
+    weights = np.full(node_count, 2.0 * half_width / (node_count - 1))
+    weights[[0, -1]] *= 0.5
+    return _read_only(np.linspace(-half_width, half_width, node_count), weights)
+
+
+def _read_only(nodes, weights) -> QuadratureRule:
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes, weights, node_count, half_width)
+    return QuadratureRule(nodes, weights)
 
 
-def beta_normalization_gap(rule: QuadratureRule | None = None) -> float:
-    rule = rule or real_line_rule()
+def beta_normalization_gap() -> float:
+    rule = real_line_rule()
     return abs(float(np.dot(rule.weights, beta_density(rule.nodes))) - 1.0)
 
 
-def scalar_power_average(x: float, y: float,
-                         rule: QuadratureRule | None = None) -> float:
+def scalar_power_average(x: float, y: float) -> float:
     """The beta-average of x^{(1+it)/2} y^{(1-it)/2} for scalars x, y > 0."""
     if x <= 0 or y <= 0:
         raise InvalidRange(f"scalar arguments must be positive, got ({x}, {y})")
-    rule = rule or real_line_rule()
+    rule = real_line_rule()
     root = np.sqrt(x * y)
     phase = 0.5 * np.log(x / y)
     vals = root * np.exp(1j * phase * rule.nodes)
@@ -125,10 +121,9 @@ def scalar_log_kernel(x: float, y: float) -> float:
     return float(logarithmic_ratio(1.0 / x, 1.0 / y))
 
 
-def scalar_identity_check(x: float, y: float,
-                          rule: QuadratureRule | None = None) -> TrialReport:
+def scalar_identity_check(x: float, y: float) -> TrialReport:
     """Quadrature vs closed form for the scalar conjugated-power average."""
-    lhs = scalar_power_average(x, y, rule)
+    lhs = scalar_power_average(x, y)
     rhs = scalar_log_kernel(x, y)
     return identity_report("scalar_power_identity", lhs, rhs, atol=1e-8,
                            params={"x": x, "y": y})

@@ -22,13 +22,8 @@ def _chain(seed, n, d=2, lam_range=(0.1, 10.0)):
     return [ti.draw_posdef(rng, d, lam_range) for _ in range(n)]
 
 
-@pytest.fixture(scope="module")
-def rule():
-    return ti.real_line_rule()
-
-
-def test_weight_normalization_and_frozen_values(rule):
-    gap = abs(ti.beta_normalization_gap(rule))
+def test_weight_normalization_and_frozen_values():
+    gap = abs(ti.beta_normalization_gap())
     at_zero = abs(ti.beta_density(0.0) - np.pi / 4.0)
     at_one = abs(ti.beta_density(1.0) - 0.124746041573112)
     t = np.linspace(0.0, 15.0, 301)
@@ -39,12 +34,12 @@ def test_weight_normalization_and_frozen_values(rule):
              f"beta(1) off {at_one:.1e}")
 
 
-def test_scalar_power_average_grid(rule):
+def test_scalar_power_average_grid():
     grid = (0.1, 0.3, 1.0, 3.0, 10.0)
     worst = 0.0
     for x in grid:
         for y in grid:
-            avg = ti.scalar_power_average(x, y, rule)
+            avg = ti.scalar_power_average(x, y)
             kernel = ti.scalar_log_kernel(x, y)
             worst = max(worst, abs(avg - kernel))
     _verdict("scalar conjugated-power average on the grid", worst <= 1e-8,
@@ -67,13 +62,13 @@ def test_log_derivative_three_route_triangle():
              f"worst relative gap {worst:.2e} over 100 seeds, dim 4")
 
 
-def test_power_average_operator_identity(rule):
+def test_power_average_operator_identity():
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(11_000 + seed)
         a1 = ti.draw_posdef(rng, 3).matrix
         a2 = ti.draw_posdef(rng, 3)
-        rep = ti.power_average_identity_check(a1, a2, rule, seed=seed)
+        rep = ti.power_average_identity_check(a1, a2, seed=seed)
         worst = max(worst, rep.rel_gap)
         if not rep.passed:
             break
@@ -100,19 +95,19 @@ def test_pointwise_tensor_identity():
              f"t grid of 5")
 
 
-def test_integral_tensor_equivalence_and_three_matrix_collapse(rule):
+def test_integral_tensor_equivalence_and_three_matrix_collapse():
     worst_eq = 0.0
     ok = True
     for n in (3, 4, 5, 6):
         for seed in range(50):
             mats = _chain(13_000 + 131 * n + seed, n)
-            rep = ti.check_equivalence(mats, rule, seed=seed)
+            rep = ti.check_equivalence(mats, seed=seed)
             worst_eq = max(worst_eq, rep.rel_gap)
             ok = ok and rep.passed
     worst_lieb = 0.0
     for seed in range(200):
         mats = _chain(14_000 + seed, 3)
-        rep = ti.compare("lieb_equivalence", mats, rule, seed=seed)
+        rep = ti.compare("lieb_equivalence", mats, seed=seed)
         worst_lieb = max(worst_lieb, rep.rel_gap)
         ok = ok and rep.passed
     _verdict("integral form equals tensor form, collapses for triples", ok,
@@ -137,14 +132,14 @@ def test_inequality_campaigns():
              f"{summary.failure_count} failures")
 
 
-def test_commuting_equality_and_identity_chains(rule):
+def test_commuting_equality_and_identity_chains():
     worst = 0.0
     ok = True
     for n in (3, 4, 5, 6):
         for seed in range(25):
             fam = ti.random_commuting_family(2, n, seed=15_000 + 17 * n + seed)
             lhs = ti.lhs_exp_sum_log(fam)
-            for rhs in (ti.rhs_power_integral(fam, rule),
+            for rhs in (ti.rhs_power_integral(fam),
                         ti.rhs_tensor_resolvent(fam)):
                 rel = abs(rhs - lhs) / abs(lhs)
                 worst = max(worst, rel)
@@ -154,7 +149,7 @@ def test_commuting_equality_and_identity_chains(rule):
     ok = ok and abs(ti.rhs_tensor_resolvent(eye2) - 2.0) <= 1e-12
     ok = ok and abs(ti.lhs_exp_sum_log(eye2) - 2.0) <= 1e-12
     ok = ok and abs(ti.rhs_tensor_resolvent(eye3) - 3.0) <= 1e-12
-    ok = ok and abs(ti.rhs_power_integral(eye2, rule) - 2.0) <= 1e-10
+    ok = ok and abs(ti.rhs_power_integral(eye2) - 2.0) <= 1e-10
     _verdict("commuting chains saturate, identity chains exact", ok,
              f"worst commuting relative gap {worst:.2e} over 100 families")
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,18 +154,19 @@ def test_campaign_deterministic_across_parallelism(tmp_path):
     out2 = str(tmp_path / "b" / "run")
     run_campaign(_cfg(suite="identities", out=out1, parallel=1))
     run_campaign(_cfg(suite="identities", out=out2, parallel=2))
-    body1 = open(out1 + ".trials.jsonl", "rb").read()
-    body2 = open(out2 + ".trials.jsonl", "rb").read()
+    body1 = Path(out1 + ".trials.jsonl").read_bytes()
+    body2 = Path(out2 + ".trials.jsonl").read_bytes()
     assert body1 == body2
-    assert open(out1 + ".summary.csv", "rb").read() == open(out2 + ".summary.csv", "rb").read()
+    summary1, summary2 = (Path(out + ".summary.csv").read_bytes() for out in (out1, out2))
+    assert summary1 == summary2
 
 
 def test_campaign_rerun_byte_identical(tmp_path):
     out = str(tmp_path / "run")
     run_campaign(_cfg(suite="inequalities", out=out))
-    first = open(out + ".trials.jsonl", "rb").read()
+    first = Path(out + ".trials.jsonl").read_bytes()
     run_campaign(_cfg(suite="inequalities", out=out))
-    assert open(out + ".trials.jsonl", "rb").read() == first
+    assert Path(out + ".trials.jsonl").read_bytes() == first
     # no wall-clock leakage into bodies
     assert b"runtime" not in first.lower()
 
@@ -181,7 +183,7 @@ def test_jsonl_structure(tmp_path):
     out = str(tmp_path / "run")
     run_campaign(_cfg(checks=("beta_normalization", "scalar_power_identity"),
                       out=out))
-    lines = open(out + ".trials.jsonl").read().splitlines()
+    lines = Path(out + ".trials.jsonl").read_text().splitlines()
     head = json.loads(lines[0])
     assert head["record"] == "config"
     assert head["config"]["seed"] == 77
@@ -195,7 +197,7 @@ def test_jsonl_structure(tmp_path):
 def test_csv_format(tmp_path):
     out = str(tmp_path / "run")
     run_campaign(_cfg(checks=("pairing_identity",), fmt="csv", out=out))
-    lines = open(out + ".trials.csv").read().splitlines()
+    lines = Path(out + ".trials.csv").read_text().splitlines()
     assert lines[0].startswith("# config ")
     assert "check_id" in lines[1].split(",")
     assert len(lines) == 2 + 2 * 2  # header rows + trials x copies
@@ -211,7 +213,7 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
     # a runner that raises must yield a failed trial row
     from traceineq import campaign as camp
 
-    def boom(ctx, chains, seeds, sides):
+    def boom(cfg, chains, seeds, sides):
         raise UnknownCheck("synthetic failure")
 
     monkeypatch.setitem(
@@ -227,13 +229,34 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
     rows = [r.to_row() for r in summary.reports]
     assert {r["check_id"] for r in rows} == set(CHECKS)
     assert all(_builtin(v) for row in rows for v in row.values())
-    assert len(open(out + ".trials.jsonl").readlines()) == 1 + len(rows)
+    assert len(Path(out + ".trials.jsonl").read_text().splitlines()) == 1 + len(rows)
+
+
+def test_error_trial_keeps_its_row_n(monkeypatch):
+    # an error trial of a fixed-length row reports that row's n, as the
+    # row's evaluated trials do
+    from traceineq import campaign as camp
+
+    spec, bad = CHECKS["power_average_identity"], 78
+
+    def sometimes(cfg, chains, seeds, sides):
+        if bad in seeds:
+            raise UnknownCheck("synthetic failure")
+        return spec.runner(cfg, chains, seeds, sides)
+
+    monkeypatch.setitem(camp.CHECKS, spec.check_id, replace(spec, runner=sometimes))
+    summary = run_campaign(_cfg(suite="all", trials=3))
+    errors = [(r.check_id, r.seed) for r in summary.reports if r.kind == "error"]
+    assert errors == [("power_average_identity", bad)]
+    for check_id, row in CHECKS.items():
+        if isinstance(row.length, int):
+            assert {r.n for r in summary.reports if r.check_id == check_id} == {row.length}
 
 
 def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
     from traceineq import campaign as camp
 
-    def singular(ctx, chains, seeds, sides):
+    def singular(cfg, chains, seeds, sides):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setitem(
@@ -257,7 +280,7 @@ def test_summary_keeps_nan_gap_as_worst(monkeypatch):
 
     bad = None
 
-    def runner(ctx, chains, seeds, sides):
+    def runner(cfg, chains, seeds, sides):
         return [identity_report("key_identity", math.nan if seed == bad else 1.0,
                                 1.0 + 1e-12, rtol=1e-9, seed=seed) for seed in seeds]
 

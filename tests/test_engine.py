@@ -24,7 +24,6 @@ from traceineq import (
     check_tensor_resolvent,
     compare,
     draw_posdef,
-    half_line_rule,
     identity_report,
     lhs_exp_sum_log,
     power_average_identity_check,
@@ -104,7 +103,7 @@ def test_indexing_shares_the_decomposition():
 def _old_power_integral(mats, rule, power):
     """The integral form with explicit power stacks, one matrix at a time."""
     z = 0.5 * (1.0 + 1j * rule.nodes)
-    mid = np.broadcast_to(mats[0].matrix, (rule.node_count,) + mats[0].matrix.shape)
+    mid = np.broadcast_to(mats[0].matrix, rule.nodes.shape + mats[0].matrix.shape)
     for m in mats[1:-1]:
         stack = power(m.matrix, z)
         mid = stack @ mid @ stack.conj().transpose(0, 2, 1)
@@ -115,19 +114,18 @@ def _old_power_integral(mats, rule, power):
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
 def test_power_integral_matches_explicit_power_stacks(n, beta_rule, spectral_power):
     stack = _stack(920 + n, 6, n)
-    values = rhs_power_integral(stack, beta_rule)
+    values = rhs_power_integral(stack)
     for value, mats in zip(values, _singles(stack, n)):
         assert _close(value, _old_power_integral(mats, beta_rule, spectral_power))
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
-def test_stacked_sides_equal_single_chain_calls(d, n, beta_rule):
+def test_stacked_sides_equal_single_chain_calls(d, n):
     # 17 chains: more than one slice of the stack at d = 3, n = 5 (D = 81)
     stack = _stack(1000 * d + n, 17, n, d)
     singles = _singles(stack, n)
     sides = [lhs_exp_sum_log, scaled_exponential_lhs, rhs_tensor_resolvent,
-             lambda c: rhs_power_integral(c, beta_rule),
-             lambda c: chain_product_trace(c, 0.7),
+             rhs_power_integral, lambda c: chain_product_trace(c, 0.7),
              lambda c: tensor_pair_trace(c, -2.0)]
     for side in sides:
         stacked = side(stack)
@@ -138,10 +136,10 @@ def test_stacked_sides_equal_single_chain_calls(d, n, beta_rule):
             assert _close(value, single)
 
 
-def _lone_commuting_equality(fam, seed, rule):
+def _lone_commuting_equality(fam, seed):
     """commuting_equality on one family, one library call per form."""
     lhs = lhs_exp_sum_log(fam)
-    values = [rhs_power_integral(fam, rule), rhs_tensor_resolvent(fam)]
+    values = [rhs_power_integral(fam), rhs_tensor_resolvent(fam)]
     if len(fam) == 3:
         values.append(rhs_lieb_three(fam))
     worst = max(values, key=lambda v: abs(v - lhs))
@@ -149,42 +147,38 @@ def _lone_commuting_equality(fam, seed, rule):
                            seed=seed, params={"forms": len(values)})
 
 
-def _stacked_and_single(check_id, stack, seeds, rule):
+def _stacked_and_single(check_id, stack, seeds):
     """The check on the stack, and on each chain alone."""
-    half = half_line_rule()
-    ctx = campaign._Ctx(_engine_cfg())
     calls = {
         "golden_thompson": lambda c, s: compare("golden_thompson", c, seed=s),
         "lieb_three": lambda c, s: compare("lieb_three", c, seed=s),
-        "power_integral": lambda c, s: compare("power_integral", c, rule, seed=s),
+        "power_integral": lambda c, s: compare("power_integral", c, seed=s),
         "tensor_resolvent": lambda c, s: check_tensor_resolvent(c, seed=s),
         "scaled_exponential": lambda c, s: compare("scaled_exponential", c, seed=s),
         "jensen_trace": lambda c, s: compare("jensen_trace", c, seed=s),
-        "equivalence_integral_tensor": lambda c, s: check_equivalence(c, rule, seed=s),
-        "lieb_equivalence": lambda c, s: compare("lieb_equivalence", c, rule, seed=s),
+        "equivalence_integral_tensor": lambda c, s: check_equivalence(c, seed=s),
+        "lieb_equivalence": lambda c, s: compare("lieb_equivalence", c, seed=s),
         "key_identity": lambda c, s: check_key_identity(c, seed=s),
         "derivative_form": lambda c, s: check_derivative_form(c, seed=s),
-        "commutator_chain": lambda c, s: check_commutator_chain(c[0], c[1], rule, half,
-                                                                seed=s),
+        "commutator_chain": lambda c, s: check_commutator_chain(c[0], c[1], seed=s),
         "commutator_chain_commuting": lambda c, s: check_commutator_chain(
-            c[0], c[1], rule, half, atol=1e-12, seed=s,
-            check_id="commutator_chain_commuting"),
+            c[0], c[1], atol=1e-12, seed=s, check_id="commutator_chain_commuting"),
         "power_average_identity": lambda c, s: power_average_identity_check(
-            c[0].matrix, c[1], rule, seed=s),
+            c[0].matrix, c[1], seed=s),
     }
     n = stack.matrix.shape[1]
     as_links = [stack[:, k] for k in range(n)]
     singles = _singles(stack, n)
     if check_id == "commuting_equality":  # a campaign runner, not a library check
-        return (campaign._commuting_equality(ctx, stack, seeds),
-                [_lone_commuting_equality(m, s, rule) for m, s in zip(singles, seeds)])
+        return (campaign._commuting_equality(stack, seeds),
+                [_lone_commuting_equality(m, s) for m, s in zip(singles, seeds)])
     call = calls[check_id]
     stacked = call(as_links if check_id in RESIDUAL else stack, seeds)
     return stacked, [call(mats, s) for mats, s in zip(singles, seeds)]
 
 
 @pytest.mark.parametrize("check_id", STACKED)
-def test_stacked_checks_equal_single_chain_checks(check_id, beta_rule):
+def test_stacked_checks_equal_single_chain_checks(check_id):
     length = campaign.CHECKS[check_id].length
     n = 5 if length == "n" else length
     seeds = list(range(300, 316))
@@ -192,12 +186,12 @@ def test_stacked_checks_equal_single_chain_checks(check_id, beta_rule):
         stack = random_commuting_family(2, n, [np.random.default_rng(s) for s in seeds])
     else:
         stack = _stack(300, 16, n)
-    stacked, singles = _stacked_and_single(check_id, stack, seeds, beta_rule)
+    stacked, singles = _stacked_and_single(check_id, stack, seeds)
     assert len(stacked) == 16
     for rep, one, seed in zip(stacked, singles, seeds):
         assert rep.check_id == one.check_id == check_id
         assert rep.seed == one.seed == seed
-        assert rep.n == one.n == (None if check_id == "power_average_identity" else n)
+        assert rep.n == one.n == n
         assert rep.passed and one.passed
         if check_id in RESIDUAL:
             # lhs is a roundoff-level residual; rel_gap is it per unit of the

@@ -11,7 +11,6 @@ from traceineq import (
     log_derivative_quadrature,
     power_average_identity_check,
 )
-from traceineq.quadrature import half_line_rule, real_line_rule
 
 
 def _pair(seed, dim=4):
@@ -59,13 +58,10 @@ def test_closed_route_commuting_case():
 
 def test_quadrature_route_converges_with_nodes():
     x, y = _pair(4)
+    # the library's 200-node half-line rule resolves the closed form
     closed = log_derivative_closed(x, y)
-    coarse = log_derivative_quadrature(x, y, half_line_rule(40))
-    fine = log_derivative_quadrature(x, y, half_line_rule(200))
-    err_coarse = np.linalg.norm(coarse - closed)
-    err_fine = np.linalg.norm(fine - closed)
-    assert err_fine < err_coarse
-    assert err_fine / np.linalg.norm(closed) < 1e-10
+    quad = log_derivative_quadrature(x, y)
+    assert np.linalg.norm(quad - closed) / np.linalg.norm(closed) < 1e-10
 
 
 def test_finite_difference_second_order():
@@ -89,33 +85,29 @@ def test_derivative_of_trace_is_trace_of_direction():
     assert np.trace(out) == pytest.approx(np.trace(x.inverse() @ y), abs=1e-10)
 
 
-def test_conjugated_power_average_hermitian(beta_rule):
+def test_conjugated_power_average_hermitian():
     rng = np.random.default_rng(8)
     a1 = draw_posdef(rng, 3).matrix
     a2 = draw_posdef(rng, 3)
-    avg = conjugated_power_average(a1, a2, beta_rule)
+    avg = conjugated_power_average(a1, a2)
     assert np.allclose(avg, avg.conj().T, atol=1e-12)
 
 
-def test_power_average_matches_log_derivative(beta_rule):
+def test_power_average_matches_log_derivative():
     rng = np.random.default_rng(9)
     a1 = draw_posdef(rng, 3).matrix
     a2 = draw_posdef(rng, 3)
-    avg = conjugated_power_average(a1, a2, beta_rule)
+    avg = conjugated_power_average(a1, a2)
     closed = log_derivative_closed(PosDefMatrix(a2.inverse()), a1)
     assert np.linalg.norm(avg - closed) / np.linalg.norm(closed) < 1e-10
-    rep = power_average_identity_check(a1, a2, beta_rule, seed=9)
-    assert rep.passed
+    rep = power_average_identity_check(a1, a2, seed=9)
+    assert rep.passed and rep.n == 2
 
 
-def test_power_average_commuting_diagonal_reduction(beta_rule):
+def test_power_average_commuting_diagonal_reduction():
     # diagonal operands: the conjugation cancels entrywise on the
     # diagonal, leaving x_i y_i times the unit mass of the density
     a1 = np.diag([2.0, 5.0]).astype(complex)
     a2 = PosDefMatrix(np.diag([3.0, 7.0]))
-    avg = conjugated_power_average(a1, a2, beta_rule)
+    avg = conjugated_power_average(a1, a2)
     assert np.allclose(avg, np.diag([6.0, 35.0]), atol=1e-9)
-    # doubling the rule does not move the value
-    avg2 = conjugated_power_average(
-        a1, a2, real_line_rule(beta_rule.half_width, 2 * beta_rule.node_count))
-    assert np.allclose(avg, avg2, atol=1e-10)

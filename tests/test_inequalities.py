@@ -57,15 +57,15 @@ def test_lieb_three_holds(make_chain):
     assert rep.lhs <= rep.rhs + 1e-9
 
 
-def test_power_integral_and_tensor_hold(make_chain, beta_rule):
+def test_power_integral_and_tensor_hold(make_chain):
     for n in range(3, 11):
         mats = make_chain(100 + n, n)
         lhs = lhs_exp_sum_log(mats)
-        ri = rhs_power_integral(mats, beta_rule)
+        ri = rhs_power_integral(mats)
         rt = rhs_tensor_resolvent(mats)
         assert lhs <= ri + 1e-9 + 1e-8 * abs(ri)
         assert abs(ri - rt) / abs(rt) < 1e-7
-        assert compare("power_integral", mats, beta_rule, seed=n).passed
+        assert compare("power_integral", mats, seed=n).passed
         assert check_tensor_resolvent(mats, seed=n).passed
 
 
@@ -146,11 +146,11 @@ def test_factored_operand_matches_dense_eigh(make_chain, d, n):
         assert rhs_tensor_resolvent(mats) == pytest.approx(dense.real, rel=1e-9)
 
 
-def test_tensor_form_matches_integral_at_d256(make_chain, beta_rule):
+def test_tensor_form_matches_integral_at_d256(make_chain):
     for n in range(7, 11):
         mats = make_chain(2000 + n, n)
         assert rhs_tensor_resolvent(mats) == pytest.approx(
-            rhs_power_integral(mats, beta_rule), rel=1e-13)
+            rhs_power_integral(mats), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [7, 10])
@@ -162,11 +162,11 @@ def test_pair_trace_at_d6561(make_chain, n):
         assert tensor_pair_trace(mats, t) == pytest.approx(lhs, rel=1e-12)
 
 
-def test_tensor_form_matches_integral_at_d6561(make_chain, beta_rule):
+def test_tensor_form_matches_integral_at_d6561(make_chain):
     for n in (7, 8, 9):
         mats = make_chain(3000 + n, n, d=3)
         assert rhs_tensor_resolvent(mats) == pytest.approx(
-            rhs_power_integral(mats, beta_rule), rel=1e-13)
+            rhs_power_integral(mats), rel=1e-13)
 
 
 @pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 11)]
@@ -211,11 +211,11 @@ def test_chain_product_trace_real_at_zero(make_chain, spectral_power):
     assert chain_product_trace(mats, 0.0) == pytest.approx(direct, rel=1e-12)
 
 
-def test_equivalence_and_lieb_collapse(make_chain, beta_rule):
+def test_equivalence_and_lieb_collapse(make_chain):
     mats = make_chain(41, 3)
-    assert check_equivalence(mats, beta_rule, seed=41).passed
-    assert compare("lieb_equivalence", mats, beta_rule, seed=41).passed
-    lhs = rhs_power_integral(mats, beta_rule)
+    assert check_equivalence(mats, seed=41).passed
+    assert compare("lieb_equivalence", mats, seed=41).passed
+    lhs = rhs_power_integral(mats)
     assert rhs_lieb_three(mats) == pytest.approx(lhs, rel=1e-9)
 
 
@@ -235,19 +235,19 @@ def test_jensen_trace(make_chain):
         assert compare("jensen_trace", mats, seed=n).passed
 
 
-def test_all_identity_chain_exact_values(beta_rule):
+def test_all_identity_chain_exact_values():
     mats = [PosDefMatrix(np.eye(2)) for _ in range(4)]
     assert lhs_exp_sum_log(mats) == pytest.approx(2.0, abs=1e-12)
-    assert rhs_power_integral(mats, beta_rule) == pytest.approx(2.0, abs=1e-10)
+    assert rhs_power_integral(mats) == pytest.approx(2.0, abs=1e-10)
     assert rhs_tensor_resolvent(mats) == pytest.approx(2.0, abs=1e-12)
     assert scaled_exponential_lhs(mats) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_commuting_chain_equality(beta_rule):
+def test_commuting_chain_equality():
     for n in (3, 4, 5):
         fam = random_commuting_family(2, n, seed=70 + n)
         lhs = lhs_exp_sum_log(fam)
-        assert rhs_power_integral(fam, beta_rule) == pytest.approx(lhs, rel=1e-8)
+        assert rhs_power_integral(fam) == pytest.approx(lhs, rel=1e-8)
         assert rhs_tensor_resolvent(fam) == pytest.approx(lhs, rel=1e-8)
 
 
@@ -299,8 +299,8 @@ def test_commutator_chain_nan_route_fails(monkeypatch):
     real = limits.conjugated_power_average
     assert check_commutator_chain(stack[0, 0], stack[0, 1], seed=87).passed
 
-    def nan_second(a1, a2, rule):
-        out = real(a1, a2, rule)
+    def nan_second(a1, a2):
+        out = real(a1, a2)
         if out.ndim == 3:
             out[1] = np.nan
             return out

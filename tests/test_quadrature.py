@@ -1,16 +1,21 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import traceineq
 from traceineq import (
     InvalidRange,
     beta_density,
     beta_normalization_gap,
+    check_equivalence,
     half_line_rule,
     real_line_rule,
     scalar_identity_check,
     scalar_log_kernel,
     scalar_power_average,
 )
+from traceineq.quadrature import BETA_HALF_WIDTH, BETA_NODE_COUNT, _trapezoid_rule
 
 PI_QUARTER = 0.7853981633974483
 DENSITY_AT_ONE = 0.124746041573112
@@ -41,17 +46,17 @@ def test_density_stable_far_out():
     assert far[2] == 0.0 and far[3] == 0.0
 
 
-def test_normalization_gap_small(beta_rule):
-    assert abs(beta_normalization_gap(beta_rule)) < 1e-10
+def test_normalization_gap_small():
+    assert abs(beta_normalization_gap()) < 1e-10
 
 
-def test_tail_bound_matches_decay(beta_rule):
+def test_tail_bound_matches_decay():
     # mass beyond the window is below 2 exp(-pi T); exactly it equals
     # 2 exp(-pi T) / (1 + exp(-pi T)) via the substitution u = 1 + exp(-pi t)
-    e = np.exp(-np.pi * beta_rule.half_width)
+    e = np.exp(-np.pi * BETA_HALF_WIDTH)
     exact_tail = 2.0 * e / (1.0 + e)
     assert exact_tail <= 2.0 * e
-    t = np.linspace(beta_rule.half_width, beta_rule.half_width + 40.0, 4001)
+    t = np.linspace(BETA_HALF_WIDTH, BETA_HALF_WIDTH + 40.0, 4001)
     tail_mass = 2.0 * np.trapezoid(beta_density(t), t)
     assert tail_mass == pytest.approx(exact_tail, rel=1e-3)
 
@@ -59,9 +64,9 @@ def test_tail_bound_matches_decay(beta_rule):
 def test_doubled_rule_refines(beta_rule):
     # halving the trapezoid step keeps every node: 161 nodes are every
     # other one of 321
-    fine = real_line_rule(beta_rule.half_width, 2 * beta_rule.node_count - 1)
-    assert fine.node_count == 2 * beta_rule.node_count - 1
-    assert fine.half_width == beta_rule.half_width
+    assert beta_rule.nodes.size == BETA_NODE_COUNT
+    fine = _trapezoid_rule(BETA_HALF_WIDTH, 2 * BETA_NODE_COUNT - 1)
+    assert fine.nodes.size == fine.weights.size == 2 * BETA_NODE_COUNT - 1
     assert np.array_equal(fine.nodes[::2], beta_rule.nodes)
     coarse_val = np.dot(beta_rule.weights * beta_density(beta_rule.nodes),
                         beta_rule.nodes ** 2)
@@ -85,46 +90,61 @@ def test_half_line_rule_integrates_rational():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scalar_average_equals_log_kernel(beta_rule):
+def test_scalar_average_equals_log_kernel():
     for x, y in [(1.0, np.e), (0.1, 3.0), (2.0, 2.0), (10.0, 0.3)]:
-        avg = scalar_power_average(x, y, beta_rule)
+        avg = scalar_power_average(x, y)
         assert avg == pytest.approx(scalar_log_kernel(x, y), rel=1e-10)
 
 
-def test_scalar_average_frozen_value(beta_rule):
+def test_scalar_average_frozen_value():
     # at x = 1, y = e the average equals e/(e-1); dividing by xy gives
     # the inverse-pair kernel value 1/(e-1)
-    raw = scalar_power_average(1.0, np.e, beta_rule)
+    raw = scalar_power_average(1.0, np.e)
     assert raw == pytest.approx(np.e / (np.e - 1.0), abs=1e-10)
     assert raw / np.e == pytest.approx(0.581976706869326, abs=1e-10)
 
 
-def test_scalar_average_rejects_nonpositive(beta_rule):
+def test_scalar_average_rejects_nonpositive():
     with pytest.raises(InvalidRange):
-        scalar_power_average(-1.0, 2.0, beta_rule)
+        scalar_power_average(-1.0, 2.0)
     with pytest.raises(InvalidRange):
-        scalar_power_average(1.0, 0.0, beta_rule)
+        scalar_power_average(1.0, 0.0)
 
 
-def test_scalar_identity_check_reports(beta_rule):
-    rep = scalar_identity_check(0.3, 7.0, beta_rule)
+def test_scalar_identity_check_reports():
+    rep = scalar_identity_check(0.3, 7.0)
     assert rep.check_id == "scalar_power_identity"
     assert rep.passed
     assert rep.abs_gap < 1e-10
 
 
-@pytest.mark.parametrize("half_width", [0.0, -1.0, np.inf, np.nan])
-def test_real_line_rule_needs_finite_positive_width(half_width):
-    # an infinite or NaN width gives NaN nodes, and beta_normalization_gap NaN
-    with pytest.raises(InvalidRange, match="half_width < inf"):
-        real_line_rule(half_width)
-
-
 def test_rules_are_built_once_and_read_only():
     rule = real_line_rule()
     assert real_line_rule() is rule
-    assert real_line_rule(12, 161) is rule
-    assert half_line_rule() is half_line_rule(200)
-    for arr in (rule.nodes, rule.weights):
+    assert half_line_rule() is half_line_rule()
+    for arr in (rule.nodes, rule.weights, half_line_rule().nodes, half_line_rule().weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+RULE_PARAMETERS = {"rule", "beta_rule", "half_rule", "half_width", "node_count"}
+
+
+def test_no_public_function_takes_a_rule(make_chain):
+    # the two rules are constants; check_equivalence keeps a rule slot as a
+    # guard that accepts only real_line_rule() itself
+    taking = set()
+    for name in traceineq.__all__:
+        value = getattr(traceineq, name)
+        try:
+            params = inspect.signature(value).parameters if callable(value) else {}
+        except ValueError:  # exception classes have no signature
+            continue
+        if RULE_PARAMETERS & set(params):
+            taking.add(name)
+    assert taking == {"check_equivalence"}
+    mats = make_chain(61, 4)
+    assert check_equivalence(mats, real_line_rule()) == check_equivalence(mats)
+    finer = _trapezoid_rule(BETA_HALF_WIDTH, 2 * BETA_NODE_COUNT - 1)
+    with pytest.raises(InvalidRange):
+        check_equivalence(mats, finer)
