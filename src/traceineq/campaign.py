@@ -10,10 +10,16 @@ lives only on the in-memory summary.
 Every check is one row of the CHECKS table: its id, suite, chain
 length, runner, description and formula. Adding a check means adding
 one row.
-A chunk of CHUNK seeds is the unit of work: it draws its chains once,
-and the rows at one chain length share its prefix of them and the sides
-evaluated on it. One function runs every task, one per chunk and one for
-the deterministic rows, claimed by this process and its pool from one counter.
+A chunk of consecutive seeds is the unit of work: it draws its chains
+once, and the rows at one chain length share its prefix of them and the
+sides evaluated on it. A campaign cuts its seeds into equal chunks of at
+most MAX_CHUNK, at least one per worker. A trial's numbers depend on its
+seed and the configuration alone, never on its chunk: every stacked
+evaluation sums each chain in one order, whatever the stack. So reports
+do not depend on the chunk size or the worker count, and a one-trial
+campaign reproduces a trial of a larger one bit for bit. One function
+runs every task, one per chunk and one for the deterministic rows,
+claimed by this process and its pool from one counter.
 """
 from __future__ import annotations
 
@@ -61,7 +67,7 @@ SUITES = ("identities", "inequalities", "all")
 FORMATS = ("jsonl", "csv")
 SCALAR_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 OUT_ENV = "TRACEINEQ_OUT"
-CHUNK = 16  # trials per chunk
+MAX_CHUNK = 64  # trials per chunk, at most
 
 
 @dataclass(frozen=True)
@@ -139,44 +145,46 @@ _CONTEXT: tuple = (None, None, None)  # the running campaign's config, _rows(cfg
 # the row's length, or None for rows without a chain; sides holds the sides
 # already evaluated on these chains, as inequalities.compare takes them.
 # Deterministic checks ignore the seed and run exactly once per campaign.
-# Checks that build their own inputs have a named runner of one seed,
-# wrapped in _each. The two-sided checks have no runner: they are the rows
-# of inequalities.COMPARISONS, evaluated by compare. Library functions are
+# Checks that build their own inputs draw them per seed, from
+# default_rng(seed) as a lone trial would, and evaluate the chunk as one
+# stack. The two-sided checks have no runner: they are the rows of
+# inequalities.COMPARISONS, evaluated by compare. Library functions are
 # looked up as module globals at call time, never captured when the table
 # is built.
 
-def _each(runner):
-    """A chunk runner from a runner of one seed."""
-    return lambda cfg, chains, seeds, sides: [r for seed in seeds
-                                              for r in runner(cfg, seed)]
-
-
-def _run_beta_normalization(cfg, seed):
+def _run_beta_normalization(cfg, chains, seeds, sides):
     return [identity_report("beta_normalization", 1.0 + beta_normalization_gap(), 1.0,
-                            atol=1e-10, seed=seed,
+                            atol=1e-10, seed=seeds[0],
                             params={"nodes": BETA_NODE_COUNT,
                                     "half_width": BETA_HALF_WIDTH})]
 
 
-def _run_pairing(cfg, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    for copies in (1, 2):
-        dim = cfg.local_dim ** copies
-        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        out.append(pairing_check(x, y, copies=copies, seed=seed))
-    return out
+def _run_pairing(cfg, chains, seeds, sides):
+    """Per seed, X then Y at dimension d, then at d^2; one pairing_check
+    per dimension, and each seed's two reports in that order."""
+    pairs = {1: ([], []), 2: ([], [])}  # copies -> (X stack, Y stack)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for copies, drawn in pairs.items():
+            dim = cfg.local_dim ** copies
+            for stack in drawn:
+                stack.append(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    reports = [pairing_check(np.array(x), np.array(y), copies=copies, seed=seeds)
+               for copies, (x, y) in pairs.items()]
+    return [r for per_seed in zip(*reports) for r in per_seed]
 
 
-def _run_penalized_limit(cfg, seed):
-    rng = np.random.default_rng(seed)
-    dim = 3
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    a = 0.5 * (g + g.conj().T)
-    a = a / max(1.0, float(np.linalg.norm(a, 2)))
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return [check_penalized_trace_limit(a, v, seed=seed)]
+def _run_penalized_limit(cfg, chains, seeds, sides):
+    """Per seed, a Hermitian 3 x 3 A of spectral norm at most 1, then v."""
+    a, v = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a.append(0.5 * (g + g.conj().T))
+        v.append(rng.normal(size=3) + 1j * rng.normal(size=3))
+    a = np.array(a)
+    a = a / np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None]
+    return check_penalized_trace_limit(a, np.array(v), seed=seeds)
 
 
 def _commuting_equality(fam, seeds):
@@ -209,7 +217,7 @@ class CheckSpec:
 
 
 CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
-    CheckSpec("beta_normalization", "identities", None, _each(_run_beta_normalization),
+    CheckSpec("beta_normalization", "identities", None, _run_beta_normalization,
         deterministic=True,
         description="The hyperbolic weight integrates to one on the truncated line.",
         formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
@@ -226,7 +234,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Matrix beta-average of conjugated powers equals the "
                     "log-derivative operator at the inverse base.",
         formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"),
-    CheckSpec("pairing_identity", "identities", None, _each(_run_pairing),
+    CheckSpec("pairing_identity", "identities", None, _run_pairing,
         description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
         formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
     CheckSpec("key_identity", "identities", "n",
@@ -264,7 +272,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "trace functional along B.",
         formula="d/dr Tr[P exp(log(A + r B) - log A)] |_{r=0} = "
                 "<Omega| T_A(B) |Omega>"),
-    CheckSpec("penalized_trace_limit", "identities", None, _each(_run_penalized_limit),
+    CheckSpec("penalized_trace_limit", "identities", None, _run_penalized_limit,
         description="Rank-one penalties collapse the trace exponential to the "
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
@@ -436,18 +444,27 @@ def _summarize(cfg, groups, runtime_s) -> CampaignSummary:
                            runtime_s=runtime_s, reports=reports, lines=lines)
 
 
+def _chunks(seeds: list, workers: int) -> list[list]:
+    """The seeds in order, cut into chunks of at most MAX_CHUNK seeds, at
+    least one per worker, their sizes equal to within one. Larger chunks
+    pay less per-call overhead; no trial's numbers depend on its chunk."""
+    count = min(len(seeds), max(-(-len(seeds) // MAX_CHUNK), workers))
+    return [seeds[i * len(seeds) // count:(i + 1) * len(seeds) // count]
+            for i in range(count)]
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     global _CONTEXT
     cfg = cfg.validate()
     start = time.perf_counter()
     rows = _rows(cfg)  # from CHECKS as it is now; forked workers inherit them
-    seeds = [cfg.seed + i for i in range(cfg.trials)]
-    tasks = [(True, [cfg.seed])] + [(False, seeds[i:i + CHUNK])
-                                    for i in range(0, len(seeds), CHUNK)]
-    tasks = [task for task in tasks if rows[task[0]]]  # none without rows
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
-    workers = min(cfg.parallel or cores or 1, len(tasks))
+    workers = cfg.parallel or cores or 1
+    seeds = [cfg.seed + i for i in range(cfg.trials)]
+    tasks = [(True, [cfg.seed])] + [(False, chunk) for chunk in _chunks(seeds, workers)]
+    tasks = [task for task in tasks if rows[task[0]]]  # none without rows
+    workers = min(workers, len(tasks))
     # this process claims tasks too, from the start, while the pool forks
     _CONTEXT = (cfg, rows, multiprocessing.Value("i", 0) if workers > 1
                 else types.SimpleNamespace(value=0, get_lock=nullcontext))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .combinatorics import shape_params, slot_sources, thue_morse
 from .errors import DimensionCap, DimensionMismatch
-from .report import TrialReport, identity_report
+from .linalg import kron_all, stack_norm, stack_slices
+from .report import identity_report, stack_reports
 
 DIM_CAP = 3 ** 8  # total tensor dimension ceiling of the factored tensor routes
 DENSE_CAP = 512  # the same with dense=True, for the derivative form's D x D operands
@@ -39,27 +40,34 @@ def projector(local_dim: int, copies: int) -> np.ndarray:
     return np.outer(v, v)
 
 
-def pairing_check(x, y, copies: int = 1, atol: float = 1e-12,
-                  seed=None) -> TrialReport:
+def pairing_check(x, y, copies: int = 1, atol: float = 1e-12, seed=None):
     """Tr[X Y] against <Omega| X (x) Y^T |Omega>, reported as a residual:
     lhs is the complex gap |Tr XY - <Omega| X (x) Y^T |Omega>|, rhs is 0,
-    and rtol = atol applies per unit of max(1, ||X|| ||Y||) (Frobenius)."""
+    and rtol = atol applies per unit of max(1, ||X|| ||Y||) (Frobenius).
+    Stacks (K, dim, dim) of pairs give one report per pair, given a list
+    of K seeds; X (x) Y^T is formed for a stack_slices slice at a time,
+    and each pair's sums run as for that pair alone."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.shape != y.shape or x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"operands must be square and congruent, "
                                 f"got {x.shape} and {y.shape}")
-    dim = x.shape[0]
+    dim = x.shape[-1]
     local = round(dim ** (1.0 / copies))
     if local ** copies != dim:
         raise DimensionMismatch(
             f"dimension {dim} is not a perfect {copies}-th power")
     om = omega_vector(local, copies)
+    xs, ys = x.reshape(-1, dim, dim), y.reshape(-1, dim, dim)
     # both sides may be complex; judge the full complex gap per unit norm
-    gap = abs(complex(np.trace(x @ y)) - complex(om.conj() @ np.kron(x, y.T) @ om))
-    scale = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y)))
-    return identity_report("pairing_identity", gap, 0.0, atol=0.0, rtol=atol,
-                           scale=scale, seed=seed, params={"copies": copies, "dim": dim})
+    paired = np.concatenate([(om.conj() @ kron_all([xs[s], ys[s].swapaxes(-1, -2)]))[:, None]
+                             @ om[:, None] for s in stack_slices(len(xs), dim ** 4)])
+    gaps = np.trace(xs @ ys, axis1=-2, axis2=-1) - paired[:, 0, 0]
+    gaps = np.hypot(gaps.real, gaps.imag)  # as abs() of one complex number
+    scales = np.maximum(1.0, stack_norm(xs) * stack_norm(ys))
+    return stack_reports(x.ndim == 2, seed, len(gaps), lambda i, s: identity_report(
+        "pairing_identity", gaps[i], 0.0, atol=0.0, rtol=atol, scale=float(scales[i]),
+        seed=s, params={"copies": copies, "dim": dim}))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .linalg import (
     PosDefMatrix,
     as_posdef,
     logarithmic_ratio,
+    stack_slices,
 )
 from .quadrature import beta_density, half_line_rule, real_line_rule
 from .report import identity_report, stack_reports
@@ -102,16 +103,22 @@ def conjugated_power_average(a1, a2) -> np.ndarray:
     In the eigenbasis V of A2 the node t scales entry (i, j) of V* A1 V by
     lam_i^z conj(lam_j^z), z = (1+it)/2, so the average is V* A1 V times
     the weighted sum of those factors, entrywise. Stacks of one shape
-    (..., d, d) pair up matrix by matrix.
+    (..., d, d) pair up matrix by matrix; the (T, d) factors are formed
+    for a stack_slices slice of the stack at a time.
     """
     a2 = as_posdef(a2)
     a1 = _conformable(a2, a1)
     rule = real_line_rule()
+    z, weights = 0.5 * (1.0 + 1j * rule.nodes), rule.weights * beta_density(rule.nodes)
     lam, vec = a2.spectral.eigenvalues, a2.spectral.eigenvectors
     vec_h = vec.conj().swapaxes(-1, -2)
-    p = np.exp(np.log(lam)[..., None, :] * (0.5 * (1.0 + 1j * rule.nodes))[:, None])
-    weighted = (p * (rule.weights * beta_density(rule.nodes))[:, None]).swapaxes(-1, -2)
-    return vec @ ((vec_h @ a1 @ vec) * (weighted @ p.conj())) @ vec_h
+    logs = np.log(lam).reshape(-1, a2.dim)
+
+    def factors(s):
+        p = np.exp(logs[s, None, :] * z[:, None])
+        return (p * weights[:, None]).swapaxes(-1, -2) @ p.conj()
+    weighted = np.concatenate([factors(s) for s in stack_slices(len(logs), z.size * a2.dim)])
+    return vec @ ((vec_h @ a1 @ vec) * weighted.reshape(a1.shape)) @ vec_h
 
 
 def power_average_identity_check(a1, a2, seed=None):

@@ -26,20 +26,17 @@ from .entangle import build_layout, omega_vector, projector
 from .errors import DimensionMismatch, InvalidRange
 from .frechet import log_derivative_closed
 from .linalg import (
+    STACK_BUDGET,
     PosDefMatrix,
     SpectralDecomposition,
     hermitian_fn,
     kron_all,
     logarithmic_ratio,
     real_trace,
+    stack_slices,
 )
 from .quadrature import beta_density, real_line_rule
 from .report import identity_report, inequality_report, stack_reports
-
-# Complex entries per intermediate of a stacked evaluation, 64 KiB. An
-# evaluation holds a few at once; larger ones swing the heap past glibc's
-# default trim threshold (128 KiB), and every call page-faults fresh memory.
-STACK_BUDGET = 1 << 12
 
 
 def _coerce_chain(mats, min_len=3, exact=None):
@@ -67,12 +64,10 @@ def _result(values, single, context):
 
 
 def _sliced(fn, chain, entries):
-    """fn over the stack of chains in slices of STACK_BUDGET // entries
-    chains (at least one), ``entries`` being fn's largest per chain."""
+    """fn over the stack of chains in stack_slices, ``entries`` being fn's
+    largest intermediate per chain."""
     chain.spectral  # decomposed once, before slicing: every slice shares it
-    step = max(1, STACK_BUDGET // entries)
-    return np.concatenate([fn(chain[i:i + step])
-                           for i in range(0, chain.matrix.shape[0], step)])
+    return np.concatenate([fn(chain[s]) for s in stack_slices(chain.matrix.shape[0], entries)])
 
 
 # ---------------------------------------------------------------- left side
@@ -118,7 +113,8 @@ def rhs_power_integral(mats):
     rule = real_line_rule()
     z = 0.5 * (1.0 + 1j * rule.nodes)
     weights = rule.weights * beta_density(rule.nodes)
-    return _result(_sliced(lambda c: _power_traces(c, z) @ weights, chain,
+    # a sum per row, not a product with the stack: its order is one chain's
+    return _result(_sliced(lambda c: (_power_traces(c, z) * weights).sum(axis=-1), chain,
                            z.size * chain.dim ** 2), single, "power-integral form")
 
 
@@ -217,7 +213,9 @@ def _tensor_resolvent(chain):
     contracted once through C_2 = conj(A_n). phi is then the Loewner kernel
     of the d^(n-2) products of the live slots' eigenvalues, made by rows,
     2 STACK_BUDGET float entries (the bytes of STACK_BUDGET complex ones)
-    at a time."""
+    at a time. Each block leaves one value per chain and row, and each
+    chain's rows are summed once at the end, so a chain's value does not
+    depend on the blocks, nor on the other chains of the stack."""
     layout, lam, slots = _slot_spectra(chain)
     vec_h = slots.eigenvectors.conj().swapaxes(-1, -2)
     count, d, factors = lam.shape[0], chain.dim, layout.factor_count
@@ -240,13 +238,13 @@ def _tensor_resolvent(chain):
     index = np.arange(size) // rest  # a_i
     right = right.reshape(count, pair, rest, -1)
     step = max(1, 2 * STACK_BUDGET // (count * size))
-    total = np.zeros(count, dtype=complex)
+    terms = np.empty((count, size), dtype=complex)
     for i in range(0, size, step):
         rows = slice(i, i + step)
         phi = logarithmic_ratio(mu[:, rows, None], mu[:, None, :])
         z = np.einsum("kibs,kbse->kibe", phi.reshape(count, -1, pair, rest), right)
-        total += np.einsum("kie,kib,kibe->k", y[:, rows].conj(), c[:, index[rows]], z)
-    return total
+        terms[:, rows] = np.einsum("kie,kib,kibe->ki", y[:, rows].conj(), c[:, index[rows]], z)
+    return terms.sum(axis=-1)
 
 
 # ------------------------------------------------- pointwise chain identity

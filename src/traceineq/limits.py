@@ -17,15 +17,23 @@ from .errors import DimensionMismatch, InvalidRange, StepTooLarge
 from .frechet import conjugated_power_average
 from .entangle import build_layout
 from .inequalities import (
-    STACK_BUDGET,
     _coerce_chain,
     _sliced,
     rhs_tensor_resolvent,
     tensor_operands,
 )
-from .linalg import PosDefMatrix, as_posdef, hermitian_fn, hermitize, real_trace
+from .linalg import (
+    STACK_BUDGET,
+    PosDefMatrix,
+    as_posdef,
+    hermitian_fn,
+    hermitize,
+    real_trace,
+    stack_norm,
+    stack_slices,
+)
 from .quadrature import half_line_rule
-from .report import TrialReport, identity_report, stack_reports
+from .report import identity_report, stack_reports
 
 
 # ---------------------------------------------------------- commutator chain
@@ -43,16 +51,19 @@ def commutator_chain(a1, a2):
       explicit_commutator     int R X [A1, A2] X R^2 dtau
 
     with X = A2^{-1} and R = R(tau) = (X + tau)^{-1}. Stacks of pairs
-    (K, d, d) give stacks of each; the resolvents are batched inverses,
-    held node axis last, (K, d, d, T), so products run along the nodes,
-    over blocks of nodes of at most STACK_BUDGET resolvent entries.
+    (..., d, d) give stacks of each; the resolvents are batched inverses,
+    held node axis last, (K, d, d, T), so products run along the nodes.
+    The nodes go in blocks whose size depends on d alone, and the stack
+    in slices of pairs that keep each block's resolvents within
+    STACK_BUDGET entries, so a pair's sums run in one order whatever
+    the stack.
     """
     a1 = as_posdef(a1)
     a2 = as_posdef(a2)
     if a1.matrix.shape != a2.matrix.shape:
         raise DimensionMismatch("operands must share one shape")
     rule = half_line_rule()
-    m1, m2 = a1.matrix, a2.matrix
+    m1, m2, d = a1.matrix, a2.matrix, a1.dim
     x = a2.inverse()
 
     average = conjugated_power_average(m1, a2)
@@ -60,22 +71,26 @@ def commutator_chain(a1, a2):
 
     comm = m1 @ m2 - m2 @ m1
     core = x @ comm @ x
-    second = third = fourth = 0.0
-    step = max(1, STACK_BUDGET // m1.size)
-    for i in range(0, rule.nodes.size, step):
-        tau, w = rule.nodes[i:i + step], rule.weights[i:i + step]
-        res = np.linalg.inv(x[..., None, :, :] + tau[:, None, None] * np.eye(a1.dim))
-        res = np.ascontiguousarray(np.moveaxis(res, -3, -1))
+    block = min(rule.nodes.size, max(1, STACK_BUDGET // d ** 2))
+    m1, x, core = (a.reshape(-1, d, d) for a in (m1, x, core))
+    second, third, fourth = (np.zeros_like(m1) for _ in range(3))
+    for p in stack_slices(len(m1), block * d * d):
+        a, xp, cp = m1[p], x[p], core[p]
+        for i in range(0, rule.nodes.size, block):
+            tau, w = rule.nodes[i:i + block], rule.weights[i:i + block]
+            res = np.linalg.inv(xp[:, None] + tau[:, None, None] * np.eye(d))
+            res = np.ascontiguousarray(np.moveaxis(res, -3, -1))
 
-        r2 = np.einsum("...ijt,...jkt->...ikt", res, res)
-        second = second + (np.einsum("...ij,...jkt->...ikt", m1, r2)
-                           - np.einsum("...ijt,...jk,...klt->...ilt", res, m1, res)) @ w
+            r2 = np.einsum("kijt,kjlt->kilt", res, res)
+            second[p] += (np.einsum("kij,kjlt->kilt", a, r2)
+                          - np.einsum("kijt,kjl,klmt->kimt", res, a, res)) @ w
 
-        comm_r = (np.einsum("...ij,...jkt->...ikt", m1, res)
-                  - np.einsum("...ijt,...jk->...ikt", res, m1))
-        third = third + np.einsum("...ijt,...jkt,t->...ik", comm_r, res, w)
+            comm_r = (np.einsum("kij,kjlt->kilt", a, res)
+                      - np.einsum("kijt,kjl->kilt", res, a))
+            third[p] += np.einsum("kijt,kjlt,t->kil", comm_r, res, w)
 
-        fourth = fourth + np.einsum("...ijt,...jk,...klt,t->...il", res, core, r2, w)
+            fourth[p] += np.einsum("kijt,kjl,klmt,t->kim", res, cp, r2, w)
+    second, third, fourth = (a.reshape(first.shape) for a in (second, third, fourth))
 
     return {
         "product_minus_average": first,
@@ -126,22 +141,29 @@ def penalized_trace_gaps(a, v=None, dps: int | None = None,
     exponentially small true gap; the direction has to be produced at
     the same precision as the trace.
 
-    Returns (limit, gaps) as floats.
+    Returns (limit, gaps) as floats. The float64 path also takes a
+    stack (K, d, d) of matrices with a stack (K, d) of directions, and
+    then returns arrays of shape (K,) and (K, len(PENALTY_GRID)), each
+    matrix's in the bits it gets alone.
     """
     a = hermitize(np.asarray(a, dtype=complex))
-    dim = a.shape[0]
+    dim, single = a.shape[-1], a.ndim == 2
+    if dps is not None and not single:
+        raise DimensionMismatch("the arbitrary precision path takes one matrix")
     if eigenvector is None:
         if v is None:
             raise DimensionMismatch("need a direction vector or an "
                                     "eigenvector index")
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if v.shape[0] != dim:
-            raise DimensionMismatch(f"vector length {v.shape[0]} does not "
-                                    f"match matrix dimension {dim}")
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
+        v = np.asarray(v, dtype=complex)
+        v = v.reshape(-1) if single else v
+        if v.shape != a.shape[:-1]:
+            raise DimensionMismatch(f"vector shape {v.shape} does not "
+                                    f"match matrix shape {a.shape}")
+        v = v.reshape(-1, dim)
+        nv = stack_norm(v)
+        if not nv.all():
             raise DimensionMismatch("direction vector must be nonzero")
-        v = v / nv
+        v = v / nv[:, None]
     elif dps is None:
         raise InvalidRange("eigenvector directions need the arbitrary "
                            "precision path; set dps")
@@ -150,18 +172,18 @@ def penalized_trace_gaps(a, v=None, dps: int | None = None,
                            f"for dimension {dim}")
 
     if dps is None:
-        proj = np.eye(dim) - np.outer(v, v.conj())
-        limit = float(np.exp((v.conj() @ a @ v).real))
-        gaps = []
-        for t in PENALTY_GRID:
-            ev = np.linalg.eigvalsh(a - t * proj)
-            gaps.append(abs(float(np.exp(ev).sum()) - limit))
-        return limit, gaps
+        stack = a.reshape(-1, dim, dim)
+        proj = np.eye(dim) - v[:, :, None] * v.conj()[:, None, :]
+        limit = np.exp(((v.conj()[:, None] @ stack) @ v[:, :, None])[:, 0, 0].real)
+        gaps = np.stack([np.abs(np.exp(np.linalg.eigvalsh(stack - t * proj)).sum(axis=-1)
+                                - limit) for t in PENALTY_GRID], axis=-1)
+        return (float(limit[0]), gaps[0].tolist()) if single else (limit, gaps)
 
     import mpmath as mp
 
+    v = v[0] if eigenvector is None else None
     complex_input = float(np.abs(a.imag).max()) > 0 or (
-        v is not None and eigenvector is None and float(np.abs(v.imag).max()) > 0)
+        v is not None and float(np.abs(v.imag).max()) > 0)
     with mp.workdps(dps):
         lift = mp.mpc if complex_input else (lambda z: mp.mpf(z.real))
         eig = mp.eighe if complex_input else mp.eigsy
@@ -195,17 +217,25 @@ def penalized_trace_gaps(a, v=None, dps: int | None = None,
 
 def check_penalized_trace_limit(a, v=None, dps: int | None = None,
                                 tol_abs: float = 1e-3, seed=None,
-                                eigenvector: int | None = None) -> TrialReport:
+                                eigenvector: int | None = None):
     """Verdict: gaps do not grow along the grid (up to a precision
-    floor) and the final gap is below ``tol_abs``."""
+    floor) and the final gap is below ``tol_abs``. A stack of matrices
+    and directions gives one report per matrix, given a list of seeds."""
     limit, gaps = penalized_trace_gaps(a, v, dps, eigenvector=eigenvector)
-    floor = (10.0 ** (8 - dps)) * max(1.0, limit) if dps else 1e-13 * max(1.0, limit)
-    monotone = all(gaps[i + 1] <= gaps[i] + floor for i in range(len(gaps) - 1))
-    rep = identity_report("penalized_trace_limit", gaps[-1], 0.0, atol=tol_abs,
-                          scale=max(1.0, limit), seed=seed,
-                          params={"gaps": gaps, "limit": limit,
-                                  "t_grid": list(PENALTY_GRID), "dps": dps})
-    return replace(rep, passed=rep.passed and monotone)
+    limits = np.reshape(limit, -1).tolist()
+    gaps = np.reshape(gaps, (len(limits), -1)).tolist()
+
+    def report(i, s):
+        scale = max(1.0, limits[i])
+        floor = (10.0 ** (8 - dps)) * scale if dps else 1e-13 * scale
+        g = gaps[i]
+        monotone = all(g[j + 1] <= g[j] + floor for j in range(len(g) - 1))
+        rep = identity_report("penalized_trace_limit", g[-1], 0.0, atol=tol_abs,
+                              scale=scale, seed=s,
+                              params={"gaps": g, "limit": limits[i],
+                                      "t_grid": list(PENALTY_GRID), "dps": dps})
+        return replace(rep, passed=rep.passed and monotone)
+    return stack_reports(np.ndim(limit) == 0, seed, len(limits), report)
 
 
 # ----------------------------------------------------------- derivative form
@@ -231,7 +261,8 @@ def derivative_form_value(big_a, big_b, outer, step):
     def probe(r):
         exponent = PosDefMatrix(big_a.matrix + r[..., None, None] * big_b).log() - log_a
         body = hermitian_fn(exponent, np.exp)
-        return real_trace(outer.conj() @ body @ outer,
+        # one vector product per matrix, not one product with the stack of rows
+        return real_trace(((outer.conj() @ body)[..., None, :] @ outer[:, None])[..., 0, 0],
                           context="derivative probe")
 
     return (probe(step) - probe(-step)) / (2.0 * step)

@@ -29,6 +29,19 @@ ASYMMETRY_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-12
 # Imaginary residue on nominally real traces: discarded below, an error above.
 IMAG_ERROR = 1e-8
+# Complex entries per intermediate of a stacked evaluation, 64 KiB. An
+# evaluation holds a few at once; larger ones swing the heap past glibc's
+# default trim threshold (128 KiB), and every call page-faults fresh memory.
+STACK_BUDGET = 1 << 12
+
+
+def stack_slices(count: int, entries: int) -> list[slice]:
+    """Slices of a stack of ``count`` items, STACK_BUDGET // entries items
+    (at least one) each, ``entries`` being the largest intermediate per
+    item. Every item is evaluated on its own, so its value does not
+    depend on the slices."""
+    step = max(1, STACK_BUDGET // entries)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -136,6 +149,14 @@ def hermitian_fn(h, f) -> np.ndarray:
     but usually indefinite."""
     lam, vec = np.linalg.eigh(hermitize(h))
     return SpectralDecomposition(lam, vec).apply(f)
+
+
+def stack_norm(a) -> np.ndarray:
+    """np.linalg.norm(a[k]) for each k, in its bits: the square root of the
+    dot products of the real and imaginary parts, each a[k] flattened."""
+    flat = np.asarray(a, dtype=complex).reshape(len(a), 1, -1)
+    return np.sqrt((flat.real @ flat.real.swapaxes(-1, -2)
+                    + flat.imag @ flat.imag.swapaxes(-1, -2))[:, 0, 0])
 
 
 def kron_all(mats) -> np.ndarray:

@@ -286,11 +286,12 @@ def test_summary_keeps_nan_gap_as_worst(monkeypatch):
 
     monkeypatch.setitem(camp.CHECKS, "key_identity", camp.CheckSpec(
         "key_identity", "identities", "n", runner, description="x", formula="y"))
-    cfg = _cfg(checks=("key_identity",), trials=2 * camp.CHUNK)
-    for bad in (77, 77 + camp.CHUNK - 1, 77 + camp.CHUNK, 77 + 2 * camp.CHUNK - 1):
+    cfg = _cfg(checks=("key_identity",), trials=40)
+    first, second = camp._chunks(list(range(77, 77 + 40)), 2)  # the two tasks at parallel 2
+    for bad in (first[0], first[-1], second[0], second[-1]):
         for parallel in (1, 2):
             row = run_campaign(replace(cfg, parallel=parallel)).per_check[0]
-            assert row["trials"] == 2 * camp.CHUNK and row["failures"] == 1
+            assert row["trials"] == 40 and row["failures"] == 1
             assert math.isnan(row["worst_abs_gap"]) and math.isnan(row["worst_rel_gap"])
     bad = None
     row = run_campaign(cfg).per_check[0]

@@ -262,11 +262,11 @@ def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
     assert [(r.n, r.seed) for r in errors] == [(3, bad_seed), (4, bad_seed)]
     for r in errors:
         assert r.params["error"].startswith("NonPositiveEigenvalue:")
+    # the neighbours ran again one trial at a time, in the bits of the clean chunk
     others = [r for r in summary.reports if r.kind != "error"]
     assert len(others) == 2 * 19
     for r in others:
-        ref = clean[(r.n, r.seed)]
-        assert r.passed and _close(r.lhs, ref.lhs) and _close(r.rhs, ref.rhs)
+        assert r.passed and r.to_row() == clean[(r.n, r.seed)].to_row()
 
 
 def test_pool_maps_one_task_per_chunk(monkeypatch):
@@ -287,22 +287,29 @@ def test_pool_maps_one_task_per_chunk(monkeypatch):
 
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", ThreadPool)
     monkeypatch.setattr(campaign, "_run_task", recording)
+    monkeypatch.setattr(campaign, "MAX_CHUNK", 16)  # several chunks of 37 seeds
     checks = ("beta_normalization", "jensen_trace")
-    serial = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4)))
-    # the deterministic rows as one task, then the three chunks of the 37
-    # seeds in order, one task each; a serial run claims them in order
     seeds = [4_100 + i for i in range(37)]
-    tasks = [(True, [4_100])] + [(False, seeds[i:i + campaign.CHUNK]) for i in (0, 16, 32)]
-    assert pools == [] and ran == list(enumerate(tasks))
+
+    def tasks(workers):
+        # the deterministic rows as one task, then the chunks of the seeds
+        # in order, one task each, as the chunk rule cuts them
+        return [(True, [4_100])] + [(False, c) for c in campaign._chunks(seeds, workers)]
+
+    serial = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4)))
+    # a serial run claims its tasks in order: 3 chunks of at most 16 seeds
+    assert pools == [] and ran == list(enumerate(tasks(1))) and len(ran) == 4
     for workers in (2, 3, 5, 64):
         pools.clear()
         ran.clear()
         summary = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4), parallel=workers))
         assert summary.reports == serial.reports
         # every task runs once, in this process or in the pool, which has one
-        # worker fewer than the campaign; no more workers than tasks
-        assert sorted(ran) == list(enumerate(tasks))
-        assert pools == [min(workers, 4) - 1]
+        # worker fewer than the campaign; at least one chunk per worker, and
+        # no more workers than tasks
+        assert sorted(ran) == list(enumerate(tasks(workers)))
+        assert len(ran) - 1 >= min(workers, 37)
+        assert pools == [min(workers, len(ran)) - 1]
     # a selection of deterministic rows only is one task, so no pool starts
     pools.clear()
     summary = run_campaign(_engine_cfg(checks=("beta_normalization",
@@ -355,8 +362,10 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
     # a call count, not a timing bound: each chunk draws its chains and its
     # commuting families once, and each per-trial identity row makes its
     # library call once per chunk
+    monkeypatch.setattr(campaign, "MAX_CHUNK", 16)  # 3 chunks of 37 seeds
     cfg = _engine_cfg(checks=None, n_values=(3, 4), trials=37)
-    chunks = -(-cfg.trials // campaign.CHUNK)
+    chunks = len(campaign._chunks(list(range(cfg.trials)), 1))
+    assert chunks == 3
     calls = {}
 
     def counting(name):
@@ -367,10 +376,12 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    # rows per attribute: key_identity at two n; both commutator rows
+    # rows per attribute: key_identity at two n; both commutator rows; the
+    # pairing row once per dimension, d and d^2
     per_chunk = {"draw_posdef": 1, "random_commuting_family": 1,
                  "check_key_identity": 2, "check_commutator_chain": 2,
-                 "check_derivative_form": 1, "power_average_identity_check": 1}
+                 "check_derivative_form": 1, "power_average_identity_check": 1,
+                 "pairing_check": 2, "check_penalized_trace_limit": 1}
     for name in per_chunk:
         monkeypatch.setattr(campaign, name, counting(name))
     summary = run_campaign(cfg)
@@ -391,7 +402,7 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
 
     for name in ("lhs_exp_sum_log", "rhs_power_integral", "rhs_tensor_resolvent"):
         monkeypatch.setattr(inequalities, name, recording(name))
-    cfg = _engine_cfg(suite="inequalities", checks=None, trials=campaign.CHUNK)
+    cfg = _engine_cfg(suite="inequalities", checks=None, trials=16)  # one chunk
     assert run_campaign(cfg).passed
     assert {name: sorted(n) for name, n in lengths.items()} == {
         "lhs_exp_sum_log": [2, 3, 4, 5, 6], "rhs_power_integral": [3, 4, 5, 6],
@@ -411,6 +422,8 @@ def test_derivative_form_takes_the_stored_tensor_side(monkeypatch):
         return real(chain)
 
     monkeypatch.setattr(limits, "rhs_tensor_resolvent", counting)
+    monkeypatch.setattr(campaign, "MAX_CHUNK", 16)  # several chunks of 37 seeds
+    chunks = len(campaign._chunks(list(range(37)), 1))
     rows = {}
     for checks in (None, ("derivative_form",)):
         calls.clear()
@@ -418,7 +431,7 @@ def test_derivative_form_takes_the_stored_tensor_side(monkeypatch):
         assert summary.passed
         rows[checks] = [json.dumps(r.to_row(), sort_keys=True) for r in summary.reports
                         if r.check_id == "derivative_form"]
-        assert calls == ([] if checks is None else [4] * 3)
+        assert calls == ([] if checks is None else [4] * chunks) and chunks > 1
     assert len(rows[None]) == 37 and rows[None] == rows[("derivative_form",)]
 
 
@@ -456,3 +469,71 @@ def test_comparison_table_is_the_runnerless_checks():
         assert campaign.CHECKS[check_id].length == row.length
         assert callable(getattr(inequalities, row.lhs))
         assert callable(getattr(inequalities, row.rhs))
+
+
+def test_chunk_rule():
+    # equal chunks of at most MAX_CHUNK seeds, and at least one per worker
+    def sizes(trials, workers):
+        chunks = campaign._chunks(list(range(trials)), workers)
+        assert sum(chunks, []) == list(range(trials))
+        return [len(c) for c in chunks]
+
+    assert sizes(100, 1) == sizes(100, 2) == [50, 50]
+    assert sizes(50, 1) == [50] and sizes(200, 1) == [50] * 4 and sizes(64, 1) == [64]
+    assert sizes(65, 1) == [32, 33] and sizes(100, 3) == [33, 33, 34]
+    assert sizes(2, 8) == [1, 1]
+    for trials in range(1, 300):
+        for workers in (1, 2, 3, 8):
+            size = sizes(trials, workers)
+            assert max(size) <= campaign.MAX_CHUNK and max(size) - min(size) <= 1
+            assert len(size) >= min(trials, workers)
+
+
+def _trial_rows(cfg):
+    """The campaign's seeded trial rows, as (seed, bytes)."""
+    return [(r.seed, json.dumps(r.to_row(), sort_keys=True)) for r in run_campaign(cfg).reports
+            if not campaign.CHECKS[r.check_id].deterministic]
+
+
+@pytest.mark.parametrize("d, n_values, trials, per_seed, workers",
+                         [(2, (3, 4, 5, 6), 51, 35, ()), (3, (3, 5), 12, 23, (2, 3))])
+def test_trial_bits_do_not_depend_on_the_chunk(monkeypatch, d, n_values, trials, per_seed,
+                                               workers):
+    # suite all, its seeds cut into chunks of 1, 7, 16 and 50: the same
+    # trial bytes every time. Chunks of 1 run on the last 12 seeds, to keep
+    # the test short. At d = 3 also at 2 and 3 workers, which cut it by
+    # the chunk rule (suite all at d = 2 is test_report_bytes_do_not_depend_on_workers)
+    cfg = _engine_cfg(checks=None, local_dim=d, n_values=n_values, trials=trials,
+                      seed=50_000)
+    serial = _trial_rows(cfg)
+    assert len(serial) == per_seed * trials
+    for parallel in workers:
+        assert _trial_rows(replace(cfg, parallel=parallel)) == serial
+    last = cfg.seed + trials - 12
+    for size in (1, 7, 16, 50):
+        monkeypatch.setattr(campaign, "_chunks", lambda seeds, workers: [
+            seeds[i:i + size] for i in range(0, len(seeds), size)])
+        if size == 1:
+            part = replace(cfg, seed=last, trials=12)
+            assert _trial_rows(part) == [row for row in serial if row[0] >= last]
+        else:
+            assert _trial_rows(cfg) == serial
+
+
+def test_one_trial_campaign_reproduces_its_trial_line(tmp_path):
+    # the reproducer of a trial, a campaign of that check, n and seed alone,
+    # writes its trial line byte for byte as the full campaign wrote it
+    cfg = _engine_cfg(checks=None, trials=50, out=str(tmp_path / "all"))
+    lines = {}
+    for line in run_campaign(cfg).lines:
+        row = json.loads(line)
+        lines.setdefault((row["check_id"], row["n"], row["seed"]), []).append(line)
+    seeded = [(spec.check_id, n) for spec in campaign.CHECKS.values()
+              if not spec.deterministic for n in campaign._lengths(spec, cfg)]
+    assert len(seeded) == 34
+    for i, (check_id, n) in enumerate(seeded):
+        seed = cfg.seed + (7 * i) % cfg.trials
+        one = run_campaign(replace(cfg, checks=(check_id,), trials=1, seed=seed,
+                                   n_values=(n,) if n in cfg.n_values else (3,),
+                                   out=str(tmp_path / "one")))
+        assert one.lines == lines[(check_id, n, seed)]

@@ -57,6 +57,18 @@ def test_pairing_report_is_a_residual_with_the_same_verdict(copies):
         assert rep.rel_gap == pytest.approx(gap / scale)
 
 
+@pytest.mark.parametrize("local, copies", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_pairing_stack_reports_each_pair_as_alone(local, copies):
+    # a stack is checked slice by slice within the budget, each pair in
+    # the bits of a lone call (at d = 3, copies = 2, a slice is one pair)
+    rng = np.random.default_rng(45)
+    dim = local ** copies
+    x, y = (rng.normal(size=(37, dim, dim)) + 1j * rng.normal(size=(37, dim, dim))
+            for _ in range(2))
+    assert pairing_check(x, y, copies=copies, seed=list(range(37))) == [
+        pairing_check(a, b, copies=copies, seed=s) for s, (a, b) in enumerate(zip(x, y))]
+
+
 def test_projector_nesting():
     # one pair of squared local dimension equals two nested pairs
     p_two_pairs = projector(2, 2)

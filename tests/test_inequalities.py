@@ -328,6 +328,19 @@ def test_penalized_trace_generic_direction_decays():
     assert check_penalized_trace_limit(a, v, seed=83).passed
 
 
+def test_penalized_trace_stack_reports_each_matrix_as_alone():
+    rng = np.random.default_rng(85)
+    g = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+    a = (g + g.conj().swapaxes(-1, -2)) / 6.0
+    v = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+    assert check_penalized_trace_limit(a, v, seed=list(range(20))) == [
+        check_penalized_trace_limit(m, u, seed=s) for s, (m, u) in enumerate(zip(a, v))]
+    with pytest.raises(DimensionMismatch):  # one direction per matrix
+        penalized_trace_gaps(a, v[0])
+    with pytest.raises(DimensionMismatch):  # the mpmath path takes one matrix
+        penalized_trace_gaps(a, dps=30, eigenvector=-1)
+
+
 def test_penalized_trace_eigenvector_needs_precision():
     rng = np.random.default_rng(84)
     g = rng.normal(size=(3, 3))
