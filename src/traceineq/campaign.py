@@ -23,15 +23,18 @@ claimed by this process and its pool from one counter.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
+import operator
 import os
 import time
 import types
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -61,7 +64,7 @@ from .quadrature import (
     beta_normalization_gap,
     scalar_identity_check,
 )
-from .report import TrialReport, error_report, identity_report
+from .report import TrialReport, as_reports, error_report, identity_report
 
 SUITES = ("identities", "inequalities", "all")
 FORMATS = ("jsonl", "csv")
@@ -197,9 +200,8 @@ def _commuting_equality(fam, seeds):
         values.append(rhs_lieb_three(fam))
     values = np.array(values)
     worst = values[np.abs(values - lhs).argmax(axis=0), np.arange(len(seeds))]
-    return [identity_report("commuting_equality", lo, hi, rtol=1e-8, n=n, seed=seed,
-                            params={"forms": len(values)})
-            for lo, hi, seed in zip(lhs, worst, seeds)]
+    return identity_report("commuting_equality", lhs, worst, rtol=1e-8, n=n, seed=seeds,
+                           params={"forms": len(values)})
 
 
 @dataclass(frozen=True)
@@ -348,38 +350,45 @@ def _evaluate(cfg, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialR
             cfg, spec, n, None if chains is None else chains[i:i + 1], seeds[i:i + 1])]
 
 
+def _draw(cfg, commuting, count, seeds):
+    """The chunk's chains, or its commuting families, of ``count`` matrices;
+    trial i draws from default_rng(seeds[i])."""
+    rngs, lam_range = [np.random.default_rng(seed) for seed in seeds], (cfg.lam_lo, cfg.lam_hi)
+    if commuting:
+        return random_commuting_family(cfg.local_dim, count, rngs, lam_range)
+    return draw_posdef(rngs, cfg.local_dim, lam_range, count=count)
+
+
 def _run_task(task, index) -> list[tuple]:
     """The trials of one task (deterministic, seeds): the deterministic
     rows once, or every seeded (spec, n) row on one chunk of seeds, drawn
-    once at the longest n. Each (commuting, n) prefix chains[:, :n], equal
-    to a draw of n, is cut once: the rows at that length share it, its
-    decomposition and the sides evaluated on it. The full stack is never
-    decomposed, so a matrix past n cannot turn that trial's shorter rows
-    into errors. Per row: its key (check_id, n or -1, index), reports, trial
-    lines if cfg writes any, failures, and worst |gaps|, NaN as the worst."""
+    once at the longest n, whose generators go once drawn. Each
+    (commuting, n) prefix chains[:, :n], equal to a draw of n, is cut once:
+    the rows at that length share it, its decomposition and the sides
+    evaluated on it. The full stack is never decomposed, so a matrix past n
+    cannot turn that trial's shorter rows into errors. Per row, from its
+    reports' columns: its key (check_id, n or -1, index), those columns
+    (plain tuples, which a pool sends back faster than reports), trial
+    lines if cfg writes any (see _blocks), failures, and worst |gaps|, NaN
+    as the worst."""
     cfg, rows, _ = _CONTEXT
     deterministic, seeds = task
-    rows, lam_range = rows[deterministic], (cfg.lam_lo, cfg.lam_hi)
+    rows = rows[deterministic]
     longest = max((n for _, n in rows if n is not None), default=None)
-    stacks = {}
-    for commuting in {spec.commuting for spec, n in rows if n is not None}:
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        stacks[commuting] = (
-            random_commuting_family(cfg.local_dim, longest, rngs, lam_range) if commuting
-            else draw_posdef(rngs, cfg.local_dim, lam_range, count=longest))
+    stacks = {commuting: _draw(cfg, commuting, longest, seeds)
+              for commuting in {spec.commuting for spec, n in rows if n is not None}}
     prefixes = {(c, n): (stacks[c][:, :n], {})
                 for c, n in {(spec.commuting, n) for spec, n in rows if n is not None}}
     groups = []
     for spec, n in rows:
         chains, sides = prefixes.get((spec.commuting, n), (None, None))
         reports = _evaluate(cfg, spec, n, chains, seeds, sides)
-        cells = [r.to_row() for r in reports] if cfg.out else []
-        lines = ([json.dumps({"record": "trial", **row}, sort_keys=True) + "\n"
-                  for row in cells] if cfg.fmt == "jsonl" else
-                 [{k: _csv_cell(v) for k, v in row.items()} for row in cells])
-        groups.append(((spec.check_id, -1 if n is None else n, index), reports, lines,
-                       sum(not r.passed for r in reports),
-                       np.abs([(r.abs_gap, r.rel_gap) for r in reports]).max(axis=0)))
+        columns = dict(zip(TrialReport._fields, zip(*reports)))
+        blocks = _blocks(columns, cfg.fmt) if cfg.out else []
+        groups.append(((spec.check_id, -1 if n is None else n, index), tuple(columns.values()),
+                       _json_lines(blocks) if cfg.fmt == "jsonl" else blocks,
+                       sum(map(operator.not_, columns["passed"])),
+                       np.abs([columns["abs_gap"], columns["rel_gap"]]).max(axis=1)))
     return groups
 
 
@@ -410,7 +419,7 @@ class CampaignSummary:
     config: dict
     runtime_s: float
     reports: list[TrialReport] = field(repr=False, default_factory=list)
-    lines: list = field(repr=False, default_factory=list)  # see _run_task
+    lines: list = field(repr=False, default_factory=list)  # jsonl lines, or csv _blocks
 
     def to_text(self) -> str:
         lines = [f"{'check':32s} {'trials':>7s} {'fail':>5s} "
@@ -429,11 +438,11 @@ def _summarize(cfg, groups, runtime_s) -> CampaignSummary:
     """Join the groups in (check, n, task) order, which is (check, n, seed)
     order, and merge their partials; np.maximum keeps NaN as the worst gap."""
     reports, lines, per = [], [], {}
-    for (check_id, _, _), group_reports, group_lines, fails, worst in sorted(groups):
-        reports += group_reports
+    for (check_id, _, _), columns, group_lines, fails, worst in sorted(groups):
+        reports += as_reports(zip(*columns))
         lines += group_lines
         trials, failures, so_far = per.get(check_id, (0, 0, worst))
-        per[check_id] = (trials + len(group_reports), failures + fails,
+        per[check_id] = (trials + len(columns[0]), failures + fails,
                          np.maximum(so_far, worst))
     per_rows = [{"check_id": check_id, "trials": trials, "failures": failures,
                  "worst_abs_gap": float(worst[0]), "worst_rel_gap": float(worst[1])}
@@ -479,7 +488,16 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     return summary
 
 
-# ------------------------------------------------------------------ writers
+# ------------------------------------------------------------- trial lines
+# A row's trial lines are those of json.dumps({"record": "trial",
+# **r.to_row()}, sort_keys=True) and of _csv_cell on each cell of
+# r.to_row(), but made column by column: a cell every trial shares is
+# written once, the others a column at a time, and each line fills a
+# template with its own cells.
+
+_JSON = json.JSONEncoder(sort_keys=True).encode  # json.dumps(value, sort_keys=True)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
+
 
 def _csv_cell(value) -> str:
     """One csv cell as csv.writer writes it, but floats as repr."""
@@ -488,12 +506,77 @@ def _csv_cell(value) -> str:
     return '"' + text.replace('"', '""') + '"' if quote else text
 
 
-def _write_csv(path, echo, fieldnames, rows):
-    """Config echo line, header, then one line per row of cells."""
+def _cells(values, fmt) -> list[str]:
+    """A column's cells: in one pass when all values are ints or all are
+    floats (json writes NaN and inf its own way), else value by value."""
+    types = set(map(type, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    if types == {float}:
+        texts = list(map(float.__repr__, values))
+        if fmt == "csv" or all(map(math.isfinite, values)):
+            return texts
+        return [_NONFINITE.get(text, text) for text in texts]
+    return list(map(_JSON if fmt == "jsonl" else _csv_cell, values))
+
+
+def _blocks(columns, fmt) -> list[tuple[dict, list]]:
+    """A row's trial cells, from its reports' columns by field name, in
+    runs of consecutive trials with the same params keys (an error trial
+    starts its own). Per run, ({key: the cell every trial holds when all
+    hold one object, else None}, in key order; [per trial, the tuple of
+    its other cells, in key order])."""
+    params = columns["params"]
+    ends = [i for i in range(1, len(params)) if params[i] is not params[i - 1]
+            and params[i].keys() != params[i - 1].keys()] + [len(params)]
+    blocks, start = [], 0
+    for end in ends:
+        named = [(key, values[start:end]) for key, values in columns.items()
+                 if key != "params"]
+        named += [(f"p_{k}", [p[k] for p in params[start:end]]) for k in params[start]]
+        if fmt == "jsonl":
+            named.append(("record", ("trial",) * (end - start)))
+        shared, varying = {}, []
+        for key, values in sorted(named, key=lambda item: item[0]):
+            if all(map(operator.is_, values, itertools.repeat(values[0]))):
+                shared[key] = _cells(values[:1], fmt)[0]
+            else:
+                shared[key] = None
+                varying.append(_cells(values, fmt))
+        blocks.append((shared, list(zip(*varying)) if varying else [()] * (end - start)))
+        start = end
+    return blocks
+
+
+def _slot(cell) -> str:
+    """A cell in a line template: itself, or a slot for each line's own."""
+    return "%s" if cell is None else cell.replace("%", "%%")
+
+
+def _json_lines(blocks) -> list[str]:
+    """Each trial's jsonl line."""
+    lines = []
+    for shared, rows in blocks:
+        template = "{" + ", ".join(f"{encode_basestring_ascii(key)}: {_slot(cell)}"
+                                   for key, cell in shared.items()) + "}\n"
+        lines += map(template.__mod__, rows)
+    return lines
+
+
+def _csv_lines(blocks, fieldnames):
+    """Each trial's cells under the fieldnames, empty where it has none."""
+    return itertools.chain.from_iterable(
+        map((",".join(_slot(shared.get(key, "")) for key in fieldnames) + "\r\n").__mod__, rows)
+        for shared, rows in blocks)
+
+
+# ------------------------------------------------------------------ writers
+
+def _write_csv(path, echo, fieldnames, lines):
+    """Config echo line, header, then the lines."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config {echo}\n" + ",".join(map(_csv_cell, fieldnames)) + "\r\n")
-        fh.writelines(",".join([row.get(k, "") for k in fieldnames]) + "\r\n"
-                      for row in rows)
+        fh.writelines(lines)
 
 
 def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
@@ -503,7 +586,9 @@ def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
     formatted. Bodies are deterministic functions of the configuration:
     trials are sorted, floats use repr, and no timestamps or durations appear.
     """
-    if len(summary.lines) != summary.trial_count:  # the campaign ran without out
+    made = (len(summary.lines) if cfg.fmt == "jsonl"
+            else sum(len(rows) for _, rows in summary.lines))
+    if made != summary.trial_count:  # the campaign ran without out
         raise ValueError("the summary holds no trial lines; run the campaign with out set")
     base = cfg.out
     os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
@@ -514,11 +599,12 @@ def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
             fh.writelines([json.dumps({"record": "config", "config": summary.config},
                                       sort_keys=True) + "\n", *summary.lines])
     else:
-        _write_csv(path, echo, sorted(set().union(*summary.lines)), summary.lines)
+        fieldnames = sorted(set().union(*(shared for shared, _ in summary.lines)))
+        _write_csv(path, echo, fieldnames, _csv_lines(summary.lines, fieldnames))
     spath = base + ".summary.csv"
-    _write_csv(spath, echo, ["check_id", "trials", "failures", "worst_abs_gap",
-                             "worst_rel_gap"],
-               [{k: _csv_cell(v) for k, v in row.items()} for row in summary.per_check])
+    fieldnames = ["check_id", "trials", "failures", "worst_abs_gap", "worst_rel_gap"]
+    _write_csv(spath, echo, fieldnames, [",".join(_csv_cell(row[k]) for k in fieldnames)
+                                         + "\r\n" for row in summary.per_check])
     return [path, spath]
 
 

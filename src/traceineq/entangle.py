@@ -18,7 +18,7 @@ import numpy as np
 from .combinatorics import shape_params, slot_sources, thue_morse
 from .errors import DimensionCap, DimensionMismatch
 from .linalg import kron_all, stack_norm, stack_slices
-from .report import identity_report, stack_reports
+from .report import identity_report
 
 DIM_CAP = 3 ** 8  # total tensor dimension ceiling of the factored tensor routes
 DENSE_CAP = 512  # the same with dense=True, for the derivative form's D x D operands
@@ -65,9 +65,10 @@ def pairing_check(x, y, copies: int = 1, atol: float = 1e-12, seed=None):
     gaps = np.trace(xs @ ys, axis1=-2, axis2=-1) - paired[:, 0, 0]
     gaps = np.hypot(gaps.real, gaps.imag)  # as abs() of one complex number
     scales = np.maximum(1.0, stack_norm(xs) * stack_norm(ys))
-    return stack_reports(x.ndim == 2, seed, len(gaps), lambda i, s: identity_report(
-        "pairing_identity", gaps[i], 0.0, atol=0.0, rtol=atol, scale=float(scales[i]),
-        seed=s, params={"copies": copies, "dim": dim}))
+    if x.ndim == 2:
+        gaps, scales = gaps[0], scales[0]
+    return identity_report("pairing_identity", gaps, 0.0, atol=0.0, rtol=atol, scale=scales,
+                           seed=seed, params={"copies": copies, "dim": dim})
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .linalg import (
     stack_slices,
 )
 from .quadrature import beta_density, real_line_rule
-from .report import identity_report, inequality_report, stack_reports
+from .report import identity_report, inequality_report
 
 
 def _coerce_chain(mats, min_len=3, exact=None):
@@ -290,16 +290,19 @@ def check_key_identity(mats, seed=None):
     t = np.array(KEY_T_GRID)
     pairs = np.stack([chain_product_trace(chain, t), tensor_pair_trace(chain, t)], axis=-1)
     gaps = np.abs(pairs[..., 0] - pairs[..., 1]) / np.abs(pairs).max(axis=-1)
-
-    def report(k, s):
-        # a NaN gap (the last) fails the trial; else the first t within 4 eps
-        # of the largest gap, so gaps at roundoff level keep their t
-        gap, nan = gaps[k], np.flatnonzero(np.isnan(gaps[k]))
-        i = nan[-1] if nan.size else np.argmax(gap >= gap.max() - 4 * np.finfo(float).eps)
-        return identity_report("key_identity", *pairs[k, i], rtol=1e-9,
-                               n=chain.matrix.shape[1], seed=s,
-                               params={"t_worst": KEY_T_GRID[i], "t_grid": list(KEY_T_GRID)})
-    return stack_reports(single, seed, len(gaps), report)
+    # a NaN gap (the last) fails the trial; else the first t within 4 eps
+    # of the largest gap, so gaps at roundoff level keep their t
+    nan = np.isnan(gaps)
+    near = gaps >= gaps.max(axis=-1, keepdims=True) - 4 * np.finfo(float).eps
+    worst = np.where(nan.any(axis=-1), t.size - 1 - nan[:, ::-1].argmax(axis=-1),
+                     near.argmax(axis=-1))
+    lhs, rhs = pairs[np.arange(len(gaps)), worst].T
+    t_grid = list(KEY_T_GRID)
+    params = [{"t_worst": KEY_T_GRID[i], "t_grid": t_grid} for i in worst.tolist()]
+    if single:
+        lhs, rhs, params = lhs[0], rhs[0], params[0]
+    return identity_report("key_identity", lhs, rhs, rtol=1e-9, n=chain.matrix.shape[1],
+                           seed=seed, params=params)
 
 
 # ------------------------------------------------------------- comparisons
@@ -345,9 +348,11 @@ def compare(check_id, mats, *, seed=None, sides=None):
     for name in (row.lhs, row.rhs):
         if name not in sides:
             sides[name] = globals()[name](chain)
-    lhs, rhs, verdict = sides[row.lhs], sides[row.rhs], globals()[row.verdict]
-    return stack_reports(single, seed, len(lhs), lambda i, s: verdict(
-        check_id, lhs[i], rhs[i], n=chain.matrix.shape[1], seed=s, **row.tol))
+    lhs, rhs = sides[row.lhs], sides[row.rhs]
+    if single:
+        lhs, rhs = lhs[0], rhs[0]
+    return globals()[row.verdict](check_id, lhs, rhs, n=chain.matrix.shape[1], seed=seed,
+                                  **row.tol)
 
 
 def check_tensor_resolvent(mats, seed=None):

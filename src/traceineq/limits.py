@@ -9,8 +9,6 @@ derivative that reproduces the tensor right side.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRange, StepTooLarge
@@ -33,7 +31,7 @@ from .linalg import (
     stack_slices,
 )
 from .quadrature import half_line_rule
-from .report import identity_report, stack_reports
+from .report import identity_report
 
 
 # ---------------------------------------------------------- commutator chain
@@ -112,9 +110,8 @@ def check_commutator_chain(a1, a2, atol: float = 1e-6, seed=None,
                     for i in range(len(exprs)) for j in range(i + 1, len(exprs))], axis=0)
     scales = np.maximum(1.0, np.linalg.norm(a1.matrix, axis=(-2, -1))
                         * np.linalg.norm(a2.matrix, axis=(-2, -1)))
-    return stack_reports(worst.ndim == 0, seed, worst.size, lambda i, s: identity_report(
-        check_id, worst.flat[i], 0.0, atol=0.0, rtol=atol, scale=float(scales.flat[i]),
-        n=2, seed=s, params={"dim": a1.dim}))
+    return identity_report(check_id, worst, 0.0, atol=0.0, rtol=atol, scale=scales, n=2,
+                           seed=seed, params={"dim": a1.dim})
 
 
 # ------------------------------------------------------ penalized trace limit
@@ -222,20 +219,18 @@ def check_penalized_trace_limit(a, v=None, dps: int | None = None,
     floor) and the final gap is below ``tol_abs``. A stack of matrices
     and directions gives one report per matrix, given a list of seeds."""
     limit, gaps = penalized_trace_gaps(a, v, dps, eigenvector=eigenvector)
-    limits = np.reshape(limit, -1).tolist()
-    gaps = np.reshape(gaps, (len(limits), -1)).tolist()
-
-    def report(i, s):
-        scale = max(1.0, limits[i])
-        floor = (10.0 ** (8 - dps)) * scale if dps else 1e-13 * scale
-        g = gaps[i]
-        monotone = all(g[j + 1] <= g[j] + floor for j in range(len(g) - 1))
-        rep = identity_report("penalized_trace_limit", g[-1], 0.0, atol=tol_abs,
-                              scale=scale, seed=s,
-                              params={"gaps": g, "limit": limits[i],
-                                      "t_grid": list(PENALTY_GRID), "dps": dps})
-        return replace(rep, passed=rep.passed and monotone)
-    return stack_reports(np.ndim(limit) == 0, seed, len(limits), report)
+    single, limits = np.ndim(limit) == 0, np.reshape(limit, -1)
+    gaps = np.reshape(gaps, (len(limits), -1))
+    scale = np.where(limits > 1.0, limits, 1.0)  # max(1.0, limit)
+    floor = ((10.0 ** (8 - dps)) if dps else 1e-13) * scale
+    monotone = (gaps[:, 1:] <= gaps[:, :-1] + floor[:, None]).all(axis=-1).tolist()
+    t_grid = list(PENALTY_GRID)
+    params = [{"gaps": g, "limit": lim, "t_grid": t_grid, "dps": dps}
+              for g, lim in zip(gaps.tolist(), limits.tolist())]
+    reports = [r._replace(passed=r.passed and m) for r, m in zip(identity_report(
+        "penalized_trace_limit", gaps[:, -1], 0.0, atol=tol_abs, scale=scale,
+        seed=[seed] if single else seed, params=params), monotone)]
+    return reports[0] if single else reports
 
 
 # ----------------------------------------------------------- derivative form
@@ -302,8 +297,10 @@ def check_derivative_form(mats, seed=None, sides=None):
     steps, fd_full, fd_half = _sliced(_quotients, chain, size * size).T
     err_full, err_half = np.abs(fd_full - exact).tolist(), np.abs(fd_half - exact).tolist()
     extrapolated = (4.0 * fd_half - fd_full) / 3.0
-    return stack_reports(single, seed, len(exact), lambda i, s: identity_report(
-        "derivative_form", extrapolated[i], exact[i], atol=1e-5, rtol=1e-5,
-        n=chain.matrix.shape[1], seed=s,
-        params={"step": float(steps[i]), "err_full": err_full[i], "err_half": err_half[i],
-                "halving_ratio": err_half[i] / err_full[i] if err_full[i] > 0 else 0.0}))
+    params = [{"step": step, "err_full": full, "err_half": half,
+               "halving_ratio": half / full if full > 0 else 0.0}
+              for step, full, half in zip(steps.tolist(), err_full, err_half)]
+    if single:
+        extrapolated, exact, params = extrapolated[0], exact[0], params[0]
+    return identity_report("derivative_form", extrapolated, exact, atol=1e-5, rtol=1e-5,
+                           n=chain.matrix.shape[1], seed=seed, params=params)

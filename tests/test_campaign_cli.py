@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import traceineq
-from traceineq import CHECKS, CampaignConfig, ConfigError, UnknownCheck, run_campaign
+from traceineq import (
+    CHECKS,
+    CampaignConfig,
+    ConfigError,
+    TrialReport,
+    UnknownCheck,
+    campaign,
+    run_campaign,
+)
 from traceineq.campaign import config_from, load_config_file, selected_checks
 from traceineq.cli import _flag_overrides, build_parser, main
 
@@ -201,6 +209,75 @@ def test_csv_format(tmp_path):
     assert lines[0].startswith("# config ")
     assert "check_id" in lines[1].split(",")
     assert len(lines) == 2 + 2 * 2  # header rows + trials x copies
+
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5)
+MESSAGE = 'one, "two"\nthree \u00e9\u4e2d'
+
+
+def _edge_runner(cfg, chains, seeds, sides):
+    """Reports holding edge values; a chunk holding seed 79 or 82 raises, so
+    every trial runs alone and those two error rows sit among the others."""
+    if 79 in seeds or 82 in seeds:
+        raise UnknownCheck(MESSAGE)
+    reports = []
+    for seed in seeds:
+        k = seed - 77
+        reports.append(TrialReport(
+            "key_identity", "identity", EDGE_VALUES[k % 7], EDGE_VALUES[(k + 3) % 7],
+            EDGE_VALUES[(k + 5) % 7], EDGE_VALUES[(k + 1) % 7], 1e-9, 0.0 if k % 2 else -0.0,
+            k % 2 == 0, None if k % 3 == 0 else 3, seed,
+            {"x": np.float64(seed / 3), "flag": k % 2 == 1, "t_grid": [0.0, -0.0, 1e16],
+             "gaps": [float(seed), math.nan], "note": MESSAGE if k == 6 else "plain"}))
+    return reports
+
+
+def _reference_lines(reports, fmt):
+    """The trial lines as json.dumps and _csv_cell write each report's
+    to_row(); for csv, the header and rows under the sorted union of columns."""
+    if fmt == "jsonl":
+        return [json.dumps({"record": "trial", **r.to_row()}, sort_keys=True) + "\n"
+                for r in reports]
+    rows = [{k: campaign._csv_cell(v) for k, v in r.to_row().items()} for r in reports]
+    fields = sorted(set().union(*rows))
+    return [",".join(map(campaign._csv_cell, fields)) + "\r\n"] + [
+        ",".join(row.get(k, "") for k in fields) + "\r\n" for row in rows]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_trial_lines_are_the_rows_json_and_csv_write(tmp_path, monkeypatch, fmt):
+    # formatted a column at a time, the lines are still those of each report
+    # alone: on real rows, on edge values and on error rows among them
+    out = str(tmp_path / "real")
+    summary = run_campaign(_cfg(suite="all", n_values=(3, 4), trials=3, out=out, fmt=fmt))
+    runs = [(summary, out)]
+    monkeypatch.setitem(CHECKS, "key_identity", campaign.CheckSpec(
+        "key_identity", "identities", "n", _edge_runner, description="x", formula="y"))
+    out = str(tmp_path / "edge")
+    summary = run_campaign(_cfg(checks=("key_identity", "beta_normalization"), trials=8,
+                                out=out, fmt=fmt))
+    kinds = [r.kind for r in summary.reports if r.check_id == "key_identity"]
+    assert kinds == ["identity"] * 2 + ["error"] + ["identity"] * 2 + ["error"] + ["identity"] * 2
+    runs.append((summary, out))
+    for summary, out in runs:
+        head, body = Path(f"{out}.trials.{fmt}").read_bytes().decode().split("\n", 1)
+        assert "config" in head
+        assert body == "".join(_reference_lines(summary.reports, fmt))
+        if fmt == "jsonl":
+            assert summary.lines == _reference_lines(summary.reports, fmt)
+
+
+def test_params_json_cannot_hold_fail_the_writer(monkeypatch):
+    def runner(cfg, chains, seeds, sides):
+        return [TrialReport("key_identity", "identity", 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, True,
+                            3, seed, {"count": np.int64(seed)}) for seed in seeds]
+
+    monkeypatch.setitem(CHECKS, "key_identity", campaign.CheckSpec(
+        "key_identity", "identities", "n", runner, description="x", formula="y"))
+    cfg = _cfg(checks=("key_identity",))
+    assert run_campaign(cfg).passed  # nothing to write, nothing to fail
+    with pytest.raises(TypeError, match="int64"):
+        run_campaign(replace(cfg, out=os.devnull))
 
 
 def _builtin(value):

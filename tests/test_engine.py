@@ -5,6 +5,7 @@ import csv
 import json
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -35,7 +36,7 @@ from traceineq import (
     scaled_exponential_lhs,
     tensor_pair_trace,
 )
-from traceineq import campaign, inequalities, limits
+from traceineq import campaign, entangle, frechet, inequalities, limits, quadrature
 from traceineq.errors import NonFinite
 from traceineq.inequalities import COMPARISONS
 from traceineq.quadrature import beta_density
@@ -407,6 +408,44 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
     assert {name: sorted(n) for name, n in lengths.items()} == {
         "lhs_exp_sum_log": [2, 3, 4, 5, 6], "rhs_power_integral": [3, 4, 5, 6],
         "rhs_tensor_resolvent": [3, 4, 5, 6]}
+
+
+def test_verdicts_and_json_run_per_row_not_per_trial(tmp_path, monkeypatch):
+    # call counts, not timing bounds: every row makes one verdict call per
+    # chunk (pairing_identity one per dimension), and no JSON encoder runs
+    # once per trial
+    monkeypatch.setattr(campaign, "MAX_CHUNK", 16)  # 3 chunks of 37 seeds
+    calls = Counter()
+
+    def counting(real, key):
+        def call(*args, **kwargs):
+            calls[key(args)] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for module in (campaign, inequalities, frechet, limits, entangle, quadrature):
+        for name in ("identity_report", "inequality_report"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name),
+                                                           lambda args: args[0]))
+    cfg = _engine_cfg(checks=None, n_values=(3, 4), trials=37)
+    assert run_campaign(cfg).passed
+    expected = {spec.check_id: 3 * len(campaign._lengths(spec, cfg))
+                * (2 if spec.check_id == "pairing_identity" else 1)
+                for spec in campaign.CHECKS.values() if not spec.deterministic}
+    assert calls == dict(expected, beta_normalization=1,
+                         scalar_power_identity=len(campaign.SCALAR_GRID) ** 2)
+
+    monkeypatch.setattr(json, "dumps", counting(json.dumps, lambda args: "json"))
+    monkeypatch.setattr(campaign, "_JSON", counting(campaign._JSON, lambda args: "json"))
+    monkeypatch.setattr(campaign, "MAX_CHUNK", 64)
+    counts = []
+    for trials in (8, 60):  # one chunk each
+        calls.clear()
+        run_campaign(_engine_cfg(suite="inequalities", checks=None, trials=trials,
+                                 out=str(tmp_path / "run")))
+        counts.append(calls["json"])
+    assert counts[0] == counts[1]
 
 
 def test_derivative_form_takes_the_stored_tensor_side(monkeypatch):
