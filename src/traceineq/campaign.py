@@ -18,15 +18,14 @@ seed and the configuration alone, never on its chunk: every stacked
 evaluation sums each chain in one order, whatever the stack. So reports
 do not depend on the chunk size or the worker count, and a one-trial
 campaign reproduces a trial of a larger one bit for bit. One function
-runs every task, one per chunk and one for the deterministic rows,
-claimed by this process and its pool from one counter.
+runs every task, one per chunk and one for the deterministic rows;
+process w of W runs tasks w, w + W, w + 2W, ..., and this process is 0.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import multiprocessing
 import operator
 import os
 import time
@@ -45,6 +44,7 @@ from .entangle import build_layout, pairing_check
 from .errors import ConfigError, DimensionCap, TraceIneqError, UnknownCheck
 from .frechet import power_average_identity_check
 from .inequalities import (
+    COMPARISONS,
     check_key_identity,
     compare,
     lhs_exp_sum_log,
@@ -139,9 +139,6 @@ class CampaignConfig:
         return d
 
 
-_CONTEXT: tuple = (None, None, None)  # the running campaign's config, _rows(cfg), counter
-
-
 # ------------------------------------------------------------------ checks
 # A runner maps (cfg, chains, seeds, sides) to a list of TrialReports, where
 # seeds is one chunk of trial seeds and chains their stack of chains, cut to
@@ -151,9 +148,9 @@ _CONTEXT: tuple = (None, None, None)  # the running campaign's config, _rows(cfg
 # Checks that build their own inputs draw them per seed, from
 # default_rng(seed) as a lone trial would, and evaluate the chunk as one
 # stack. The two-sided checks have no runner: they are the rows of
-# inequalities.COMPARISONS, evaluated by compare. Library functions are
-# looked up as module globals at call time, never captured when the table
-# is built.
+# inequalities.COMPARISONS, at their chain lengths there (_compared), and
+# are evaluated by compare. Library functions are looked up as module
+# globals at call time, never captured when the table is built.
 
 def _run_beta_normalization(cfg, chains, seeds, sides):
     return [identity_report("beta_normalization", 1.0 + beta_normalization_gap(), 1.0,
@@ -218,6 +215,11 @@ class CheckSpec:
     dense: bool = False  # and its dense D x D operands
 
 
+def _compared(check_id, suite, **kw) -> CheckSpec:
+    """The CHECKS row of a COMPARISONS row, at that row's chain length."""
+    return CheckSpec(check_id, suite, COMPARISONS[check_id].length, None, **kw)
+
+
 CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
     CheckSpec("beta_normalization", "identities", None, _run_beta_normalization,
         deterministic=True,
@@ -246,12 +248,11 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "entangled pairing of the slotted tensor powers.",
         formula="Tr[A_n A_{n-1}^{s+} .. A_1 .. A_{n-1}^{s-}] = "
                 "<Omega| W^{s+} B W^{s-} |Omega>"),
-    CheckSpec("equivalence_integral_tensor", "identities", "n", None,
-        layout_aware=True,
+    _compared("equivalence_integral_tensor", "identities", layout_aware=True,
         description="The integrated power form equals the tensor log-derivative "
                     "form on the same chain.",
         formula="avg_t Tr[chain(t)] = <Omega| T_A(B) |Omega>"),
-    CheckSpec("lieb_equivalence", "identities", 3, None,
+    _compared("lieb_equivalence", "identities",
         description="For triples the integral form collapses to the three-matrix "
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
@@ -284,24 +285,22 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
 
-    CheckSpec("golden_thompson", "inequalities", 2, None,
+    _compared("golden_thompson", "inequalities",
         description="Two-matrix exponential product bound.",
         formula="Tr exp(log A1 + log A2) <= Tr[A1 A2]"),
-    CheckSpec("lieb_three", "inequalities", 3, None,
+    _compared("lieb_three", "inequalities",
         description="Three-matrix bound through the log-derivative operator.",
         formula="Tr exp(log A1 + log A2 + log A3) <= Tr[A3 T_{A2^{-1}}(A1)]"),
-    CheckSpec("power_integral", "inequalities", "n", None,
+    _compared("power_integral", "inequalities",
         description="n-matrix bound by the beta-averaged complex-power chain.",
         formula="Tr exp(sum log A_k) <= avg_t Tr[A_n .. A_2^{s+} A1 A_2^{s-} ..]"),
-    CheckSpec("tensor_resolvent", "inequalities", "n", None,
-        layout_aware=True,
+    _compared("tensor_resolvent", "inequalities", layout_aware=True,
         description="The same bound in closed tensor form.",
         formula="Tr exp(sum log A_k) <= <Omega| T_A(B) |Omega>"),
-    CheckSpec("scaled_exponential", "inequalities", 4, None,
-        layout_aware=True,
+    _compared("scaled_exponential", "inequalities", layout_aware=True,
         description="Dimension-scaled refinement for quadruples.",
         formula="d exp((1/d) Tr sum log A_k) <= <Omega| T_A(B) |Omega>"),
-    CheckSpec("jensen_trace", "inequalities", "n", None,
+    _compared("jensen_trace", "inequalities",
         description="Convexity baseline relating the two left-side scalings.",
         formula="d exp((1/d) Tr M) <= Tr exp M,  M = sum log A_k"),
 )}
@@ -359,19 +358,18 @@ def _draw(cfg, commuting, count, seeds):
     return draw_posdef(rngs, cfg.local_dim, lam_range, count=count)
 
 
-def _run_task(task, index) -> list[tuple]:
-    """The trials of one task (deterministic, seeds): the deterministic
-    rows once, or every seeded (spec, n) row on one chunk of seeds, drawn
-    once at the longest n, whose generators go once drawn. Each
-    (commuting, n) prefix chains[:, :n], equal to a draw of n, is cut once:
-    the rows at that length share it, its decomposition and the sides
-    evaluated on it. The full stack is never decomposed, so a matrix past n
-    cannot turn that trial's shorter rows into errors. Per row, from its
-    reports' columns: its key (check_id, n or -1, index), those columns
-    (plain tuples, which a pool sends back faster than reports), trial
-    lines if cfg writes any (see _blocks), failures, and worst |gaps|, NaN
-    as the worst."""
-    cfg, rows, _ = _CONTEXT
+def _run_task(cfg, rows, task, index) -> list[tuple]:
+    """The trials of task ``index``, (deterministic, seeds), under rows =
+    _rows(cfg): the deterministic rows once, or every seeded (spec, n) row
+    on one chunk of seeds, drawn once at the longest n, whose generators
+    go once drawn. Each (commuting, n) prefix chains[:, :n], equal to a
+    draw of n, is cut once: the rows at that length share it, its
+    decomposition and the sides evaluated on it. The full stack is never
+    decomposed, so a matrix past n cannot turn that trial's shorter rows
+    into errors. Per row, from its reports' columns: its key (check_id, n
+    or -1, index), those columns (plain tuples, which a pool sends back
+    faster than reports), trial lines if cfg writes any (see _blocks),
+    failures, and worst |gaps|, NaN as the worst."""
     deterministic, seeds = task
     rows = rows[deterministic]
     longest = max((n for _, n in rows if n is not None), default=None)
@@ -392,22 +390,12 @@ def _run_task(task, index) -> list[tuple]:
     return groups
 
 
-def _enter(cfg, claims) -> None:
-    """The pool's initializer: a worker run_campaign did not fork builds its rows."""
-    global _CONTEXT
-    _CONTEXT = (cfg, _CONTEXT[1] or _rows(cfg), claims)
-
-
-def _run_claimed(tasks) -> list[tuple]:
-    """Run tasks, each claimed as the next index of the campaign's counter,
-    until none are left; the groups of the tasks run here."""
-    claims, groups = _CONTEXT[2], []
-    while True:
-        with claims.get_lock():
-            i, claims.value = claims.value, claims.value + 1
-        if i >= len(tasks):
-            return groups
-        groups += _run_task(tasks[i], i)
+def _run_share(cfg, tasks, first, step) -> list[tuple]:
+    """The groups of tasks first, first + step, ...: one process's share,
+    under rows built from CHECKS as this process sees it."""
+    rows = _rows(cfg)
+    return [group for i in range(first, len(tasks), step)
+            for group in _run_task(cfg, rows, tasks[i], i)]
 
 
 @dataclass(frozen=True)
@@ -463,10 +451,9 @@ def _chunks(seeds: list, workers: int) -> list[list]:
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
-    global _CONTEXT
     cfg = cfg.validate()
     start = time.perf_counter()
-    rows = _rows(cfg)  # from CHECKS as it is now; forked workers inherit them
+    rows = _rows(cfg)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     workers = cfg.parallel or cores or 1
@@ -474,14 +461,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     tasks = [(True, [cfg.seed])] + [(False, chunk) for chunk in _chunks(seeds, workers)]
     tasks = [task for task in tasks if rows[task[0]]]  # none without rows
     workers = min(workers, len(tasks))
-    # this process claims tasks too, from the start, while the pool forks
-    _CONTEXT = (cfg, rows, multiprocessing.Value("i", 0) if workers > 1
-                else types.SimpleNamespace(value=0, get_lock=nullcontext))
-    pool = (ProcessPoolExecutor(max_workers=workers - 1, initializer=_enter,
-                                initargs=(cfg, _CONTEXT[2])) if workers > 1 else nullcontext())
+    # process w of the workers runs share w; this process runs share 0
+    # while the pool forks
+    pool = ProcessPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext()
     with pool:
-        futures = [pool.submit(_run_claimed, tasks) for _ in range(workers - 1)]
-        groups = _run_claimed(tasks) + [g for f in futures for g in f.result()]
+        futures = [pool.submit(_run_share, cfg, tasks, w, workers) for w in range(1, workers)]
+        groups = _run_share(cfg, tasks, 0, workers) + [g for f in futures for g in f.result()]
     summary = _summarize(cfg, groups, time.perf_counter() - start)
     if cfg.out:
         write_reports(cfg, summary)

@@ -5,6 +5,7 @@ import csv
 import json
 import multiprocessing
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
@@ -276,21 +277,32 @@ def test_pool_maps_one_task_per_chunk(monkeypatch):
 
     class ThreadPool(ThreadPoolExecutor):
         """The pool's workers as threads of this process, so the tasks they
-        claim are recorded here; records the worker count asked for."""
+        run are recorded here; records the worker count asked for. Each
+        submitted share waits until every share has started, so no thread
+        runs two."""
 
         def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
+            self.started = threading.Barrier(max_workers, timeout=30)
             super().__init__(max_workers, **kwargs)
 
-    def recording(task, index):
-        ran.append((index, task))
-        return real_run_task(task, index)
+        def submit(self, fn, /, *args, **kwargs):
+            def share():
+                self.started.wait()
+                return fn(*args, **kwargs)
+
+            return super().submit(share)
+
+    def recording(cfg, rows, task, index):
+        ran.append((index, task, threading.get_ident()))
+        return real_run_task(cfg, rows, task, index)
 
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", ThreadPool)
     monkeypatch.setattr(campaign, "_run_task", recording)
     monkeypatch.setattr(campaign, "MAX_CHUNK", 16)  # several chunks of 37 seeds
     checks = ("beta_normalization", "jensen_trace")
     seeds = [4_100 + i for i in range(37)]
+    main = threading.get_ident()
 
     def tasks(workers):
         # the deterministic rows as one task, then the chunks of the seeds
@@ -298,19 +310,28 @@ def test_pool_maps_one_task_per_chunk(monkeypatch):
         return [(True, [4_100])] + [(False, c) for c in campaign._chunks(seeds, workers)]
 
     serial = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4)))
-    # a serial run claims its tasks in order: 3 chunks of at most 16 seeds
-    assert pools == [] and ran == list(enumerate(tasks(1))) and len(ran) == 4
+    # a serial run is share 0 of 1: its tasks in order, 3 chunks of at most 16 seeds
+    assert pools == [] and ran == [(i, t, main) for i, t in enumerate(tasks(1))]
+    assert len(ran) == 4
     for workers in (2, 3, 5, 64):
         pools.clear()
         ran.clear()
         summary = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4), parallel=workers))
         assert summary.reports == serial.reports
-        # every task runs once, in this process or in the pool, which has one
-        # worker fewer than the campaign; at least one chunk per worker, and
-        # no more workers than tasks
-        assert sorted(ran) == list(enumerate(tasks(workers)))
+        # every task runs once, at least one chunk per worker, and no more
+        # workers than tasks; the pool has one worker fewer than the campaign
+        assert sorted((i, t) for i, t, _ in ran) == list(enumerate(tasks(workers)))
         assert len(ran) - 1 >= min(workers, 37)
-        assert pools == [min(workers, len(ran)) - 1]
+        step = min(workers, len(ran))
+        assert pools == [step - 1]
+        # this thread runs tasks 0, W, 2W, ...; each pool thread one other
+        # residue class modulo W
+        shares = {}
+        for i, _, thread in ran:
+            shares.setdefault(thread, set()).add(i)
+        assert shares.pop(main) == set(range(0, len(ran), step))
+        assert sorted(map(sorted, shares.values())) == [list(range(r, len(ran), step))
+                                                        for r in range(1, step)]
     # a selection of deterministic rows only is one task, so no pool starts
     pools.clear()
     summary = run_campaign(_engine_cfg(checks=("beta_normalization",
@@ -318,16 +339,29 @@ def test_pool_maps_one_task_per_chunk(monkeypatch):
     assert summary.passed and pools == []
 
 
-def test_spawned_workers_share_the_counter(monkeypatch):
-    # a worker that was not forked gets the counter and builds its rows
-    # through the pool's initializer
+def test_spawned_workers_build_their_rows(monkeypatch):
+    # a worker that was not forked builds its rows from its own import of
+    # the library, and its share's reports are those of a serial run
     spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(campaign, "multiprocessing", spawn)
     monkeypatch.setattr(campaign, "ProcessPoolExecutor",
                         partial(ProcessPoolExecutor, mp_context=spawn))
     cfg = _engine_cfg(checks=("beta_normalization", "jensen_trace"), n_values=(3, 4))
     serial = run_campaign(cfg)
     assert run_campaign(replace(cfg, parallel=3)).reports == serial.reports
+
+
+def test_a_campaign_leaves_no_module_state(tmp_path):
+    # every attribute of the campaign module is the same object after a
+    # campaign as before it, serial or pooled
+    missing = object()
+    before = dict(vars(campaign))
+    for parallel in (1, 2):
+        cfg = _engine_cfg(checks=("beta_normalization", "jensen_trace"), n_values=(3,),
+                          trials=8, parallel=parallel, out=str(tmp_path / f"p{parallel}"))
+        assert run_campaign(cfg).passed
+        after = vars(campaign)
+        assert [name for name in before.keys() | after.keys()
+                if after.get(name, missing) is not before.get(name, missing)] == []
 
 
 def test_parallel_zero_counts_usable_cores(monkeypatch):
