@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import MAX_N
-from .entangle import build_layout, pairing_check
+from .entangle import DIM_CAP, build_layout, pairing_check
 from .errors import ConfigError, DimensionCap, TraceIneqError, UnknownCheck
 from .frechet import power_average_identity_check
 from .inequalities import (
@@ -114,6 +114,10 @@ class CampaignConfig:
             if repeated:
                 raise ConfigError(f"{name} {repeated[0]!r} is selected more than once")
         for spec in selected_checks(self):
+            if spec.check_id == "pairing_identity" and self.local_dim ** 4 > DIM_CAP:
+                raise ConfigError(f"pairing_identity at d = {self.local_dim}: X (x) Y^T at "
+                                  f"d^2 has dimension d^4 = {self.local_dim ** 4}, which "
+                                  f"exceeds cap {DIM_CAP}")
             if not spec.layout_aware:
                 continue
             for n in _lengths(spec, self):

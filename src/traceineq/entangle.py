@@ -20,7 +20,7 @@ from .errors import DimensionCap, DimensionMismatch
 from .linalg import kron_all, stack_norm, stack_slices
 from .report import identity_report
 
-DIM_CAP = 3 ** 8  # total tensor dimension ceiling of the factored tensor routes
+DIM_CAP = 3 ** 8  # total dimension ceiling of the factored tensor routes and pairing_check
 DENSE_CAP = 512  # the same with dense=True, for the derivative form's D x D operands
 
 
@@ -45,14 +45,18 @@ def pairing_check(x, y, copies: int = 1, atol: float = 1e-12, seed=None):
     lhs is the complex gap |Tr XY - <Omega| X (x) Y^T |Omega>|, rhs is 0,
     and rtol = atol applies per unit of max(1, ||X|| ||Y||) (Frobenius).
     Stacks (K, dim, dim) of pairs give one report per pair, given a list
-    of K seeds; X (x) Y^T is formed for a stack_slices slice at a time,
-    and each pair's sums run as for that pair alone."""
+    of K seeds; X (x) Y^T, of dimension dim^2 <= DIM_CAP, is formed for
+    a stack_slices slice at a time, and each pair's sums run as for that
+    pair alone."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != y.shape or x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"operands must be square and congruent, "
                                 f"got {x.shape} and {y.shape}")
     dim = x.shape[-1]
+    if dim * dim > DIM_CAP:
+        raise DimensionCap(f"X (x) Y^T of dimension {dim}^2 = {dim * dim} "
+                           f"exceeds cap {DIM_CAP}")
     local = round(dim ** (1.0 / copies))
     if local ** copies != dim:
         raise DimensionMismatch(
@@ -65,8 +69,6 @@ def pairing_check(x, y, copies: int = 1, atol: float = 1e-12, seed=None):
     gaps = np.trace(xs @ ys, axis1=-2, axis2=-1) - paired[:, 0, 0]
     gaps = np.hypot(gaps.real, gaps.imag)  # as abs() of one complex number
     scales = np.maximum(1.0, stack_norm(xs) * stack_norm(ys))
-    if x.ndim == 2:
-        gaps, scales = gaps[0], scales[0]
     return identity_report("pairing_identity", gaps, 0.0, atol=0.0, rtol=atol, scale=scales,
                            seed=seed, params={"copies": copies, "dim": dim})
 

@@ -286,7 +286,7 @@ KEY_T_GRID = (0.0, 0.5, -0.5, 2.0, -2.0)
 def check_key_identity(mats, seed=None):
     """Pointwise product trace vs tensor pairing over KEY_T_GRID, both
     sides evaluated for the whole grid and stack at once."""
-    chain, single = _coerce_chain(mats)  # decomposed once, for every t
+    chain, _ = _coerce_chain(mats)  # decomposed once, for every t
     t = np.array(KEY_T_GRID)
     pairs = np.stack([chain_product_trace(chain, t), tensor_pair_trace(chain, t)], axis=-1)
     gaps = np.abs(pairs[..., 0] - pairs[..., 1]) / np.abs(pairs).max(axis=-1)
@@ -299,8 +299,6 @@ def check_key_identity(mats, seed=None):
     lhs, rhs = pairs[np.arange(len(gaps)), worst].T
     t_grid = list(KEY_T_GRID)
     params = [{"t_worst": KEY_T_GRID[i], "t_grid": t_grid} for i in worst.tolist()]
-    if single:
-        lhs, rhs, params = lhs[0], rhs[0], params[0]
     return identity_report("key_identity", lhs, rhs, rtol=1e-9, n=chain.matrix.shape[1],
                            seed=seed, params=params)
 
@@ -337,22 +335,19 @@ COMPARISONS = {
 
 
 def compare(check_id, mats, *, seed=None, sides=None):
-    """The verdict of one COMPARISONS row on a chain, or the list of them
-    on a stack of chains, where ``seed`` lists their seeds. ``sides`` maps
+    """The verdict of one COMPARISONS row: one report, or for a list of
+    seeds, one per chain of the stack, a list of them. ``sides`` maps
     side names to their values already evaluated on this stack; a side
     evaluated here is added to it, one that raises is not."""
     row = COMPARISONS[check_id]
-    chain, single = _coerce_chain(mats, min_len=2,
-                                  exact=None if row.length == "n" else row.length)
+    chain, _ = _coerce_chain(mats, min_len=2,
+                             exact=None if row.length == "n" else row.length)
     sides = {} if sides is None else sides
     for name in (row.lhs, row.rhs):
         if name not in sides:
             sides[name] = globals()[name](chain)
-    lhs, rhs = sides[row.lhs], sides[row.rhs]
-    if single:
-        lhs, rhs = lhs[0], rhs[0]
-    return globals()[row.verdict](check_id, lhs, rhs, n=chain.matrix.shape[1], seed=seed,
-                                  **row.tol)
+    return globals()[row.verdict](check_id, sides[row.lhs], sides[row.rhs],
+                                  n=chain.matrix.shape[1], seed=seed, **row.tol)
 
 
 def check_tensor_resolvent(mats, seed=None):

@@ -31,7 +31,7 @@ from .linalg import (
     stack_slices,
 )
 from .quadrature import half_line_rule
-from .report import identity_report
+from .report import TrialReport, identity_report
 
 
 # ---------------------------------------------------------- commutator chain
@@ -219,7 +219,7 @@ def check_penalized_trace_limit(a, v=None, dps: int | None = None,
     floor) and the final gap is below ``tol_abs``. A stack of matrices
     and directions gives one report per matrix, given a list of seeds."""
     limit, gaps = penalized_trace_gaps(a, v, dps, eigenvector=eigenvector)
-    single, limits = np.ndim(limit) == 0, np.reshape(limit, -1)
+    limits = np.reshape(limit, -1)
     gaps = np.reshape(gaps, (len(limits), -1))
     scale = np.where(limits > 1.0, limits, 1.0)  # max(1.0, limit)
     floor = ((10.0 ** (8 - dps)) if dps else 1e-13) * scale
@@ -227,10 +227,11 @@ def check_penalized_trace_limit(a, v=None, dps: int | None = None,
     t_grid = list(PENALTY_GRID)
     params = [{"gaps": g, "limit": lim, "t_grid": t_grid, "dps": dps}
               for g, lim in zip(gaps.tolist(), limits.tolist())]
-    reports = [r._replace(passed=r.passed and m) for r, m in zip(identity_report(
-        "penalized_trace_limit", gaps[:, -1], 0.0, atol=tol_abs, scale=scale,
-        seed=[seed] if single else seed, params=params), monotone)]
-    return reports[0] if single else reports
+    reports = identity_report("penalized_trace_limit", gaps[:, -1], 0.0, atol=tol_abs,
+                              scale=scale, seed=seed, params=params)
+    if isinstance(reports, TrialReport):
+        return reports._replace(passed=reports.passed and monotone[0])
+    return [r._replace(passed=r.passed and m) for r, m in zip(reports, monotone)]
 
 
 # ----------------------------------------------------------- derivative form
@@ -288,7 +289,7 @@ def check_derivative_form(mats, seed=None, sides=None):
     The closed value is ``sides["rhs_tensor_resolvent"]`` when given, as
     ``compare`` takes its sides, and is added to ``sides`` when evaluated.
     """
-    chain, single = _coerce_chain(mats)
+    chain, _ = _coerce_chain(mats)
     sides = {} if sides is None else sides
     if "rhs_tensor_resolvent" not in sides:
         sides["rhs_tensor_resolvent"] = rhs_tensor_resolvent(chain)
@@ -300,7 +301,5 @@ def check_derivative_form(mats, seed=None, sides=None):
     params = [{"step": step, "err_full": full, "err_half": half,
                "halving_ratio": half / full if full > 0 else 0.0}
               for step, full, half in zip(steps.tolist(), err_full, err_half)]
-    if single:
-        extrapolated, exact, params = extrapolated[0], exact[0], params[0]
     return identity_report("derivative_form", extrapolated, exact, atol=1e-5, rtol=1e-5,
                            n=chain.matrix.shape[1], seed=seed, params=params)

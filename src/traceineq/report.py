@@ -3,10 +3,11 @@
 A TrialReport is the unit every check emits: two numbers, their gap,
 the tolerance that judged them, and enough metadata to reproduce the
 trial. Every report is built here, so all checks share one verdict
-rule and every field holds a plain Python value. The verdicts take one
-trial's numbers, or a stack of them with a list of seeds: a stack is
-judged in one numpy pass, with the IEEE operations of one trial alone
-in the same order, and gives one report per trial.
+rule and every field holds a plain Python value. Each verdict has one
+arithmetic, a numpy pass over a stack of trials, in which each trial's
+IEEE operations are those it gets alone; a lone trial is a stack of
+one. A list of seeds gives a list of reports, one per trial, and any
+other seed gives one report.
 """
 from __future__ import annotations
 
@@ -48,27 +49,34 @@ def as_reports(rows) -> list[TrialReport]:
     return list(map(_from_fields, rows))
 
 
-def _stack(lhs, rhs, scale, seed, params):
-    """A stack's sides and scale as flat float arrays, after checking that
-    seed lists one seed per trial and params is shared or one per trial."""
-    lhs, rhs = np.broadcast_arrays(np.ravel(np.asarray(lhs, dtype=float)),
-                                   np.ravel(np.asarray(rhs, dtype=float)))
+def _judge(check_id, kind, rule, lhs, rhs, scale, atol, rtol, n, seed, params):
+    """The reports of one verdict: a list, one per trial, for a list or
+    tuple of seeds, and else the one report of a lone trial. ``rule`` maps
+    the sides and scale, flat float arrays, to (gap, rel, passed); scale
+    and params are shared or one per trial."""
+    many = isinstance(seed, (list, tuple))
+    lhs = np.asarray(lhs, dtype=float).reshape(-1)
+    rhs = np.asarray(rhs, dtype=float).reshape(-1)
+    if lhs.shape != rhs.shape:
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
     count = len(lhs)
-    if not isinstance(seed, (list, tuple)) or len(seed) != count:
+    if (len(seed) if many else 1) != count:
         raise DimensionMismatch(f"a stack of {count} chains needs a list of {count} "
                                 f"seeds, got {seed!r}; pass one chain for one report")
-    if isinstance(params, (list, tuple)) and len(params) != count:
+    if not isinstance(params, (list, tuple)):
+        params = repeat(params or {})
+    elif len(params) != count:
         raise DimensionMismatch(f"a stack of {count} trials takes one params dict or "
                                 f"{count} of them, got {len(params)}")
-    return lhs, rhs, None if scale is None else np.ravel(np.asarray(scale, dtype=float))
-
-
-def _reports(check_id, kind, lhs, rhs, gap, rel, atol, rtol, passed, n, seed, params):
-    """One report per trial of a judged stack."""
-    params = params if isinstance(params, (list, tuple)) else repeat(params or {})
-    return as_reports(zip(
+    if scale is not None:
+        scale = np.asarray(scale, dtype=float).reshape(-1)
+    with np.errstate(all="ignore"):  # as Python floats: NaN and inf, never a warning
+        gap, rel, passed = rule(lhs, rhs, scale)
+    reports = as_reports(zip(
         repeat(check_id), repeat(kind), lhs.tolist(), rhs.tolist(), gap.tolist(),
-        rel.tolist(), repeat(atol), repeat(rtol), passed.tolist(), repeat(n), seed, params))
+        rel.tolist(), repeat(atol), repeat(rtol), passed.tolist(), repeat(n),
+        seed if many else (seed,), params))
+    return reports if many else reports[0]
 
 
 def identity_report(check_id, lhs, rhs, *, atol=0.0, rtol=0.0, scale=None,
@@ -76,47 +84,29 @@ def identity_report(check_id, lhs, rhs, *, atol=0.0, rtol=0.0, scale=None,
     """Two-sided comparison: |lhs - rhs| <= atol + rtol * scale.
 
     The default scale is max(|lhs|, |rhs|), so rtol is a relative gap
-    bound; pass an explicit scale to normalize differently. A stack of
-    lhs values, given a list of seeds, gives a list of reports; rhs,
-    scale and params are then shared or one per trial.
+    bound; pass an explicit scale to normalize differently. lhs is one
+    trial's number or a stack of them; rhs, scale and params are shared
+    or one per trial. A list of seeds gives a list of reports, one per
+    trial; any other seed gives the one report of a lone trial.
     """
-    if np.ndim(lhs) == 0:
-        lhs, rhs = float(lhs), float(rhs)
-        gap = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs)) if scale is None else float(scale)
-        rel = gap / scale if scale > 0 else gap
-        return TrialReport(check_id, "identity", lhs, rhs, gap, rel, atol, rtol,
-                           gap <= atol + rtol * scale, n, seed, params or {})
-    lhs, rhs, scale = _stack(lhs, rhs, scale, seed, params)
-    with np.errstate(all="ignore"):  # as Python floats: NaN and inf, never a warning
+    def rule(lhs, rhs, scale):
         gap = np.abs(lhs - rhs)
-        if scale is None:  # as max() picks: |rhs| only when it is the larger
-            scale = np.where(np.abs(rhs) > np.abs(lhs), np.abs(rhs), np.abs(lhs))
+        if scale is None:  # a NaN side makes the gap NaN, so its scale never shows
+            scale = np.maximum(np.abs(lhs), np.abs(rhs))
         rel = np.divide(gap, scale, out=gap.copy(), where=scale > 0)
-        passed = gap <= atol + rtol * scale
-    return _reports(check_id, "identity", lhs, rhs, gap, rel, atol, rtol, passed,
-                    n, seed, params)
+        return gap, rel, gap <= atol + rtol * scale
+    return _judge(check_id, "identity", rule, lhs, rhs, scale, atol, rtol, n, seed, params)
 
 
 def inequality_report(check_id, lhs, rhs, *, atol=1e-9, rtol=1e-8,
                       n=None, seed=None, params=None):
-    """One-sided comparison: lhs <= rhs + atol + rtol * |rhs|; stacks as
-    identity_report takes them."""
-    if np.ndim(lhs) == 0:
-        lhs, rhs = float(lhs), float(rhs)
-        slack = rhs + atol + rtol * abs(rhs) - lhs
-        gap = lhs - rhs
-        rel = gap / abs(rhs) if rhs != 0 else gap
-        return TrialReport(check_id, "inequality", lhs, rhs, gap, rel, atol, rtol,
-                           slack >= 0.0, n, seed, params or {})
-    lhs, rhs, _ = _stack(lhs, rhs, None, seed, params)
-    with np.errstate(all="ignore"):
-        slack = rhs + atol + rtol * np.abs(rhs) - lhs
+    """One-sided comparison: lhs <= rhs + atol + rtol * |rhs|. Takes one
+    trial or a stack, and gives one report or a list, as identity_report."""
+    def rule(lhs, rhs, scale):
         gap = lhs - rhs
         rel = np.divide(gap, np.abs(rhs), out=gap.copy(), where=rhs != 0)
-        passed = slack >= 0.0
-    return _reports(check_id, "inequality", lhs, rhs, gap, rel, atol, rtol, passed,
-                    n, seed, params)
+        return gap, rel, rhs + atol + rtol * np.abs(rhs) - lhs >= 0.0
+    return _judge(check_id, "inequality", rule, lhs, rhs, None, atol, rtol, n, seed, params)
 
 
 def error_report(check_id, exc, *, n, seed) -> TrialReport:

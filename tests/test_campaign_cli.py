@@ -92,6 +92,17 @@ def test_config_rejects_tensor_layout_over_cap():
          local_dim=10, n_values=(5,)).validate()
 
 
+def test_config_rejects_pairing_over_cap():
+    # validation only: the d^2 copy of pairing_identity forms X (x) Y^T of
+    # dimension d^4, so d = 10 (10^4 > 6561) and d = 16 (65536, about 69 GB
+    # per pair) are refused, and d = 9 (9^4 = 6561) passes
+    with pytest.raises(ConfigError, match="pairing_identity at d = 10"):
+        _cfg(checks=("pairing_identity",), local_dim=10).validate()
+    with pytest.raises(ConfigError, match="pairing_identity at d = 16"):
+        _cfg(suite="all", n_values=(3,), local_dim=16).validate()
+    _cfg(checks=("pairing_identity",), local_dim=9).validate()
+
+
 TENSOR_CHECKS = ("key_identity", "equivalence_integral_tensor", "commuting_equality",
                  "tensor_resolvent", "scaled_exponential")
 

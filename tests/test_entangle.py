@@ -121,6 +121,15 @@ def test_layout_pair_copies_double():
     assert layout.outer_copies == 2
 
 
+def test_pairing_check_holds_its_operand_to_the_cap():
+    # refused before X (x) Y^T is formed: 82^2 = 6724 and (10^2)^2 = 10^4
+    # exceed 6561 (at the cap itself, dim = 81, one pair takes about 690 MB)
+    for dim, copies in ((82, 1), (100, 2)):
+        x = np.zeros((dim, dim))
+        with pytest.raises(DimensionCap, match="exceeds cap 6561"):
+            pairing_check(x, x, copies=copies)
+
+
 def test_layout_total_dim_and_cap():
     # one side of the pairing holds one local factor per mid slot
     assert build_layout(6, 2).total_dim == 2 ** 4

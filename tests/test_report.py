@@ -9,7 +9,10 @@ from traceineq import (
     DimensionMismatch,
     TrialReport,
     check_commutator_chain,
+    check_derivative_form,
+    check_key_identity,
     check_penalized_trace_limit,
+    check_tensor_resolvent,
     compare,
     draw_posdef,
     identity_report,
@@ -72,7 +75,10 @@ def test_trial_report_is_frozen():
     assert isinstance(rep, TrialReport)
 
 
-EDGE = (0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, 5e-324, math.nan, math.inf, -math.inf)
+# 1.000000011 is 1 + atol + rtol at the inequality's default tolerances,
+# where the order of the slack's operations decides the verdict
+EDGE = (0.0, -0.0, 1.0, 1.000000011, -2.5, 1e-300, 1e300, 5e-324, math.nan, math.inf,
+        -math.inf)
 
 
 def _same(a, b):
@@ -85,6 +91,28 @@ def _same(a, b):
     return a == b
 
 
+def _identity_rule(lhs, rhs, atol, rtol, scale=None):
+    """identity_report's rule in Python floats: (gap, rel, passed)."""
+    gap = abs(lhs - rhs)
+    scale = max(abs(lhs), abs(rhs)) if scale is None else scale
+    rel = gap / scale if scale > 0 else gap
+    return gap, rel, gap <= atol + rtol * scale
+
+
+def _inequality_rule(lhs, rhs, atol, rtol):
+    """inequality_report's rule in Python floats: (gap, rel, passed)."""
+    slack = rhs + atol + rtol * abs(rhs) - lhs
+    gap = lhs - rhs
+    rel = gap / abs(rhs) if rhs != 0 else gap
+    return gap, rel, slack >= 0.0
+
+
+# verdict -> (kind, reference rule, default tolerances)
+RULES = {identity_report: ("identity", _identity_rule, {"atol": 0.0, "rtol": 0.0}),
+         inequality_report: ("inequality", _inequality_rule, {"atol": 1e-9, "rtol": 1e-8})}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("verdict, tol", [
     (identity_report, {}),
     (identity_report, {"atol": 1e-9, "rtol": 1e-8}),
@@ -95,22 +123,29 @@ def _same(a, b):
 ])
 def test_stacked_verdicts_equal_scalar_ones(verdict, tol):
     # every pair of edge values (rhs = 0, NaN and infinite sides among
-    # them) judged as one stack and a trial at a time; RuntimeWarnings are
-    # errors here, so the stack must not warn where Python floats do not
+    # them), judged as one stack and as lone trials, against the rule
+    # written out in Python floats; the numpy pass must not warn where
+    # Python floats do not
+    kind, rule, defaults = RULES[verdict]
     lhs, rhs = (np.array(side) for side in zip(*itertools.product(EDGE, EDGE)))
     seeds = list(range(len(lhs)))
     params = [{"i": i} for i in seeds]
     scales = np.resize(np.array(EDGE[::-1]), len(lhs))
     per_trial = tol.get("scale") == "per trial"
-    if per_trial:
-        tol = dict(tol, scale=scales)
-    stacked = verdict("x", lhs, rhs, n=3, seed=seeds, params=params, **tol)
+    stacked = verdict("x", lhs, rhs, n=3, seed=seeds, params=params,
+                      **(dict(tol, scale=scales) if per_trial else tol))
     assert len(stacked) == len(lhs)
     for i, rep in enumerate(stacked):
-        one = verdict("x", lhs[i], rhs[i], n=3, seed=i, params=params[i],
-                      **(dict(tol, scale=scales[i]) if per_trial else tol))
-        assert isinstance(rep, TrialReport)
-        assert all(_same(a, b) for a, b in zip(rep, one)), (rep, one)
+        tol_i = dict(tol, scale=scales[i].item()) if per_trial else tol
+        a, b = lhs[i].item(), rhs[i].item()
+        full = {**defaults, **tol_i}
+        gap, rel, passed = rule(a, b, **full)
+        expected = TrialReport("x", kind, a, b, gap, rel, full["atol"], full["rtol"], passed,
+                               3, i, params[i])
+        one = verdict("x", lhs[i], rhs[i], n=3, seed=i, params=params[i], **tol_i)
+        for got in (rep, one):
+            assert isinstance(got, TrialReport)
+            assert all(_same(x, y) for x, y in zip(got, expected)), (got, expected)
     assert any(math.isnan(rep.rel_gap) for rep in stacked)
 
 
@@ -119,6 +154,11 @@ def test_stack_shares_params_or_takes_one_per_trial():
     assert [(r.seed, r.n, r.params) for r in reps] == [(5, None, {"dim": 2}),
                                                        (6, None, {"dim": 2})]
     assert inequality_report("y", np.ones(2), np.ones(2), seed=(1, 2))[1].params == {}
+    for seeds in ([5], (5,)):  # a list of seeds asks for a list, even of one
+        assert identity_report("x", 1.0, 1.0, seed=seeds) == [
+            identity_report("x", 1.0, 1.0, seed=5)]
+        assert inequality_report("y", np.ones(1), 2.0, seed=seeds) == [
+            inequality_report("y", 1.0, 2.0, seed=5)]
     for seed in (None, 5, [5], [5, 6, 7]):
         with pytest.raises(DimensionMismatch, match="one chain"):
             identity_report("x", [1.0, 2.0], [1.0, 2.0], seed=seed)
@@ -137,6 +177,9 @@ def _stack_of_three(check):
     sym = rng.normal(size=(3, 3, 3))
     return {
         "compare": lambda: (partial(compare, "golden_thompson"), [draw(31, 2)]),
+        "key_identity": lambda: (check_key_identity, [draw(31, 5)]),
+        "derivative_form": lambda: (check_derivative_form, [draw(31, 4)]),
+        "tensor_resolvent": lambda: (check_tensor_resolvent, [draw(31, 4)]),
         "power_average": lambda: (power_average_identity_check,
                                   [draw(31).matrix, draw(41).matrix]),
         "commutator": lambda: (check_commutator_chain, [draw(31).matrix, draw(41).matrix]),
@@ -146,14 +189,19 @@ def _stack_of_three(check):
     }[check]()
 
 
-@pytest.mark.parametrize("check", ["compare", "power_average", "commutator", "pairing",
-                                   "penalized"])
+@pytest.mark.parametrize("check", ["compare", "key_identity", "derivative_form",
+                                   "tensor_resolvent", "power_average", "commutator",
+                                   "pairing", "penalized"])
 def test_one_trial_gives_one_report_a_stack_needs_its_seeds(check):
+    # a list or tuple of seeds asks for a list of reports, any other seed
+    # for one report
     fn, stack = _stack_of_three(check)
     one = [arg[0] for arg in stack]
     for seed in (None, 7):
         rep = fn(*one, seed=seed)
         assert isinstance(rep, TrialReport) and rep.seed == seed and rep.passed
+    for seeds in ([7], (7,)):
+        assert fn(*one, seed=seeds) == [fn(*one, seed=7)]
     reps = fn(*stack, seed=[1, 2, 3])
     assert [r.seed for r in reps] == [1, 2, 3] and all(r.passed for r in reps)
     assert reps[0] == fn(*one, seed=1)
