@@ -12,14 +12,17 @@ length, runner, description and formula. Adding a check means adding
 one row.
 A chunk of consecutive seeds is the unit of work: it draws its chains
 once, and the rows at one chain length share its prefix of them and the
-sides evaluated on it. A campaign cuts its seeds into equal chunks of at
-most MAX_CHUNK, at least one per worker. A trial's numbers depend on its
-seed and the configuration alone, never on its chunk: every stacked
-evaluation sums each chain in one order, whatever the stack. So reports
-do not depend on the chunk size or the worker count, and a one-trial
-campaign reproduces a trial of a larger one bit for bit. One function
-runs every task, one per chunk and one for the deterministic rows;
-process w of W runs tasks w, w + W, w + 2W, ..., and this process is 0.
+sides evaluated on it. The prefixes share one decomposition of the
+stack, and one sweep of the integral form gives each length its value;
+if either raises, each prefix runs on its own. A campaign cuts its
+seeds into equal chunks of at most MAX_CHUNK, at least one per worker.
+A trial's numbers depend on its seed and the configuration alone, never
+on its chunk: every stacked evaluation sums each chain in one order,
+whatever the stack. So reports do not depend on the chunk size or the
+worker count, and a one-trial campaign reproduces a trial of a larger
+one bit for bit. One function runs every task, one per chunk and one
+for the deterministic rows; process w of W runs tasks w, w + W,
+w + 2W, ..., and this process is 0.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ from .limits import (
     check_derivative_form,
     check_penalized_trace_limit,
 )
-from .linalg import draw_posdef, random_commuting_family
+from .linalg import POSITIVITY_FLOOR, draw_posdef, random_commuting_family
 from .quadrature import (
     BETA_HALF_WIDTH,
     BETA_NODE_COUNT,
@@ -103,6 +106,14 @@ class CampaignConfig:
         if not (0 < self.lam_lo <= self.lam_hi < math.inf):
             raise ConfigError(f"eigenvalue range must satisfy 0 < lam_lo <= lam_hi "
                               f"< inf, got ({self.lam_lo}, {self.lam_hi})")
+        # eigh returns a drawn lam_lo within eps * lam_hi, and PosDefMatrix
+        # needs it above POSITIVITY_FLOOR * lam_hi
+        widest = 1.0 / (POSITIVITY_FLOOR + np.finfo(float).eps)
+        if self.lam_hi / self.lam_lo >= widest:
+            raise ConfigError(f"lam_hi / lam_lo = {self.lam_hi / self.lam_lo:.3g} must be "
+                              f"below 1 / (POSITIVITY_FLOOR + eps) = {widest:.4g}: eigh "
+                              f"returns the smallest eigenvalue within eps * lam_hi, and "
+                              f"a chain matrix needs it above {POSITIVITY_FLOOR:g} * lam_hi")
         if self.parallel < 0:
             raise ConfigError(f"parallel must be >= 0, got {self.parallel}")
         for cid in self.checks or ():
@@ -191,15 +202,18 @@ def _run_penalized_limit(cfg, chains, seeds, sides):
     return check_penalized_trace_limit(a, np.array(v), seed=seeds)
 
 
-def _commuting_equality(fam, seeds):
+def _commuting_equality(fam, seeds, sides=None):
     """Simultaneously diagonalizable chains collapse every bound to the
-    left side; report the worst relative gap across the closed forms."""
+    left side; report the worst relative gap across the closed forms,
+    read from ``sides`` as compare reads them."""
     n = fam.matrix.shape[1]
-    lhs = lhs_exp_sum_log(fam)
-    values = [rhs_power_integral(fam), rhs_tensor_resolvent(fam)]
-    if n == 3:
-        values.append(rhs_lieb_three(fam))
-    values = np.array(values)
+    names = ["lhs_exp_sum_log", "rhs_power_integral", "rhs_tensor_resolvent",
+             "rhs_lieb_three"][:4 if n == 3 else 3]
+    sides = {} if sides is None else sides
+    for name in names:
+        if name not in sides:
+            sides[name] = globals()[name](fam)
+    lhs, values = sides[names[0]], np.array([sides[name] for name in names[1:]])
     worst = values[np.abs(values - lhs).argmax(axis=0), np.arange(len(seeds))]
     return identity_report("commuting_equality", lhs, worst, rtol=1e-8, n=n, seed=seeds,
                            params={"forms": len(values)})
@@ -284,7 +298,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
     CheckSpec("commuting_equality", "identities", "n",
-        lambda cfg, c, seeds, sides: _commuting_equality(c, seeds),
+        lambda cfg, c, seeds, sides: _commuting_equality(c, seeds, sides),
         commuting=True, layout_aware=True,
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
@@ -365,22 +379,40 @@ def _draw(cfg, commuting, count, seeds):
 def _run_task(cfg, rows, task, index) -> list[tuple]:
     """The trials of task ``index``, (deterministic, seeds), under rows =
     _rows(cfg): the deterministic rows once, or every seeded (spec, n) row
-    on one chunk of seeds, drawn once at the longest n, whose generators
-    go once drawn. Each (commuting, n) prefix chains[:, :n], equal to a
-    draw of n, is cut once: the rows at that length share it, its
-    decomposition and the sides evaluated on it. The full stack is never
-    decomposed, so a matrix past n cannot turn that trial's shorter rows
-    into errors. Per row, from its reports' columns: its key (check_id, n
-    or -1, index), those columns (plain tuples, which a pool sends back
-    faster than reports), trial lines if cfg writes any (see _blocks),
-    failures, and worst |gaps|, NaN as the worst."""
+    on one chunk of seeds. Each draw kind (chains or commuting families)
+    is drawn once, at the longest n its rows take, from generators that go
+    once drawn; the stack is decomposed in one eigh, and one sweep of the
+    integral form, to the longest row that reads it, gives each such
+    row's length its value. Each (commuting, n) prefix chains[:, :n],
+    equal to a draw of n, is cut once: the rows at that length share it,
+    the decomposition and the sides evaluated on it, the swept one among
+    them. A decomposition or sweep that raises is not shared: each prefix
+    then decomposes or evaluates on its own, so a matrix past n cannot turn
+    that trial's shorter rows into errors. Per row, from its reports'
+    columns: its key (check_id, n or -1, index), those columns (plain
+    tuples, which a pool sends back faster than reports), trial lines if
+    cfg writes any (see _blocks), failures, and worst |gaps|, NaN as the
+    worst."""
     deterministic, seeds = task
     rows = rows[deterministic]
-    longest = max((n for _, n in rows if n is not None), default=None)
-    stacks = {commuting: _draw(cfg, commuting, longest, seeds)
-              for commuting in {spec.commuting for spec, n in rows if n is not None}}
-    prefixes = {(c, n): (stacks[c][:, :n], {})
-                for c, n in {(spec.commuting, n) for spec, n in rows if n is not None}}
+    chained = [(spec, n) for spec, n in rows if n is not None]
+    prefixes = {}
+    for commuting in {spec.commuting for spec, _ in chained}:
+        kind = [(spec, n) for spec, n in chained if spec.commuting == commuting]
+        # the lengths of the rows that read the integral form from the sides
+        lengths = sorted({n for spec, n in kind if spec.check_id == "commuting_equality"
+                          or "rhs_power_integral" in COMPARISONS.get(spec.check_id, ())})
+        stack = _draw(cfg, commuting, max(n for _, n in kind), seeds)
+        swept = {}
+        try:  # shared by the prefixes; if either raises, each runs its own
+            stack.spectral
+            if lengths:
+                swept = dict(zip(lengths, rhs_power_integral(stack[:, :lengths[-1]],
+                                                             lengths=lengths)))
+        except (TraceIneqError, np.linalg.LinAlgError):
+            pass
+        prefixes.update({(commuting, n): (stack[:, :n], {"rhs_power_integral": swept[n]}
+                                          if n in swept else {}) for _, n in kind})
     groups = []
     for spec, n in rows:
         chains, sides = prefixes.get((spec.commuting, n), (None, None))

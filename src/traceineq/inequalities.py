@@ -106,29 +106,43 @@ def rhs_lieb_three(mats):
                    "three-matrix bound")
 
 
-def rhs_power_integral(mats):
+def rhs_power_integral(mats, lengths=None):
     """Beta-average of Tr[A_n A_{n-1}^{(1+it)/2} .. A_2^{(1+it)/2} A_1
-    A_2^{(1-it)/2} .. A_{n-1}^{(1-it)/2}]."""
+    A_2^{(1-it)/2} .. A_{n-1}^{(1-it)/2}]. Given chain ``lengths`` m in
+    [3, n], one sweep over the chain gives one value per length, that of
+    the prefix chain[:, :m] in the bits of a call on it, as an array whose
+    first axis is the lengths."""
     chain, single = _coerce_chain(mats)
+    n = chain.matrix.shape[1]
+    wanted = (n,) if lengths is None else tuple(lengths)
+    if not wanted or not all(3 <= m <= n for m in wanted):
+        raise DimensionMismatch(f"need lengths in [3, {n}], got {lengths}")
     rule = real_line_rule()
     z = 0.5 * (1.0 + 1j * rule.nodes)
     weights = rule.weights * beta_density(rule.nodes)
     # a sum per row, not a product with the stack: its order is one chain's
-    return _result(_sliced(lambda c: (_power_traces(c, z) * weights).sum(axis=-1), chain,
-                           z.size * chain.dim ** 2), single, "power-integral form")
+    values = _sliced(lambda c: (_power_traces(c, z, wanted) * weights).sum(axis=-1), chain,
+                     z.size * chain.dim ** 2)
+    if lengths is None:
+        return _result(values[:, 0], single, "power-integral form")
+    return np.moveaxis(_result(values, single, "power-integral form"), -1, 0)
 
 
-def _power_traces(chain, z):
-    """The chain traces of a stack of chains at each z_t, shape (K, T).
-    The sandwich S(t) of A_1 between the powers of A_2 .. A_k is held in
-    the eigenbasis V_k of A_k, as S[K, i, t, j]. There the conjugation by
-    A_k^{z_t} scales entry (i, j) by lam_i^{z_t} conj(lam_j^{z_t}), and the
-    move to the next basis is one product with U = V_{k+1}* V_k per side."""
+def _power_traces(chain, z, lengths):
+    """The chain traces of a stack of chains at each z_t, shape (K, L, T),
+    of its prefixes of the L lengths. The sandwich S(t) of A_1 between
+    the powers of A_2 .. A_k is held in the eigenbasis V_k of A_k, as
+    S[K, i, t, j]. There the conjugation by A_k^{z_t} scales entry (i, j)
+    by lam_i^{z_t} conj(lam_j^{z_t}), and the move to the next basis is
+    one product with U = V_{k+1}* V_k per side. The length k + 1 trace is
+    then Tr[A_{k+1} S], one product with V_k* A_{k+1} V_k, so the pass to
+    the longest length passes every shorter one."""
     lam, vec = chain.spectral.eigenvalues, chain.spectral.eigenvectors
     vec_h = vec.conj().swapaxes(-1, -2)
-    count, n, d = lam.shape
+    count, _, d = lam.shape
     s = (vec_h[:, 1] @ chain.matrix[:, 0] @ vec[:, 1])[:, :, None, :]
-    for k in range(1, n - 1):
+    traces = {}
+    for k in range(1, max(lengths) - 1):
         p = np.exp(np.log(lam[:, k])[:, :, None] * z)
         if k == 1:
             s = s * p[:, :, :, None]
@@ -140,8 +154,10 @@ def _power_traces(chain, z):
                       out=s.reshape(count, -1, d))
             s *= p[:, :, :, None]
         s *= p.conj().swapaxes(-1, -2)[:, None]
-    last = vec_h[:, -2] @ chain.matrix[:, -1] @ vec[:, -2]
-    return np.einsum("kji,kitj->kt", last, s)
+        if k + 2 in lengths:
+            last = vec_h[:, k] @ chain.matrix[:, k + 1] @ vec[:, k]
+            traces[k + 2] = np.einsum("kji,kitj->kt", last, s)
+    return np.stack([traces[m] for m in lengths], axis=1)
 
 
 def _slot_spectra(chain, dense=False):
@@ -255,8 +271,8 @@ def chain_product_trace(mats, t):
     integral, by the same evaluation."""
     chain, single = _coerce_chain(mats)
     z = 0.5 * (1.0 + 1j * np.asarray(t, dtype=float))
-    traces = _power_traces(chain, z.reshape(-1)).reshape((-1,) + z.shape)
-    return _result(traces, single, "chain product trace")
+    traces = _power_traces(chain, z.reshape(-1), (chain.matrix.shape[1],))
+    return _result(traces.reshape((-1,) + z.shape), single, "chain product trace")
 
 
 def tensor_pair_trace(mats, t):

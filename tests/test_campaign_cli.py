@@ -61,6 +61,12 @@ def test_config_validation():
         _cfg(seed=-1).validate()
     with pytest.raises(ConfigError, match="lam_hi"):
         _cfg(lam_hi=float("inf")).validate()
+    # a draw's smallest eigenvalue, within eps * lam_hi, must clear the
+    # positivity floor: lam_hi / lam_lo below 1 / (1e-12 + eps) = 9.998e11
+    _cfg(lam_lo=1.0, lam_hi=9.997e11).validate()
+    for lam_lo, lam_hi in ((1.0, 9.998e11), (1e-7, 1e7)):
+        with pytest.raises(ConfigError, match=r"lam_hi / lam_lo .* 9\.998e\+11"):
+            _cfg(lam_lo=lam_lo, lam_hi=lam_hi).validate()
     with pytest.raises(ConfigError, match="'golden_thompson' is selected more than"):
         _cfg(checks=("golden_thompson", "lieb_three", "golden_thompson")).validate()
     # a repeated chain length would run, and report, each of its trials twice
@@ -518,6 +524,8 @@ def test_cli_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     for args, named in [(("--seed", "-1"), "seed"),
                         (("--lam-max", "inf"), "lam_hi"),
+                        (("--suite", "all", "--lam-min", "1e-7", "--lam-max", "1e7"),
+                         "POSITIVITY_FLOOR"),
                         (("--config", str(wide)), "half_width"),
                         (("--check", "golden_thompson", "--check", "golden_thompson"),
                          "'golden_thompson'"),

@@ -38,7 +38,8 @@ from traceineq import (
     tensor_pair_trace,
 )
 from traceineq import campaign, entangle, frechet, inequalities, limits, quadrature
-from traceineq.errors import NonFinite
+from traceineq.combinatorics import MAX_N
+from traceineq.errors import DimensionMismatch, NonFinite
 from traceineq.inequalities import COMPARISONS
 from traceineq.quadrature import beta_density
 
@@ -119,6 +120,28 @@ def test_power_integral_matches_explicit_power_stacks(n, beta_rule, spectral_pow
     values = rhs_power_integral(stack)
     for value, mats in zip(values, _singles(stack, n)):
         assert _close(value, _old_power_integral(mats, beta_rule, spectral_power))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_swept_lengths_equal_separate_calls(d):
+    # one sweep to MAX_N gives each prefix's integral form in the bits of a
+    # separate call on that prefix, for a stack and for one chain, in the
+    # order the lengths are asked for; chain_product_trace on a prefix is
+    # the sweep's pointwise traces at that length
+    stack = _stack(930 + d, 5, MAX_N, d)
+    lengths = range(3, MAX_N + 1)
+    swept = rhs_power_integral(stack, lengths=lengths)
+    assert swept.shape == (len(lengths), 5)
+    for m, values in zip(lengths, swept):
+        assert values.tobytes() == rhs_power_integral(stack[:, :m]).tobytes()
+    one = rhs_power_integral(stack[2], lengths=(MAX_N, 3))
+    assert one.tolist() == [rhs_power_integral(stack[2][:m]) for m in (MAX_N, 3)]
+    t = np.array([-1.5, 0.0, 0.4])
+    traces = inequalities._power_traces(stack, 0.5 * (1.0 + 1j * t), lengths)
+    for m, pointwise in zip(lengths, traces.swapaxes(0, 1)):
+        assert chain_product_trace(stack[:, :m], t).tobytes() == pointwise.real.tobytes()
+    with pytest.raises(DimensionMismatch, match=r"lengths in \[3, 5\]"):
+        rhs_power_integral(stack[:, :5], lengths=(3, 6))
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
@@ -243,22 +266,27 @@ def test_report_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
         (str(n), str(bad_seed), f"NonFinite: {message}") for n in (3, 4, 5, 6)]
 
 
+def _poison(monkeypatch, links):
+    """campaign.draw_posdef, with A_k negated, so negative definite, in the
+    chain of each seed of ``links`` {seed: k} (k 0-based) that reaches it."""
+    real_draw = campaign.draw_posdef
+
+    def draw(rngs, *args, **kwargs):
+        mats = real_draw(rngs, *args, **kwargs).matrix.copy()
+        for i, rng in enumerate(rngs):
+            k = links.get(rng.bit_generator.seed_seq.entropy, len(mats[i]))
+            if k < len(mats[i]):
+                mats[i, k] *= -1.0
+        return PosDefMatrix(mats)
+
+    monkeypatch.setattr(campaign, "draw_posdef", draw)
+
+
 def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
     cfg = _engine_cfg(checks=("power_integral",), n_values=(3, 4), trials=20)
     clean = {(r.n, r.seed): r for r in run_campaign(cfg).reports}
     bad_seed = cfg.seed + 5
-    real_draw = campaign.draw_posdef
-
-    def draw_with_one_bad_chain(rngs, *args, **kwargs):
-        stack = real_draw(rngs, *args, **kwargs)
-        seeds = [rng.bit_generator.seed_seq.entropy for rng in rngs]
-        if bad_seed not in seeds:
-            return stack
-        mats = stack.matrix.copy()
-        mats[seeds.index(bad_seed), 0] *= -1.0  # negative definite A_1
-        return PosDefMatrix(mats)
-
-    monkeypatch.setattr(campaign, "draw_posdef", draw_with_one_bad_chain)
+    _poison(monkeypatch, {bad_seed: 0})  # negative definite A_1
     summary = run_campaign(cfg)
     errors = [r for r in summary.reports if r.kind == "error"]
     assert [(r.n, r.seed) for r in errors] == [(3, bad_seed), (4, bad_seed)]
@@ -399,7 +427,8 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
     # library call once per chunk
     monkeypatch.setattr(campaign, "MAX_CHUNK", 16)  # 3 chunks of 37 seeds
     cfg = _engine_cfg(checks=None, n_values=(3, 4), trials=37)
-    chunks = len(campaign._chunks(list(range(cfg.trials)), 1))
+    sizes = [len(chunk) for chunk in campaign._chunks(list(range(cfg.trials)), 1)]
+    chunks = len(sizes)
     assert chunks == 3
     calls = {}
 
@@ -412,36 +441,60 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
         return call
 
     # rows per attribute: key_identity at two n; both commutator rows; the
-    # pairing row once per dimension, d and d^2
+    # pairing row once per dimension, d and d^2; one integral-form sweep
+    # per draw kind, chains and commuting families
     per_chunk = {"draw_posdef": 1, "random_commuting_family": 1,
                  "check_key_identity": 2, "check_commutator_chain": 2,
                  "check_derivative_form": 1, "power_average_identity_check": 1,
-                 "pairing_check": 2, "check_penalized_trace_limit": 1}
+                 "pairing_check": 2, "check_penalized_trace_limit": 1,
+                 "rhs_power_integral": 2}
     for name in per_chunk:
         monkeypatch.setattr(campaign, name, counting(name))
+    stacks = _recorded_eighs(monkeypatch)
     summary = run_campaign(cfg)
     assert summary.passed and summary.trial_count == 26 + 23 * 37
     assert calls == {name: count * chunks for name, count in per_chunk.items()}
+    # one eigh of each kind's stack per chunk, which every prefix shares
+    assert sorted(stacks) == sorted([(size, 4, 2, 2) for size in sizes] * 2)
 
     # the comparison rows at one chain length share its sides: on one chunk
-    # each side is evaluated once per chain length it is compared at
+    # the left side and the tensor form are evaluated once per chain length
+    # they are compared at, and the integral form is one sweep of the n = 6
+    # prefix that gives every length its value
     lengths = {}
 
     def recording(name):
         real = getattr(inequalities, name)
 
-        def call(chain, *args):
-            lengths.setdefault(name, []).append(chain.matrix.shape[1])
-            return real(chain, *args)
+        def call(chain, *args, **kwargs):
+            lengths.setdefault(name, []).append((chain.matrix.shape[1], *kwargs.values()))
+            return real(chain, *args, **kwargs)
         return call
 
     for name in ("lhs_exp_sum_log", "rhs_power_integral", "rhs_tensor_resolvent"):
         monkeypatch.setattr(inequalities, name, recording(name))
+    monkeypatch.setattr(campaign, "rhs_power_integral", inequalities.rhs_power_integral)
+    stacks.clear()
     cfg = _engine_cfg(suite="inequalities", checks=None, trials=16)  # one chunk
     assert run_campaign(cfg).passed
     assert {name: sorted(n) for name, n in lengths.items()} == {
-        "lhs_exp_sum_log": [2, 3, 4, 5, 6], "rhs_power_integral": [3, 4, 5, 6],
-        "rhs_tensor_resolvent": [3, 4, 5, 6]}
+        "lhs_exp_sum_log": [(2,), (3,), (4,), (5,), (6,)],
+        "rhs_power_integral": [(6, [3, 4, 5, 6])],
+        "rhs_tensor_resolvent": [(3,), (4,), (5,), (6,)]}
+    assert stacks == [(16, 6, 2, 2)]
+
+
+def _recorded_eighs(monkeypatch):
+    """The shapes of the stacks of chains, (K, n, d, d), that eigh is called on."""
+    shapes, real = [], np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        if np.ndim(a) == 4:
+            shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return shapes
 
 
 def test_verdicts_and_json_run_per_row_not_per_trial(tmp_path, monkeypatch):
@@ -508,7 +561,7 @@ def test_derivative_form_takes_the_stored_tensor_side(monkeypatch):
     assert len(rows[None]) == 37 and rows[None] == rows[("derivative_form",)]
 
 
-def test_rows_do_not_depend_on_the_other_rows():
+def test_rows_do_not_depend_on_the_other_rows(monkeypatch):
     # the shared draw is cut to each row's length: a check's rows are the
     # same bytes alone as next to longer chains and commuting families
     def rows(checks, **kw):
@@ -523,14 +576,43 @@ def test_rows_do_not_depend_on_the_other_rows():
     for check_id in ("golden_thompson", "commutator_chain_commuting"):
         alone = rows((check_id,), n_values=(3, 6))[check_id]
         assert len(alone) == 20 and alone == mixed[check_id]
-    # chains past the positivity floor: a side that raises is not shared,
-    # so each comparison row's rows, error rows too, are the same alone as
-    # inside the full campaign
-    wide = dict(n_values=(3, 4, 6), lam_lo=1e-7, lam_hi=1e7)
-    full = rows(None, **wide)
+    # a negative definite A_2 in one trial and A_6 in another: a side that
+    # raises is not shared, so each comparison row's rows, error rows too,
+    # are the same alone as inside the full campaign
+    _poison(monkeypatch, {4_103: 1, 4_111: 5})
+    full = rows(None, n_values=(3, 4, 6))
     for check_id in COMPARISONS:
         assert '"kind": "error"' in "".join(full[check_id])
-        assert rows((check_id,), **wide)[check_id] == full[check_id]
+        assert rows((check_id,), n_values=(3, 4, 6))[check_id] == full[check_id]
+
+
+def test_a_matrix_past_n_errs_only_the_rows_that_take_it(monkeypatch):
+    # a negative definite A_6 in one trial makes the chunk's shared eigh
+    # raise: every prefix then decomposes and evaluates on its own, so the
+    # trial's rows at n 3..5 keep their clean bytes and its n = 6 rows on
+    # the chains are error rows, on that seed alone
+    cfg = _engine_cfg(checks=None, trials=6)
+    clean = run_campaign(cfg).reports
+    bad_seed = cfg.seed + 2
+    _poison(monkeypatch, {bad_seed: 5})
+    poisoned = run_campaign(cfg).reports
+    assert len(poisoned) == len(clean)
+    changed = [(p.check_id, p.n, p.seed, p.kind) for c, p in zip(clean, poisoned)
+               if c.to_row() != p.to_row()]
+    grid = [cid for cid, spec in campaign.CHECKS.items()
+            if spec.length == "n" and not spec.commuting]
+    assert sorted(changed) == sorted((cid, 6, bad_seed, "error") for cid in grid)
+    # a sweep that raises is dropped too: each length evaluates its own
+    monkeypatch.undo()
+    real = campaign.rhs_power_integral
+
+    def no_sweep(chain, lengths=None):
+        if lengths is not None:
+            raise NonFinite("sweep")
+        return real(chain)
+
+    monkeypatch.setattr(campaign, "rhs_power_integral", no_sweep)
+    assert [r.to_row() for r in run_campaign(cfg).reports] == [r.to_row() for r in clean]
 
 
 def test_comparison_table_is_the_runnerless_checks():
