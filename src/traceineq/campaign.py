@@ -78,6 +78,8 @@ MAX_CHUNK = 64  # trials per chunk, at most
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    """What a campaign runs: its checks, chain lengths, draws and report files."""
+
     suite: str = "all"
     checks: tuple[str, ...] | None = None  # None = every check in suite
     n_values: tuple[int, ...] = (3, 4, 5, 6)
@@ -436,6 +438,8 @@ def _run_share(cfg, tasks, first, step) -> list[tuple]:
 
 @dataclass(frozen=True)
 class CampaignSummary:
+    """A campaign's verdict, per-check worst gaps, reports and runtime."""
+
     passed: bool
     trial_count: int
     failure_count: int
@@ -487,6 +491,7 @@ def _chunks(seeds: list, workers: int) -> list[list]:
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
+    """Validate cfg, run its trials and write its reports when cfg.out is set."""
     cfg = cfg.validate()
     start = time.perf_counter()
     rows = _rows(cfg)

@@ -26,19 +26,23 @@ from .campaign import (
     load_config_file,
     run_campaign,
 )
-from .combinatorics import MAX_N, shape_params, slot_sources, thue_morse
+from .combinatorics import MAX_N, thue_morse
 from .entangle import build_layout
-from .errors import TraceIneqError, UnknownCheck
+from .errors import ConfigError, TraceIneqError, UnknownCheck
 
 
-def _layout_text(n: int, d: int) -> list[str]:
+def _shape_line(layout) -> str:
+    """The doubling shape of a layout: its levels, padded length and pads."""
+    return (f"levels = {layout.level_count}, full chain length = {layout.full_n}, "
+            f"padded slots = {layout.pad_count}")
+
+
+def _layout_text(n: int, d: int, dense: bool) -> list[str]:
     """Slot-by-slot description of the tensor factors for chain length n."""
-    layout = build_layout(n, d)
-    shape = shape_params(n)
+    layout = build_layout(n, d, dense)
     lines = [
         f"layout for n = {n}, local dimension d = {d}:",
-        f"  levels = {shape.level_count}, full chain length = {shape.full_n}, "
-        f"padded slots = {shape.pad_count}",
+        f"  {_shape_line(layout)}",
         f"  total one-side dimension = {layout.total_dim}",
         f"  left factors: A_1 and conj(A_{n}), then maximally entangled",
         "  projector blocks: " +
@@ -57,19 +61,17 @@ def _layout_text(n: int, d: int) -> list[str]:
 
 
 def _perm_text(n: int) -> list[str]:
-    shape = shape_params(n)
-    sources = slot_sources(n)
+    layout = build_layout(n, 2)  # its shape and slots do not depend on d
     lines = [
         f"chain length n = {n}",
-        f"levels = {shape.level_count}, full chain length = {shape.full_n}, "
-        f"padded slots = {shape.pad_count}",
+        _shape_line(layout),
         "full slot table (slot: source, conjugation bit):",
     ]
-    for slot, src in enumerate(sources, 2):
-        what = f"A_{src}" if src is not None else "identity"
-        lines.append(f"  slot {slot}: {what:9s} alpha = {thue_morse(slot)}")
+    for slot in layout.mid_slots:
+        what = f"A_{slot.source}" if slot.source is not None else "identity"
+        lines.append(f"  slot {slot.slot}: {what:9s} alpha = {thue_morse(slot.slot)}")
     lines.append("reduced permutation on live slots:")
-    live = [src for src in sources if src is not None]
+    live = [slot.source for slot in layout.mid_slots if slot.source is not None]
     lines += [f"  {k} -> {v}" for k, v in enumerate(live, 2)]
     return lines
 
@@ -96,20 +98,25 @@ def _cmd_explain(args) -> int:
         raise UnknownCheck(f"no check named {args.check!r}; known: "
                            f"{', '.join(sorted(CHECKS))}")
     spec = CHECKS[args.check]
+    fixed_n = spec.length if isinstance(spec.length, int) else None
+    if fixed_n and args.n not in (None, fixed_n):
+        raise ConfigError(f"{spec.check_id} runs at the fixed chain length "
+                          f"n = {fixed_n}, got --n {args.n}")
+    # the layout the row itself would build, made first so its errors print nothing
+    n = fixed_n or (4 if args.n is None else args.n)
+    layout = _layout_text(n, args.d, spec.dense) if spec.layout_aware else None
     print(f"{spec.check_id}  (suite: {spec.suite})")
     print()
     print(f"  {spec.formula}")
     print()
     print(f"{spec.description}")
-    fixed_n = spec.length if isinstance(spec.length, int) else None
     if fixed_n:
         print(f"chain length: fixed at n = {fixed_n}")
     elif spec.length == "n":
         print("chain length: runs over the configured n grid")
-    if spec.layout_aware:
-        n = args.n if args.n is not None else (fixed_n or 4)
+    if layout:
         print()
-        print("\n".join(_layout_text(n, args.d)))
+        print("\n".join(layout))
     return 0
 
 

@@ -1,13 +1,12 @@
 """Index combinatorics for the doubling construction.
 
 Three ingredients determine where each matrix lands in the tensor
-product: the Thue-Morse conjugation pattern, the shape parameters
-(level count and padding), and the doubling permutation that tracks
+product: the Thue-Morse conjugation pattern, the level count (the
+number of doublings), and the doubling permutation that tracks
 how middle factors interleave when the chain length doubles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidRange
@@ -27,32 +26,17 @@ def thue_morse(k: int) -> int:
     return bin(k - 2).count("1") % 2
 
 
-@dataclass(frozen=True)
-class ShapeParams:
-    n: int
-    level_count: int  # number of doublings
-    pad_count: int    # identity factors inserted
-
-    @property
-    def factor_count(self) -> int:
-        return 2 ** self.level_count
-
-    @property
-    def full_n(self) -> int:
-        """Chain length after padding up to the next power of two."""
-        return 2 ** self.level_count + 2
-
-
-def shape_params(n: int) -> ShapeParams:
-    """Level count ceil(log2(n - 2)) and padding 2^level - (n - 2).
+def shape_params(n: int) -> int:
+    """Level count ceil(log2(n - 2)): the doublings that pad the n - 2
+    middle slots with identity factors up to 2^level of them.
 
     Computed via bit_length so the boundary cases are integer exact;
-    n = 3 pads a single slot at level one.
+    n = 3 pads a single slot at level one. entangle.FactorLayout carries
+    the resulting shape: its padded length and pad count.
     """
     if not 3 <= n <= MAX_N:
         raise InvalidRange(f"chain length must be in [3, {MAX_N}], got {n}")
-    level = max(1, (n - 3).bit_length())
-    return ShapeParams(n, level, 2 ** level - (n - 2))
+    return max(1, (n - 3).bit_length())
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +71,6 @@ def slot_sources(n: int) -> tuple[int | None, ...]:
     a live index (at most n - 1), and an identity factor otherwise.
     The live sources enumerate {2, ..., n - 1} exactly once.
     """
-    shape = shape_params(n)
-    perm = doubling_permutation(shape.level_count)
-    out = []
-    for k in range(2, shape.full_n):
-        src = perm[k]
-        out.append(src if src <= n - 1 else None)
-    return tuple(out)
+    level = shape_params(n)
+    perm = doubling_permutation(level)
+    return tuple(perm[k] if perm[k] <= n - 1 else None for k in range(2, 2 ** level + 2))

@@ -104,32 +104,42 @@ class FactorLayout:
     pair_copies: tuple[int, ...]
     outer_copies: int
 
+    @property
+    def full_n(self) -> int:
+        """Chain length after padding up to the next power of two."""
+        return self.factor_count + 2
+
+    @property
+    def pad_count(self) -> int:
+        """Identity factors inserted."""
+        return self.full_n - self.n
+
 
 @lru_cache(maxsize=None)
 def build_layout(n: int, local_dim: int, dense: bool = False) -> FactorLayout:
     """Factor placement for an n-matrix chain at local dimension d."""
     if local_dim < 2:
         raise DimensionMismatch(f"local dimension must be >= 2, got {local_dim}")
-    shape = shape_params(n)
-    total = local_dim ** shape.factor_count
+    level = shape_params(n)
+    factors = 2 ** level
+    total = local_dim ** factors
     cap = DENSE_CAP if dense else DIM_CAP
     if total > cap:
         raise DimensionCap(
-            f"total dimension {local_dim}^{shape.factor_count} = {total} "
+            f"total dimension {local_dim}^{factors} = {total} "
             f"exceeds cap {cap}")
     slots = tuple(
         MidSlot(slot=j + 2, source=src,
                 conjugate=bool(thue_morse(j + 2)) if src is not None else False)
         for j, src in enumerate(slot_sources(n))
     )
-    pair_copies = tuple(2 ** j for j in range(shape.level_count - 1))
     return FactorLayout(
         n=n,
         local_dim=local_dim,
-        level_count=shape.level_count,
-        factor_count=shape.factor_count,
+        level_count=level,
+        factor_count=factors,
         total_dim=total,
         mid_slots=slots,
-        pair_copies=pair_copies,
-        outer_copies=2 ** (shape.level_count - 1),
+        pair_copies=tuple(2 ** j for j in range(level - 1)),
+        outer_copies=2 ** (level - 1),
     )

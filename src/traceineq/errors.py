@@ -30,7 +30,7 @@ class StepTooLarge(TraceIneqError):
 
 
 class DimensionCap(TraceIneqError):
-    """Tensor-product dimension exceeds the configured ceiling."""
+    """Tensor-product dimension exceeds its constant cap, DIM_CAP or DENSE_CAP."""
 
 
 class NonFinite(TraceIneqError):

@@ -367,6 +367,7 @@ def compare(check_id, mats, *, seed=None, sides=None):
 
 
 def check_tensor_resolvent(mats, seed=None):
+    """The n-matrix bound in closed tensor form: compare's tensor_resolvent row."""
     return compare("tensor_resolvent", mats, seed=seed)
 
 

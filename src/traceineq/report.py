@@ -21,6 +21,8 @@ from .errors import DimensionMismatch
 
 
 class TrialReport(NamedTuple):
+    """One trial's verdict: its two sides, their gaps and the tolerances."""
+
     check_id: str
     kind: str  # "identity", "inequality" or "error"
     lhs: float

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import traceineq as ti
+from traceineq.limits import penalized_trace_gaps
+from traceineq.quadrature import beta_normalization_gap, scalar_log_kernel, scalar_power_average
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):
@@ -23,7 +25,7 @@ def _chain(seed, n, d=2, lam_range=(0.1, 10.0)):
 
 
 def test_weight_normalization_and_frozen_values():
-    gap = abs(ti.beta_normalization_gap())
+    gap = abs(beta_normalization_gap())
     at_zero = abs(ti.beta_density(0.0) - np.pi / 4.0)
     at_one = abs(ti.beta_density(1.0) - 0.124746041573112)
     t = np.linspace(0.0, 15.0, 301)
@@ -39,8 +41,8 @@ def test_scalar_power_average_grid():
     worst = 0.0
     for x in grid:
         for y in grid:
-            avg = ti.scalar_power_average(x, y)
-            kernel = ti.scalar_log_kernel(x, y)
+            avg = scalar_power_average(x, y)
+            kernel = scalar_log_kernel(x, y)
             worst = max(worst, abs(avg - kernel))
     _verdict("scalar conjugated-power average on the grid", worst <= 1e-8,
              f"worst abs gap {worst:.2e} over {len(grid) ** 2} pairs")
@@ -184,7 +186,7 @@ def test_penalized_trace_limit_eigenvector():
             g = g + 1j * rng.normal(size=(3, 3))
         a = 0.5 * (g + g.conj().T)
         a = a / max(1.0, float(np.linalg.norm(a, 2)))
-        limit, gaps = ti.penalized_trace_gaps(a, dps=60, eigenvector=-1)
+        limit, gaps = penalized_trace_gaps(a, dps=60, eigenvector=-1)
         ratio = gaps[-1] / gaps[0] if gaps[0] > 0 else 0.0
         ok = ok and gaps[-1] <= 1e-3 * gaps[0] and gaps[-1] <= 1e-6
         rep = ti.check_penalized_trace_limit(a, dps=60, eigenvector=-1,

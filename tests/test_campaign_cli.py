@@ -197,7 +197,7 @@ def test_campaign_rerun_byte_identical(tmp_path):
 
 
 def test_write_reports_needs_the_lines_the_tasks_made(tmp_path):
-    from traceineq import write_reports
+    from traceineq.campaign import write_reports
 
     cfg = _cfg(checks=("pairing_identity",))
     with pytest.raises(ValueError, match="no trial lines"):
@@ -575,6 +575,31 @@ def test_cli_explain_layout():
     assert "Tr[A1 A2]" in proc.stdout
 
 
+@pytest.mark.parametrize("check_id, other_n", [("derivative_form", 7),
+                                               ("scaled_exponential", 9)])
+def test_cli_explain_fixed_length_row_refuses_other_n(capsys, check_id, other_n):
+    # a fixed-length row is rendered at its own length, never at --n
+    assert main(["explain", "--check", check_id, "--n", str(other_n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"fixed chain length n = 4, got --n {other_n}" in err
+    assert main(["explain", "--check", check_id, "--n", "4"]) == 0
+    at_own_n = capsys.readouterr().out
+    assert main(["explain", "--check", check_id]) == 0
+    assert capsys.readouterr().out == at_own_n
+    assert "layout for n = 4," in at_own_n
+
+
+def test_cli_explain_derivative_form_keeps_the_dense_cap(capsys):
+    # explain builds the layout verify would: d = 23 is 529 > DENSE_CAP = 512
+    assert main(["explain", "--check", "derivative_form", "--d", "23"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "23^2 = 529 exceeds cap 512" in err
+    assert main(["explain", "--check", "derivative_form", "--d", "22"]) == 0
+    assert "total one-side dimension = 484" in capsys.readouterr().out
+
+
 def test_cli_perm_frozen_rows():
     proc = _run("perm", "--n", "7")
     assert proc.returncode == 0
@@ -584,30 +609,23 @@ def test_cli_perm_frozen_rows():
 
 
 def test_public_api_is_pinned():
-    # a change to the public names shows up in this list
+    # a change to the public names shows up in this list; the other
+    # names are imported from their modules
     assert traceineq.__all__ == [
-        "CHECKS", "CampaignConfig", "CampaignSummary", "CheckSpec", "ConfigError",
-        "DIM_CAP", "DimensionCap", "DimensionMismatch", "FactorLayout",
-        "ImaginaryResidue", "InvalidRange", "MAX_N", "MidSlot",
-        "NonFinite", "NonPositiveEigenvalue", "NotHermitian", "PosDefMatrix",
-        "QuadratureRule", "ShapeParams", "StepTooLarge", "TraceIneqError",
-        "TrialReport", "UnknownCheck", "as_posdef", "beta_density",
-        "beta_normalization_gap", "build_layout",
+        "CHECKS", "CampaignConfig", "CampaignSummary", "ConfigError", "DIM_CAP",
+        "DimensionCap", "DimensionMismatch", "ImaginaryResidue", "InvalidRange",
+        "MAX_N", "NonFinite", "NonPositiveEigenvalue", "NotHermitian", "PosDefMatrix",
+        "StepTooLarge", "TraceIneqError", "TrialReport", "UnknownCheck", "beta_density",
         "chain_product_trace", "check_commutator_chain", "check_derivative_form",
         "check_equivalence", "check_key_identity", "check_penalized_trace_limit",
         "check_tensor_resolvent", "commutator_chain", "compare",
-        "conjugated_power_average", "derivative_form_value", "doubling_permutation",
-        "draw_posdef", "half_line_rule", "hermitian_fn", "hermitize",
-        "identity_report", "inequality_report", "kron_all", "lhs_exp_sum_log",
-        "load_config_file", "log_derivative_closed",
+        "conjugated_power_average", "draw_posdef", "half_line_rule", "identity_report",
+        "inequality_report", "lhs_exp_sum_log", "log_derivative_closed",
         "log_derivative_finite_difference", "log_derivative_quadrature",
-        "logarithmic_ratio", "omega_vector", "pairing_check", "penalized_trace_gaps",
-        "power_average_identity_check", "projector", "random_commuting_family",
-        "real_line_rule", "real_trace", "rhs_golden_thompson", "rhs_lieb_three",
-        "rhs_power_integral", "rhs_tensor_resolvent", "run_campaign",
-        "scalar_identity_check", "scalar_log_kernel", "scalar_power_average",
-        "scaled_exponential_lhs", "shape_params", "slot_sources", "tensor_operands",
-        "tensor_pair_trace", "thue_morse", "write_reports",
+        "pairing_check", "power_average_identity_check", "random_commuting_family",
+        "real_line_rule", "rhs_golden_thompson", "rhs_lieb_three", "rhs_power_integral",
+        "rhs_tensor_resolvent", "run_campaign", "scalar_identity_check",
+        "scaled_exponential_lhs", "tensor_pair_trace",
     ]
 
 

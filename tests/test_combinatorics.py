@@ -2,15 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceineq import (
-    InvalidRange,
-    MAX_N,
-    doubling_permutation,
-    shape_params,
-    slot_sources,
-    thue_morse,
-)
+from traceineq import MAX_N, InvalidRange
 from traceineq.cli import _perm_text
+from traceineq.combinatorics import doubling_permutation, shape_params, slot_sources, thue_morse
+from traceineq.entangle import build_layout
 
 
 def test_thue_morse_prefix_frozen():
@@ -33,17 +28,17 @@ def test_thue_morse_doubling_relations(k):
 
 
 def test_shape_params_table():
-    # (levels, padded slots) for each chain length
+    # (levels, padded slots) for each chain length, on the layout record
     expect = {
         3: (1, 1), 4: (1, 0), 5: (2, 1), 6: (2, 0),
         7: (3, 3), 8: (3, 2), 9: (3, 1), 10: (3, 0),
     }
     for n, (levels, pads) in expect.items():
-        sp = shape_params(n)
-        assert sp.level_count == levels
-        assert sp.pad_count == pads
-        assert sp.full_n == 2 ** levels + 2
-        assert sp.factor_count == sp.full_n - 2
+        layout = build_layout(n, 2)
+        assert shape_params(n) == layout.level_count == levels
+        assert layout.pad_count == pads
+        assert layout.full_n == 2 ** levels + 2
+        assert layout.factor_count == layout.full_n - 2
     for bad in (2, 11, 0, -1):
         with pytest.raises(InvalidRange):
             shape_params(bad)
@@ -91,7 +86,7 @@ def test_slot_sources_cover_chain_exactly_once():
         sources = slot_sources(n)
         live = [s for s in sources if s is not None]
         assert sorted(live) == list(range(2, n))
-        assert len(sources) == shape_params(n).factor_count
+        assert len(sources) == 2 ** shape_params(n)
 
 
 def test_build_permutation_reindexes_live_slots():

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from traceineq import (
-    DIM_CAP,
-    DimensionCap,
-    DimensionMismatch,
-    build_layout,
-    omega_vector,
-    pairing_check,
-    projector,
-    thue_morse,
-)
+from traceineq import DIM_CAP, DimensionCap, DimensionMismatch, pairing_check
+from traceineq.combinatorics import thue_morse
+from traceineq.entangle import build_layout, omega_vector, projector
 
 
 def test_omega_vector_is_flattened_identity():

@@ -6,7 +6,6 @@ from traceineq import (
     TraceIneqError,
     InvalidRange,
     PosDefMatrix,
-    build_layout,
     chain_product_trace,
     check_commutator_chain,
     check_derivative_form,
@@ -16,22 +15,21 @@ from traceineq import (
     check_tensor_resolvent,
     commutator_chain,
     compare,
-    derivative_form_value,
     draw_posdef,
-    kron_all,
     lhs_exp_sum_log,
-    logarithmic_ratio,
-    penalized_trace_gaps,
     random_commuting_family,
     rhs_golden_thompson,
     rhs_lieb_three,
     rhs_power_integral,
     rhs_tensor_resolvent,
     scaled_exponential_lhs,
-    tensor_operands,
     tensor_pair_trace,
 )
 from traceineq import inequalities, limits
+from traceineq.entangle import build_layout
+from traceineq.inequalities import tensor_operands
+from traceineq.limits import derivative_form_value, penalized_trace_gaps
+from traceineq.linalg import kron_all, logarithmic_ratio
 
 
 def test_lhs_permutation_invariant(make_chain):

@@ -13,13 +13,15 @@ from traceineq import (
     NonPositiveEigenvalue,
     NotHermitian,
     PosDefMatrix,
-    as_posdef,
     draw_posdef,
+    random_commuting_family,
+)
+from traceineq.linalg import (
+    as_posdef,
     hermitian_fn,
     hermitize,
     kron_all,
     logarithmic_ratio,
-    random_commuting_family,
     real_trace,
 )
 

@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -7,15 +9,19 @@ import traceineq
 from traceineq import (
     InvalidRange,
     beta_density,
-    beta_normalization_gap,
     check_equivalence,
     half_line_rule,
     real_line_rule,
     scalar_identity_check,
+)
+from traceineq.quadrature import (
+    BETA_HALF_WIDTH,
+    BETA_NODE_COUNT,
+    _trapezoid_rule,
+    beta_normalization_gap,
     scalar_log_kernel,
     scalar_power_average,
 )
-from traceineq.quadrature import BETA_HALF_WIDTH, BETA_NODE_COUNT, _trapezoid_rule
 
 PI_QUARTER = 0.7853981633974483
 DENSITY_AT_ONE = 0.124746041573112
@@ -132,16 +138,21 @@ RULE_PARAMETERS = {"rule", "beta_rule", "half_rule", "half_width", "node_count"}
 
 def test_no_public_function_takes_a_rule(make_chain):
     # the two rules are constants; check_equivalence keeps a rule slot as a
-    # guard that accepts only real_line_rule() itself
+    # guard that accepts only real_line_rule() itself. Every submodule's
+    # public callables are walked, not only the package's __all__
     taking = set()
-    for name in traceineq.__all__:
-        value = getattr(traceineq, name)
-        try:
-            params = inspect.signature(value).parameters if callable(value) else {}
-        except ValueError:  # exception classes have no signature
-            continue
-        if RULE_PARAMETERS & set(params):
-            taking.add(name)
+    for info in pkgutil.iter_modules(traceineq.__path__):
+        module = importlib.import_module(f"traceineq.{info.name}")
+        for name, value in vars(module).items():
+            if (name.startswith("_") or not callable(value)
+                    or getattr(value, "__module__", None) != module.__name__):
+                continue
+            try:
+                params = inspect.signature(value).parameters
+            except ValueError:  # exception classes have no signature
+                continue
+            if RULE_PARAMETERS & set(params):
+                taking.add(name)
     assert taking == {"check_equivalence"}
     mats = make_chain(61, 4)
     assert check_equivalence(mats, real_line_rule()) == check_equivalence(mats)

@@ -1,4 +1,5 @@
-"""The README's examples run, and the library names it cites exist."""
+"""The README's examples run, the library names it cites exist, and its
+Library section names every public name."""
 import importlib
 import pkgutil
 import re
@@ -25,3 +26,18 @@ def test_readme_cites_only_existing_sides_and_checks():
     missing = sorted(name for name in cited
                      if not any(hasattr(mod, name) for mod in modules))
     assert not missing
+
+
+def test_public_names_are_named_and_documented():
+    library = README.split("\n## Library\n")[1].split("\n## ")[0]
+    unnamed = [name for name in traceineq.__all__
+               if not re.search(rf"[`.]{name}\b", library)]
+    assert not unnamed
+    undocumented = []
+    for name in traceineq.__all__:
+        value = getattr(traceineq, name)
+        doc = (value.__doc__ or "").strip() if callable(value) else "a constant"
+        # dataclasses and NamedTuples make their signature their docstring
+        if not doc or doc.startswith(f"{name}("):
+            undocumented.append(name)
+    assert not undocumented
