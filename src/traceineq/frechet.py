@@ -6,7 +6,9 @@ to Y. Three independent routes are kept deliberately separate:
 * closed form, the divided-difference (Loewner) kernel of log in the
   eigenbasis of X, used everywhere in production;
 * resolvent quadrature of (X + tau)^{-1} Y (X + tau)^{-1} over the
-  half line, built on linear solves rather than the eigenbasis;
+  half line, built on a batched elimination rather than the eigenbasis
+  (``_half_line_resolvents``, which the commutator chain's half-line
+  routes share);
 * central finite differences of the matrix log.
 
 The three must agree pairwise; collapsing them would turn the
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, StepTooLarge
+from .errors import DimensionMismatch, NonPositiveEigenvalue, StepTooLarge
 from .linalg import (
+    STACK_BUDGET,
     PosDefMatrix,
     as_posdef,
     logarithmic_ratio,
@@ -56,21 +59,75 @@ def log_derivative_closed(x, y) -> np.ndarray:
     return vec @ (ytil * phi) @ vec_h
 
 
-def log_derivative_quadrature(x, y) -> np.ndarray:
-    """Half-line integral of resolvent sandwiches, via batched solves.
+def _half_line_resolvents(x):
+    """Yield (p, w, R) over the stack x (K, d, d) of Hermitian positive
+    definite matrices: the pairs of a stack_slices slice p, a block of
+    half_line_rule() nodes tau with their weights w, and the resolvents
+    R = (X + tau)^{-1} of the slice at those nodes, node axis last,
+    shape (k, d, d, T). A block holds STACK_BUDGET // d^2 nodes, so its
+    size depends on d alone, and a slice keeps R within STACK_BUDGET.
 
-    Kept eigenbasis-free on purpose: the resolvents come from
-    np.linalg.inv, so agreement with the closed form is a genuine
-    two-route consistency check.
+    R comes from one Gauss-Jordan elimination of the whole slice, a
+    pivot at a time, without pivoting: every X + tau is Hermitian
+    positive definite, so every pivot is positive, and a pivot that is
+    not (or is NaN) raises NonPositiveEigenvalue. Each matrix runs the
+    same elementwise operations whatever the slice holds.
+
+    Error bound. Let M = X + tau as formed, with Cholesky factor G, so
+    |L||U| = |G*||G| and |U^{-1}||U| = |G^{-1}||G|. To first order in
+    u = 2^-53, Gauss-Jordan elimination has |M^{-1} - R| <=
+    2du (|M^{-1}||G*||G| + 3|G^{-1}||G|)|R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 14.5). Since
+    || |B| ||_2 <= sqrt(d) ||B||_2 and || |G| ||_2^2 <= d ||M||_2, this gives
+    ||M^{-1} - R||_2 <= 2d^2 u (d + 3 sqrt(d)) cond_2(M) ||R||_2
+    <= 8 d^3 u cond_2(M) ||R||_2.
+    """
+    d = x.shape[-1]
+    rule = half_line_rule()
+    block = min(rule.nodes.size, max(1, STACK_BUDGET // d ** 2))
+    eye = np.eye(d)[:, :, None]
+    for p in stack_slices(len(x), block * d * d):
+        for i in range(0, rule.nodes.size, block):
+            res = x[p, :, :, None] + eye * rule.nodes[i:i + block]
+            for j in range(d):
+                pivot = res[:, j, j].copy()
+                if not pivot.real.min() > 0.0:  # NaN fails too
+                    raise NonPositiveEigenvalue(f"pivot {pivot.real.min():.3e} of X + tau "
+                                                f"is not positive")
+                res[:, j, j] = 1.0
+                row = res[:, j] / pivot[:, None]
+                update = res[:, :, j, None] * row[:, None]
+                res[:, :, j] = 0.0
+                res -= update
+                res[:, j] = row
+            yield p, rule.weights[i:i + block], res
+
+
+def _node_product(a, b):
+    """The matrix products a @ b of (k, d, d, T) arrays, node axis last
+    (T may be 1 on either side), as d multiply-adds in one order."""
+    out = a[:, :, :1] * b[:, None, 0]
+    for j in range(1, a.shape[2]):
+        out += a[:, :, j:j + 1] * b[:, None, j]
+    return out
+
+
+def log_derivative_quadrature(x, y) -> np.ndarray:
+    """Half-line integral of resolvent sandwiches R Y R, R = (X + tau)^{-1};
+    stacks of X and Y of one shape (..., d, d) pair up matrix by matrix.
+
+    Kept eigenbasis-free on purpose: the resolvents come from the
+    batched elimination of _half_line_resolvents, so agreement with the
+    closed form is a genuine two-route consistency check.
     """
     x = as_posdef(x)
     y = _conformable(x, y)
-    rule = half_line_rule()
-    eye = np.eye(x.dim)
-    shifted = x.matrix[None, :, :] + rule.nodes[:, None, None] * eye[None, :, :]
-    res = np.linalg.inv(shifted)
-    sandwiched = res @ y[None, :, :] @ res
-    return np.einsum("t,tij->ij", rule.weights, sandwiched)
+    d = x.dim
+    ys = y.reshape(-1, d, d, 1)
+    out = np.zeros(ys.shape[:3], dtype=complex)
+    for p, w, res in _half_line_resolvents(x.matrix.reshape(-1, d, d)):
+        out[p] += _node_product(_node_product(res, ys[p]), res) @ w
+    return out.reshape(y.shape)
 
 
 def log_derivative_finite_difference(x, y, step: float | None = None) -> np.ndarray:
@@ -82,6 +139,9 @@ def log_derivative_finite_difference(x, y, step: float | None = None) -> np.ndar
     """
     x = as_posdef(x)
     y = _conformable(x, y)
+    if y.ndim != 2:
+        raise DimensionMismatch(f"the finite-difference route takes one matrix, "
+                                f"not a stack of shape {y.shape}")
     norm_y = float(np.linalg.norm(y, 2))
     if norm_y == 0.0:
         return np.zeros_like(y)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRange, StepTooLarge
-from .frechet import conjugated_power_average
+from .frechet import _half_line_resolvents, _node_product, conjugated_power_average
 from .entangle import build_layout
 from .inequalities import (
     _coerce_chain,
@@ -21,16 +21,13 @@ from .inequalities import (
     tensor_operands,
 )
 from .linalg import (
-    STACK_BUDGET,
     PosDefMatrix,
     as_posdef,
     hermitian_fn,
     hermitize,
     real_trace,
     stack_norm,
-    stack_slices,
 )
-from .quadrature import half_line_rule
 from .report import TrialReport, identity_report
 
 
@@ -49,18 +46,15 @@ def commutator_chain(a1, a2):
       explicit_commutator     int R X [A1, A2] X R^2 dtau
 
     with X = A2^{-1} and R = R(tau) = (X + tau)^{-1}. Stacks of pairs
-    (..., d, d) give stacks of each; the resolvents are batched inverses,
-    held node axis last, (K, d, d, T), so products run along the nodes.
-    The nodes go in blocks whose size depends on d alone, and the stack
-    in slices of pairs that keep each block's resolvents within
-    STACK_BUDGET entries, so a pair's sums run in one order whatever
-    the stack.
+    (..., d, d) give stacks of each. The resolvents and the node blocks
+    come from frechet._half_line_resolvents, node axis last, and each
+    product is d multiply-adds along the nodes, so a pair's sums run in
+    one order whatever the stack.
     """
     a1 = as_posdef(a1)
     a2 = as_posdef(a2)
     if a1.matrix.shape != a2.matrix.shape:
         raise DimensionMismatch("operands must share one shape")
-    rule = half_line_rule()
     m1, m2, d = a1.matrix, a2.matrix, a1.dim
     x = a2.inverse()
 
@@ -68,26 +62,16 @@ def commutator_chain(a1, a2):
     first = m1 @ m2 - average
 
     comm = m1 @ m2 - m2 @ m1
-    core = x @ comm @ x
-    block = min(rule.nodes.size, max(1, STACK_BUDGET // d ** 2))
-    m1, x, core = (a.reshape(-1, d, d) for a in (m1, x, core))
-    second, third, fourth = (np.zeros_like(m1) for _ in range(3))
-    for p in stack_slices(len(m1), block * d * d):
-        a, xp, cp = m1[p], x[p], core[p]
-        for i in range(0, rule.nodes.size, block):
-            tau, w = rule.nodes[i:i + block], rule.weights[i:i + block]
-            res = np.linalg.inv(xp[:, None] + tau[:, None, None] * np.eye(d))
-            res = np.ascontiguousarray(np.moveaxis(res, -3, -1))
-
-            r2 = np.einsum("kijt,kjlt->kilt", res, res)
-            second[p] += (np.einsum("kij,kjlt->kilt", a, r2)
-                          - np.einsum("kijt,kjl,klmt->kimt", res, a, res)) @ w
-
-            comm_r = (np.einsum("kij,kjlt->kilt", a, res)
-                      - np.einsum("kijt,kjl->kilt", res, a))
-            third[p] += np.einsum("kijt,kjlt,t->kil", comm_r, res, w)
-
-            fourth[p] += np.einsum("kijt,kjl,klmt,t->kim", res, cp, r2, w)
+    core = (x @ comm @ x).reshape(-1, d, d, 1)
+    m1 = m1.reshape(-1, d, d, 1)
+    second, third, fourth = (np.zeros(m1.shape[:3], dtype=complex) for _ in range(3))
+    for p, w, res in _half_line_resolvents(x.reshape(-1, d, d)):
+        a = m1[p]
+        r2 = _node_product(res, res)
+        ra = _node_product(res, a)
+        second[p] += (_node_product(a, r2) - _node_product(ra, res)) @ w
+        third[p] += _node_product(_node_product(a, res) - ra, res) @ w
+        fourth[p] += _node_product(_node_product(res, core[p]), r2) @ w
     second, third, fourth = (a.reshape(first.shape) for a in (second, third, fourth))
 
     return {

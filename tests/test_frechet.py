@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from traceineq import (
+    DimensionMismatch,
+    NonPositiveEigenvalue,
     PosDefMatrix,
     StepTooLarge,
     conjugated_power_average,
@@ -11,6 +13,10 @@ from traceineq import (
     log_derivative_quadrature,
     power_average_identity_check,
 )
+from traceineq.frechet import _half_line_resolvents
+from traceineq.quadrature import half_line_rule
+
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _pair(seed, dim=4):
@@ -70,6 +76,75 @@ def test_finite_difference_second_order():
     e1 = np.linalg.norm(log_derivative_finite_difference(x, y, step=1e-3) - closed)
     e2 = np.linalg.norm(log_derivative_finite_difference(x, y, step=5e-4) - closed)
     assert e2 / e1 == pytest.approx(0.25, rel=0.2)
+
+
+def _stacked_pairs(dim, lam_range, count):
+    rngs = [np.random.default_rng(400 + i) for i in range(count)]
+    stack = draw_posdef(rngs, dim, lam_range, count=2)
+    return stack[:, 0], stack[:, 1].matrix
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_quadrature_stack_equals_lone_calls(dim):
+    # 7 pairs cross the slices of 5 at d = 2; at d = 5 the nodes go in two blocks
+    x, y = _stacked_pairs(dim, (0.1, 10.0), 7)
+    stacked = log_derivative_quadrature(x, y)
+    assert stacked.shape == y.shape
+    for i in range(len(y)):
+        assert np.array_equal(stacked[i], log_derivative_quadrature(x.matrix[i], y[i]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lam_range, rtol", [((0.1, 10.0), 1e-12), ((1e-3, 1e3), 1e-8)])
+def test_quadrature_agrees_with_closed(dim, lam_range, rtol):
+    # the 200-node unit-scale half-line rule limits the agreement on wide
+    # spectra (about 6e-10 at d = 3, [1e-3, 1e3], over these 20 draws)
+    x, y = _stacked_pairs(dim, lam_range, 20)
+    closed = log_derivative_closed(x, y)
+    gap = np.linalg.norm(log_derivative_quadrature(x, y) - closed, axis=(-2, -1))
+    assert (gap <= rtol * np.linalg.norm(closed, axis=(-2, -1))).all()
+
+
+def _resolvents(x):
+    """Every node's resolvent of the stack x, (K, T, d, d), from the helper's blocks."""
+    blocks = {}
+    for p, _, res in _half_line_resolvents(x):
+        blocks.setdefault(p.start, []).append(res)
+    full = np.concatenate([np.concatenate(b, axis=-1) for _, b in sorted(blocks.items())])
+    return np.moveaxis(full, -1, 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_elimination_matches_inv_within_its_bound(dim):
+    # the docstring's bound, ||M^{-1} - R||_2 <= 8 d^3 u cond(M) ||R||_2, taken
+    # for np.linalg.inv's LU as well: the two differ by at most twice that
+    rngs = [np.random.default_rng(500 + i) for i in range(6)]
+    vec = draw_posdef(rngs, dim).spectral.eigenvectors
+    lam = np.array([np.geomspace(0.1, 10.0, dim), np.geomspace(1e-5, 1e4, dim)])
+    x = np.concatenate([(vec * lam_k) @ vec.conj().swapaxes(-1, -2) for lam_k in lam])
+    res = _resolvents(x)
+    tau = half_line_rule().nodes
+    shifted = x[:, None] + tau[:, None, None] * np.eye(dim)
+    lam = np.linalg.eigvalsh(shifted)
+    cond = lam[..., -1] / lam[..., 0]
+    assert cond.max() > 1e7
+    err = np.linalg.norm(res - np.linalg.inv(shifted), 2, axis=(-2, -1))
+    bound = 16 * dim ** 3 * UNIT_ROUNDOFF * cond * np.linalg.norm(res, 2, axis=(-2, -1))
+    assert (err <= bound).all()
+
+
+@pytest.mark.parametrize("x", [[[1.0, 2.0], [2.0, 1.0]],  # second pivot negative
+                               [[-1.0, 0.0], [0.0, 1.0]],
+                               [[np.nan, 0.0], [0.0, 1.0]]])
+def test_elimination_raises_on_a_non_positive_pivot(x):
+    with pytest.raises(NonPositiveEigenvalue):
+        list(_half_line_resolvents(np.array([np.eye(2), x], dtype=complex)))
+
+
+def test_finite_difference_takes_one_matrix():
+    x, y = _stacked_pairs(2, (0.1, 10.0), 3)
+    with pytest.raises(DimensionMismatch, match="one matrix"):
+        log_derivative_finite_difference(x, y)
 
 
 def test_finite_difference_step_guard():

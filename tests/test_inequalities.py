@@ -291,6 +291,17 @@ def test_commutator_chain_vanishes_commuting():
     assert rep.check_id == "commutator_chain_commuting"
 
 
+@pytest.mark.parametrize("dim", [2, 5])
+def test_commutator_chain_stack_equals_lone_calls(dim):
+    # 7 pairs cross the slices of 5 at d = 2; at d = 5 the nodes go in two blocks
+    stack = draw_posdef([np.random.default_rng(90 + i) for i in range(7)], dim, count=2)
+    stacked = commutator_chain(stack[:, 0], stack[:, 1])
+    for i in range(7):
+        lone = commutator_chain(stack[i, 0], stack[i, 1])
+        for route, value in lone.items():
+            assert np.array_equal(stacked[route][i], value), route
+
+
 def test_commutator_chain_nan_route_fails(monkeypatch):
     # a NaN expression must not pass: the largest pairwise gap is NaN
     stack = draw_posdef([np.random.default_rng(s) for s in (87, 88, 89)], 2, count=2)

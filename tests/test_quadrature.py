@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +136,26 @@ def test_rules_are_built_once_and_read_only():
 
 
 RULE_PARAMETERS = {"rule", "beta_rule", "half_rule", "half_width", "node_count"}
+
+
+def test_one_function_calls_the_half_line_rule():
+    # every half-line route takes its nodes through the resolvent helper, so
+    # a rule that depends on the matrix changes one function
+    callers = set()
+    for path in sorted(Path(traceineq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(node, f"{path.stem}.{node.name}") for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None))
+                    == "half_line_rule"):
+                continue
+            # the innermost function around the call, or the module itself
+            inner = [name for node, name in scopes
+                     if node.lineno <= call.lineno <= node.end_lineno]
+            callers.add(inner[-1] if inner else path.stem)
+    assert callers == {"frechet._half_line_resolvents"}
 
 
 def test_no_public_function_takes_a_rule(make_chain):
