@@ -278,7 +278,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("commutator_chain", "identities", 2,
         lambda cfg, c, seeds, sides: check_commutator_chain(c[:, 0], c[:, 1], seed=seeds),
-        description="Four operator expressions for the deviation of the "
+        description="Three operator expressions for the deviation of the "
                     "conjugated-power average from the plain product.",
         formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
                 "int R X [A1, A2] X R^2 dtau"),
@@ -287,7 +287,7 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
             c[:, 0], c[:, 1], atol=1e-12, seed=seeds,
             check_id="commutator_chain_commuting"), commuting=True,
         description="The same chain vanishes identically on commuting pairs.",
-        formula="[A1, A2] = 0  =>  all four expressions = 0"),
+        formula="[A1, A2] = 0  =>  all three expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
         lambda cfg, c, seeds, sides: check_derivative_form(c, seed=seeds, sides=sides),
         layout_aware=True, dense=True,

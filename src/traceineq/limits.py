@@ -2,7 +2,7 @@
 form of the tensor bound.
 
 These are the consistency checks that sit around the inequalities
-proper: an operator-level chain of four expressions for the deviation
+proper: an operator-level chain of three expressions for the deviation
 of the two-matrix average from the plain product, the rank-one
 penalty limit Tr exp(A - tP) -> exp<v, A v>, and the directional
 derivative that reproduces the tensor right side.
@@ -34,14 +34,13 @@ from .report import TrialReport, identity_report
 # ---------------------------------------------------------- commutator chain
 
 def commutator_chain(a1, a2):
-    """Four expressions for A1 A2 minus the conjugated-power average.
+    """Three expressions for A1 A2 minus the conjugated-power average.
 
-    All four are equal as matrices; the last makes the linear dependence
+    All three are equal as matrices; the last makes the linear dependence
     on the commutator [A1, A2] explicit (and is not symmetric under
     swapping the inputs). Returned as a dict keyed by route:
 
       product_minus_average   A1 A2 - avg_t A2^{s+} A1 A2^{s-}
-      resolvent_difference    int (A1 R^2 - R A1 R) dtau
       commutator_resolvent    int [A1, R] R dtau
       explicit_commutator     int R X [A1, A2] X R^2 dtau
 
@@ -64,27 +63,22 @@ def commutator_chain(a1, a2):
     comm = m1 @ m2 - m2 @ m1
     core = (x @ comm @ x).reshape(-1, d, d, 1)
     m1 = m1.reshape(-1, d, d, 1)
-    second, third, fourth = (np.zeros(m1.shape[:3], dtype=complex) for _ in range(3))
+    second, third = (np.zeros(m1.shape[:3], dtype=complex) for _ in range(2))
     for p, w, res in _half_line_resolvents(x.reshape(-1, d, d)):
         a = m1[p]
-        r2 = _node_product(res, res)
-        ra = _node_product(res, a)
-        second[p] += (_node_product(a, r2) - _node_product(ra, res)) @ w
-        third[p] += _node_product(_node_product(a, res) - ra, res) @ w
-        fourth[p] += _node_product(_node_product(res, core[p]), r2) @ w
-    second, third, fourth = (a.reshape(first.shape) for a in (second, third, fourth))
+        second[p] += _node_product(_node_product(a, res) - _node_product(res, a), res) @ w
+        third[p] += _node_product(_node_product(res, core[p]), _node_product(res, res)) @ w
 
     return {
         "product_minus_average": first,
-        "resolvent_difference": second,
-        "commutator_resolvent": third,
-        "explicit_commutator": fourth,
+        "commutator_resolvent": second.reshape(first.shape),
+        "explicit_commutator": third.reshape(first.shape),
     }
 
 
 def check_commutator_chain(a1, a2, atol: float = 1e-6, seed=None,
                            check_id: str = "commutator_chain"):
-    """Max pairwise Frobenius gap across the four routes, per unit of
+    """Max pairwise Frobenius gap across the three routes, per unit of
     ||A1|| ||A2||; a NaN gap is the max, and fails the trial. Stacks of
     pairs give one report per pair, given a list of seeds."""
     a1 = as_posdef(a1)
@@ -103,24 +97,22 @@ def check_commutator_chain(a1, a2, atol: float = 1e-6, seed=None,
 PENALTY_GRID = (1e2, 1e3, 1e4)
 
 
-def penalized_trace_gaps(a, v=None, dps: int | None = None,
-                         eigenvector: int | None = None):
+def penalized_trace_gaps(a, v=None, dps: int | None = None):
     """Gaps |Tr exp(A - t P) - exp<v, A v>| along the penalties PENALTY_GRID.
 
     P projects onto the orthogonal complement of the unit vector v, so
     the kernel of the penalty is spanned by v and the trace collapses
-    to exp of the Rayleigh quotient as t grows. With ``dps`` set the
-    whole computation runs in mpmath arbitrary precision, which is the
-    only way to resolve the exponentially small gaps when v is an
-    eigenvector of A; the float64 path is appropriate for generic v,
-    where the gap decays like 1/t.
+    to exp of the Rayleigh quotient as t grows. With ``dps`` (at least
+    1) set the whole computation runs in mpmath arbitrary precision,
+    which is the only way to resolve the exponentially small gaps when
+    v is an eigenvector of A; the float64 path is appropriate for
+    generic v, where the gap decays like 1/t.
 
-    ``eigenvector`` (requires ``dps``) ignores v and takes the
-    eigenvector of A at that position in the ascending spectrum,
-    computed at working precision. A float64 eigenvector is only an
-    eigenvector up to 1e-16, and the corresponding 1/t tail buries the
-    exponentially small true gap; the direction has to be produced at
-    the same precision as the trace.
+    At ``dps``, v=None takes A's top eigenvector, computed at working
+    precision. A float64 eigenvector is only an eigenvector up to 1e-16,
+    and the corresponding 1/t tail buries the exponentially small true
+    gap; the direction has to be produced at the same precision as the
+    trace.
 
     Returns (limit, gaps) as floats. The float64 path also takes a
     stack (K, d, d) of matrices with a stack (K, d) of directions, and
@@ -129,12 +121,15 @@ def penalized_trace_gaps(a, v=None, dps: int | None = None,
     """
     a = hermitize(np.asarray(a, dtype=complex))
     dim, single = a.shape[-1], a.ndim == 2
-    if dps is not None and not single:
-        raise DimensionMismatch("the arbitrary precision path takes one matrix")
-    if eigenvector is None:
-        if v is None:
-            raise DimensionMismatch("need a direction vector or an "
-                                    "eigenvector index")
+    if dps is not None:
+        if dps < 1:
+            raise InvalidRange(f"dps must be at least 1, got {dps}")
+        if not single:
+            raise DimensionMismatch("the arbitrary precision path takes one matrix")
+    if v is None and dps is None:
+        raise DimensionMismatch("need a direction vector, or dps for "
+                                "A's top eigenvector")
+    if v is not None:
         v = np.asarray(v, dtype=complex)
         v = v.reshape(-1) if single else v
         if v.shape != a.shape[:-1]:
@@ -145,12 +140,6 @@ def penalized_trace_gaps(a, v=None, dps: int | None = None,
         if not nv.all():
             raise DimensionMismatch("direction vector must be nonzero")
         v = v / nv[:, None]
-    elif dps is None:
-        raise InvalidRange("eigenvector directions need the arbitrary "
-                           "precision path; set dps")
-    elif not -dim <= eigenvector < dim:
-        raise InvalidRange(f"eigenvector index {eigenvector} out of range "
-                           f"for dimension {dim}")
 
     if dps is None:
         stack = a.reshape(-1, dim, dim)
@@ -162,56 +151,34 @@ def penalized_trace_gaps(a, v=None, dps: int | None = None,
 
     import mpmath as mp
 
-    v = v[0] if eigenvector is None else None
-    complex_input = float(np.abs(a.imag).max()) > 0 or (
-        v is not None and float(np.abs(v.imag).max()) > 0)
     with mp.workdps(dps):
-        lift = mp.mpc if complex_input else (lambda z: mp.mpf(z.real))
-        eig = mp.eighe if complex_input else mp.eigsy
-        am = mp.matrix([[lift(a[i, j]) for j in range(dim)] for i in range(dim)])
-        if eigenvector is not None:
-            evals, q = eig(am)
-            order = sorted(range(dim), key=lambda j: mp.re(evals[j]))
-            col = order[eigenvector]
-            vm = [q[i, col] for i in range(dim)]
-        else:
-            vm = [lift(v[i]) for i in range(dim)]
+        am = mp.matrix(a.tolist())
+        vm = mp.eighe(am)[1][:, dim - 1] if v is None else mp.matrix(v[0].tolist())
         # renormalize at working precision: a leftover norm defect eps
         # makes P pick up eigenvalue -eps along v and the trace grows
         # like exp(t eps)
-        nrm = mp.sqrt(mp.re(mp.fsum(mp.conj(x) * x for x in vm)))
-        vm = [x / nrm for x in vm]
-        rayleigh = mp.re(mp.fsum(mp.conj(vm[i]) * am[i, j] * vm[j]
-                                 for i in range(dim) for j in range(dim)))
-        limit_mp = mp.e ** rayleigh
-        pm = mp.matrix(dim, dim)
-        for i in range(dim):
-            for j in range(dim):
-                pm[i, j] = (1 if i == j else 0) - vm[i] * mp.conj(vm[j])
-        gaps = []
-        for t in PENALTY_GRID:
-            ev = eig(am - mp.mpf(t) * pm, eigvals_only=True)
-            tr = mp.fsum(mp.e ** e for e in ev)
-            gaps.append(float(abs(tr - limit_mp)))
-        return float(abs(limit_mp)), gaps
+        vm /= mp.sqrt(mp.re((vm.H * vm)[0]))
+        limit = mp.e ** mp.re((vm.H * am * vm)[0])
+        pm = mp.eye(dim) - vm * vm.H
+        gaps = [float(abs(mp.fsum(mp.e ** e for e in mp.eighe(am - t * pm, eigvals_only=True))
+                          - limit)) for t in PENALTY_GRID]
+        return float(limit), gaps
 
 
-def check_penalized_trace_limit(a, v=None, dps: int | None = None,
-                                tol_abs: float = 1e-3, seed=None,
-                                eigenvector: int | None = None):
+def check_penalized_trace_limit(a, v=None, dps: int | None = None, seed=None):
     """Verdict: gaps do not grow along the grid (up to a precision
-    floor) and the final gap is below ``tol_abs``. A stack of matrices
-    and directions gives one report per matrix, given a list of seeds."""
-    limit, gaps = penalized_trace_gaps(a, v, dps, eigenvector=eigenvector)
+    floor) and the final gap is below 1e-3. A stack of matrices and
+    directions gives one report per matrix, given a list of seeds."""
+    limit, gaps = penalized_trace_gaps(a, v, dps)
     limits = np.reshape(limit, -1)
     gaps = np.reshape(gaps, (len(limits), -1))
     scale = np.where(limits > 1.0, limits, 1.0)  # max(1.0, limit)
-    floor = ((10.0 ** (8 - dps)) if dps else 1e-13) * scale
+    floor = (1e-13 if dps is None else 10.0 ** (8 - dps)) * scale
     monotone = (gaps[:, 1:] <= gaps[:, :-1] + floor[:, None]).all(axis=-1).tolist()
     t_grid = list(PENALTY_GRID)
     params = [{"gaps": g, "limit": lim, "t_grid": t_grid, "dps": dps}
               for g, lim in zip(gaps.tolist(), limits.tolist())]
-    reports = identity_report("penalized_trace_limit", gaps[:, -1], 0.0, atol=tol_abs,
+    reports = identity_report("penalized_trace_limit", gaps[:, -1], 0.0, atol=1e-3,
                               scale=scale, seed=seed, params=params)
     if isinstance(reports, TrialReport):
         return reports._replace(passed=reports.passed and monotone[0])

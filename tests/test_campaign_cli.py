@@ -132,7 +132,7 @@ def test_tensor_checks_clean_on_wide_spectra(local_dim):
 @pytest.mark.parametrize("lam", [(1e3, 1e4), (1e4, 1e5)])
 def test_commutator_chain_clean_on_scaled_spectra(lam):
     # condition 10 at most, as at the default spectrum, only scaled; the
-    # three half-line routes agree with one another, not with the average
+    # two half-line routes agree with one another, not with the average
     summary = run_campaign(_cfg(suite="all", checks=("commutator_chain",), trials=30,
                                 seed=2024, lam_lo=lam[0], lam_hi=lam[1]))
     assert summary.trial_count == 30 and summary.passed

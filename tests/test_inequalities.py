@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import traceineq
 from traceineq import (
     DimensionMismatch,
     TraceIneqError,
@@ -28,7 +32,7 @@ from traceineq import (
 from traceineq import inequalities, limits
 from traceineq.entangle import build_layout
 from traceineq.inequalities import tensor_operands
-from traceineq.limits import derivative_form_value, penalized_trace_gaps
+from traceineq.limits import PENALTY_GRID, derivative_form_value, penalized_trace_gaps
 from traceineq.linalg import kron_all, logarithmic_ratio
 
 
@@ -265,11 +269,11 @@ def test_mixed_dimensions_rejected(make_chain):
 
 # ------------------------------------------------------------- limit checks
 
-def test_commutator_chain_four_routes(make_chain):
+def test_commutator_chain_three_routes(make_chain):
     a1, a2 = make_chain(81, 2)
     exprs = commutator_chain(a1, a2)
-    assert set(exprs) == {"product_minus_average", "resolvent_difference",
-                          "commutator_resolvent", "explicit_commutator"}
+    assert list(exprs) == ["product_minus_average", "commutator_resolvent",
+                           "explicit_commutator"]
     vals = list(exprs.values())
     scale = np.linalg.norm(a1.matrix) * np.linalg.norm(a2.matrix)
     for i in range(len(vals)):
@@ -347,7 +351,7 @@ def test_penalized_trace_stack_reports_each_matrix_as_alone():
     with pytest.raises(DimensionMismatch):  # one direction per matrix
         penalized_trace_gaps(a, v[0])
     with pytest.raises(DimensionMismatch):  # the mpmath path takes one matrix
-        penalized_trace_gaps(a, dps=30, eigenvector=-1)
+        penalized_trace_gaps(a, dps=30)
 
 
 def test_penalized_trace_eigenvector_needs_precision():
@@ -355,18 +359,74 @@ def test_penalized_trace_eigenvector_needs_precision():
     g = rng.normal(size=(3, 3))
     a = 0.5 * (g + g.T)
     a /= max(1.0, np.linalg.norm(a, 2))
-    with pytest.raises(InvalidRange):
-        penalized_trace_gaps(a, eigenvector=-1)
-    with pytest.raises(InvalidRange):
-        penalized_trace_gaps(a, eigenvector=5, dps=30)
-    limit, gaps = penalized_trace_gaps(a, dps=40, eigenvector=-1)
+    limit, gaps = penalized_trace_gaps(a, dps=40)  # A's top eigenvector
+    assert limit == pytest.approx(np.exp(np.linalg.eigvalsh(a)[-1]), rel=1e-14)
     assert gaps[-1] < 1e-20
     assert gaps[-1] <= 1e-3 * gaps[0] + 10.0 ** (8 - 40)
 
 
 def test_penalized_trace_needs_direction_or_index():
+    # without dps there is no top-eigenvector default
     with pytest.raises(DimensionMismatch):
         penalized_trace_gaps(np.eye(2))
+
+
+def test_penalized_trace_rejects_nonpositive_precision():
+    # mpmath runs at zero digits without complaint, and returns a limit of
+    # 0.75 for 0.682 here
+    rng = np.random.default_rng(84)
+    g = rng.normal(size=(3, 3))
+    a = 0.5 * (g + g.T)
+    a /= max(1.0, np.linalg.norm(a, 2))
+    v = rng.normal(size=3)
+    for dps in (0, -1):
+        with pytest.raises(InvalidRange):
+            penalized_trace_gaps(a, v, dps=dps)
+        with pytest.raises(InvalidRange):
+            check_penalized_trace_limit(a, v, dps=dps)
+
+
+@pytest.mark.parametrize("seed, make_complex", [(84, False), (86, True)])
+def test_penalized_trace_precision_path_matches_float64(seed, make_complex):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if make_complex else 0)
+    a = 0.5 * (g + g.conj().T)
+    a /= max(1.0, np.linalg.norm(a, 2))
+    v = rng.normal(size=3) + (1j * rng.normal(size=3) if make_complex else 0)
+    limit, gaps = penalized_trace_gaps(a, v)
+    limit_mp, gaps_mp = penalized_trace_gaps(a, v, dps=40)
+    assert limit_mp == pytest.approx(limit, rel=1e-14)
+    # float64 eigvalsh resolves the eigenvalues of A - t P to about eps * t;
+    # measured gaps differ by 1e-16 * t or less
+    eps = np.finfo(float).eps
+    for t, gap, gap_mp in zip(PENALTY_GRID, gaps, gaps_mp):
+        assert abs(gap - gap_mp) <= 16 * eps * t * max(1.0, limit)
+
+
+def test_one_function_imports_mpmath():
+    # arbitrary precision lives in one function and is imported on first
+    # use, so moving it to its own module touches one place
+    importers, top_level = set(), set()
+    for path in sorted(Path(traceineq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(node, f"{path.stem}.{node.name}") for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for imp in ast.walk(tree):
+            if isinstance(imp, ast.Import):
+                modules = [alias.name for alias in imp.names]
+            elif isinstance(imp, ast.ImportFrom):
+                modules = [imp.module or ""]
+            else:
+                continue
+            if not any(m.split(".")[0] == "mpmath" for m in modules):
+                continue
+            inner = [name for node, name in scopes
+                     if node.lineno <= imp.lineno <= node.end_lineno]
+            importers.add(inner[-1] if inner else path.stem)
+            if imp in tree.body:
+                top_level.add(path.stem)
+    assert importers == {"limits.penalized_trace_gaps"}
+    assert not top_level
 
 
 def test_derivative_form_converges(make_chain):
