@@ -8,21 +8,21 @@ rerunning the same configuration reproduces the bytes exactly; runtime
 lives only on the in-memory summary.
 
 Every check is one row of the CHECKS table: its id, suite, chain
-length, runner, description and formula. Adding a check means adding
-one row.
-A chunk of consecutive seeds is the unit of work: it draws its chains
-once, and the rows at one chain length share its prefix of them and the
-sides evaluated on it. The prefixes share one decomposition of the
-stack, and one sweep of the integral form gives each length its value;
-if either raises, each prefix runs on its own. A campaign cuts its
-seeds into equal chunks of at most MAX_CHUNK, at least one per worker.
-A trial's numbers depend on its seed and the configuration alone, never
-on its chunk: every stacked evaluation sums each chain in one order,
-whatever the stack. So reports do not depend on the chunk size or the
-worker count, and a one-trial campaign reproduces a trial of a larger
-one bit for bit. One function runs every task, one per chunk and one
-for the deterministic rows; process w of W runs tasks w, w + W,
-w + 2W, ..., and this process is 0.
+length, draw, runner, description and formula. Adding a check means
+adding one row, and a new kind of input one entry of the DRAWS table.
+A chunk of consecutive seeds is the unit of work: it makes each draw
+its rows name once, and the rows of one draw at one chain length share
+its prefix and the sides evaluated on it. The prefixes share one
+decomposition of the stack, and one sweep of the integral form gives
+each length its value; if either raises, each prefix runs on its own.
+A campaign cuts its seeds into equal chunks of at most MAX_CHUNK, at
+least one per worker. A trial's numbers depend on its seed and the
+configuration alone, never on its chunk: every stacked evaluation sums
+each chain in one order, whatever the stack. So reports do not depend
+on the chunk size or the worker count, and a one-trial campaign
+reproduces a trial of a larger one bit for bit. One function runs every
+task, one per chunk, and the rows without a draw run with the first;
+process w of W runs tasks w, w + W, w + 2W, ..., and this process is 0.
 """
 from __future__ import annotations
 
@@ -157,51 +157,70 @@ class CampaignConfig:
 
 
 # ------------------------------------------------------------------ checks
-# A runner maps (cfg, chains, seeds, sides) to a list of TrialReports, where
-# seeds is one chunk of trial seeds and chains their stack of chains, cut to
-# the row's length, or None for rows without a chain; sides holds the sides
-# already evaluated on these chains, as inequalities.compare takes them.
-# Deterministic checks ignore the seed and run exactly once per campaign.
-# Checks that build their own inputs draw them per seed, from
-# default_rng(seed) as a lone trial would, and evaluate the chunk as one
-# stack. The two-sided checks have no runner: they are the rows of
-# inequalities.COMPARISONS, at their chain lengths there (_compared), and
-# are evaluated by compare. Library functions are looked up as module
-# globals at call time, never captured when the table is built.
+# A draw maps (cfg, rngs, count) to one chunk's inputs as a stack, trial i's
+# drawn from rngs[i] = default_rng(seeds[i]) in the order a lone trial draws
+# them; count is the chain length for a chain draw and None otherwise.
+# Library functions are looked up as module globals at call time, never
+# captured when a table is built.
 
-def _run_beta_normalization(cfg, chains, seeds, sides):
+def _draw_pairing(cfg, rngs, count):
+    """Per trial, X then Y at dimension d, then at d^2: the (X, Y) stacks
+    at d and at d^2."""
+    dims = (cfg.local_dim, cfg.local_dim ** 2)
+    drawn = [[rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+              for dim in dims for _ in "XY"] for rng in rngs]
+    x1, y1, x2, y2 = map(np.array, zip(*drawn))
+    return (x1, y1), (x2, y2)
+
+
+def _draw_penalized(cfg, rngs, count):
+    """Per trial, a Hermitian 3 x 3 A of spectral norm at most 1, then v."""
+    a, v = [], []
+    for rng in rngs:
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a.append(0.5 * (g + g.conj().T))
+        v.append(rng.normal(size=3) + 1j * rng.normal(size=3))
+    a = np.array(a)
+    return a / np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None], np.array(v)
+
+
+DRAWS = {
+    "haar": lambda cfg, rngs, count: draw_posdef(
+        rngs, cfg.local_dim, (cfg.lam_lo, cfg.lam_hi), count=count),
+    "commuting": lambda cfg, rngs, count: random_commuting_family(
+        cfg.local_dim, count, rngs, (cfg.lam_lo, cfg.lam_hi)),
+    "pairing": _draw_pairing,
+    "penalized": _draw_penalized,
+}
+
+
+def _draw(cfg, draw: str, seeds, count):
+    """DRAWS[draw]'s inputs for the seeds, trial i's from default_rng(seeds[i])."""
+    return DRAWS[draw](cfg, [np.random.default_rng(seed) for seed in seeds], count)
+
+
+# A runner maps (inputs, seeds, sides) to a list of TrialReports, where seeds
+# is one chunk of trial seeds and inputs their draw, a chain draw cut to the
+# row's length, or None for a row without a draw; sides holds the sides
+# already evaluated on these chains, as inequalities.compare takes them.
+# A row without a draw runs once per campaign, on the first seed. The
+# two-sided checks have no runner: they are the rows of
+# inequalities.COMPARISONS, at their chain lengths there (_compared), and
+# are evaluated by compare.
+
+def _run_beta_normalization(inputs, seeds, sides):
     return [identity_report("beta_normalization", 1.0 + beta_normalization_gap(), 1.0,
                             atol=1e-10, seed=seeds[0],
                             params={"nodes": BETA_NODE_COUNT,
                                     "half_width": BETA_HALF_WIDTH})]
 
 
-def _run_pairing(cfg, chains, seeds, sides):
-    """Per seed, X then Y at dimension d, then at d^2; one pairing_check
-    per dimension, and each seed's two reports in that order."""
-    pairs = {1: ([], []), 2: ([], [])}  # copies -> (X stack, Y stack)
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for copies, drawn in pairs.items():
-            dim = cfg.local_dim ** copies
-            for stack in drawn:
-                stack.append(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    reports = [pairing_check(np.array(x), np.array(y), copies=copies, seed=seeds)
-               for copies, (x, y) in pairs.items()]
+def _run_pairing(pairs, seeds, sides):
+    """One pairing_check per dimension, d then d^2; each seed's two reports
+    in that order."""
+    reports = [pairing_check(x, y, copies=copies, seed=seeds)
+               for copies, (x, y) in enumerate(pairs, 1)]
     return [r for per_seed in zip(*reports) for r in per_seed]
-
-
-def _run_penalized_limit(cfg, chains, seeds, sides):
-    """Per seed, a Hermitian 3 x 3 A of spectral norm at most 1, then v."""
-    a, v = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a.append(0.5 * (g + g.conj().T))
-        v.append(rng.normal(size=3) + 1j * rng.normal(size=3))
-    a = np.array(a)
-    a = a / np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None]
-    return check_penalized_trace_limit(a, np.array(v), seed=seeds)
 
 
 def _commuting_equality(fam, seeds, sides=None):
@@ -229,8 +248,7 @@ class CheckSpec:
     runner: object  # None for a row of inequalities.COMPARISONS
     description: str
     formula: str
-    deterministic: bool = False
-    commuting: bool = False  # runs on commuting families
+    draw: str | None = "haar"  # a key of DRAWS, None = no draw, run once
     layout_aware: bool = False  # builds the tensor layout
     dense: bool = False  # and its dense D x D operands
 
@@ -241,28 +259,26 @@ def _compared(check_id, suite, **kw) -> CheckSpec:
 
 
 CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
-    CheckSpec("beta_normalization", "identities", None, _run_beta_normalization,
-        deterministic=True,
+    CheckSpec("beta_normalization", "identities", None, _run_beta_normalization, draw=None,
         description="The hyperbolic weight integrates to one on the truncated line.",
         formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
     CheckSpec("scalar_power_identity", "identities", None,
-        lambda cfg, chains, seeds, sides: [scalar_identity_check(x, y)
-                                           for x in SCALAR_GRID for y in SCALAR_GRID],
-        deterministic=True,
+        lambda inputs, seeds, sides: [scalar_identity_check(x, y)
+                                      for x in SCALAR_GRID for y in SCALAR_GRID], draw=None,
         description="Scalar conjugated-power average equals the inverse log kernel "
                     "on a fixed grid.",
         formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
     CheckSpec("power_average_identity", "identities", 2,
-        lambda cfg, c, seeds, sides: power_average_identity_check(
+        lambda c, seeds, sides: power_average_identity_check(
             c[:, 0].matrix, c[:, 1], seed=seeds),
         description="Matrix beta-average of conjugated powers equals the "
                     "log-derivative operator at the inverse base.",
         formula="avg_t A2^{(1+it)/2} A1 A2^{(1-it)/2} = T_{A2^{-1}}(A1)"),
-    CheckSpec("pairing_identity", "identities", None, _run_pairing,
+    CheckSpec("pairing_identity", "identities", None, _run_pairing, draw="pairing",
         description="Entangled expectation of X (x) Y^T reproduces Tr[X Y].",
         formula="<Omega| X (x) Y^T |Omega> = Tr[X Y]"),
     CheckSpec("key_identity", "identities", "n",
-        lambda cfg, c, seeds, sides: check_key_identity(c, seed=seeds),
+        lambda c, seeds, sides: check_key_identity(c, seed=seeds),
         layout_aware=True,
         description="Pointwise in t: the sandwiched chain trace equals the "
                     "entangled pairing of the slotted tensor powers.",
@@ -277,31 +293,32 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
                     "log-derivative bound.",
         formula="avg_t Tr[A3 A2^{s+} A1 A2^{s-}] = Tr[A3 T_{A2^{-1}}(A1)]"),
     CheckSpec("commutator_chain", "identities", 2,
-        lambda cfg, c, seeds, sides: check_commutator_chain(c[:, 0], c[:, 1], seed=seeds),
+        lambda c, seeds, sides: check_commutator_chain(c[:, 0], c[:, 1], seed=seeds),
         description="Three operator expressions for the deviation of the "
                     "conjugated-power average from the plain product.",
         formula="A1 A2 - avg_t A2^{s+} A1 A2^{s-} = int [A1, R] R dtau = "
                 "int R X [A1, A2] X R^2 dtau"),
     CheckSpec("commutator_chain_commuting", "identities", 2,
-        lambda cfg, c, seeds, sides: check_commutator_chain(
+        lambda c, seeds, sides: check_commutator_chain(
             c[:, 0], c[:, 1], atol=1e-12, seed=seeds,
-            check_id="commutator_chain_commuting"), commuting=True,
+            check_id="commutator_chain_commuting"), draw="commuting",
         description="The same chain vanishes identically on commuting pairs.",
         formula="[A1, A2] = 0  =>  all three expressions = 0"),
     CheckSpec("derivative_form", "identities", 4,
-        lambda cfg, c, seeds, sides: check_derivative_form(c, seed=seeds, sides=sides),
+        lambda c, seeds, sides: check_derivative_form(c, seed=seeds, sides=sides),
         layout_aware=True, dense=True,
         description="The tensor bound is the directional derivative of a "
                     "trace functional along B.",
         formula="d/dr Tr[P exp(log(A + r B) - log A)] |_{r=0} = "
                 "<Omega| T_A(B) |Omega>"),
-    CheckSpec("penalized_trace_limit", "identities", None, _run_penalized_limit,
+    CheckSpec("penalized_trace_limit", "identities", None,
+        lambda inputs, seeds, sides: check_penalized_trace_limit(*inputs, seed=seeds),
+        draw="penalized",
         description="Rank-one penalties collapse the trace exponential to the "
                     "Rayleigh quotient of the kernel direction.",
         formula="Tr exp(A - t P) -> exp <v, A v>  as t -> inf, ker P = span{v}"),
-    CheckSpec("commuting_equality", "identities", "n",
-        lambda cfg, c, seeds, sides: _commuting_equality(c, seeds, sides),
-        commuting=True, layout_aware=True,
+    CheckSpec("commuting_equality", "identities", "n", _commuting_equality,
+        draw="commuting", layout_aware=True,
         description="Commuting chains make every right side equal the left side.",
         formula="[A_j, A_k] = 0  =>  lhs = integral form = tensor form"),
 
@@ -345,80 +362,62 @@ def _lengths(spec: CheckSpec, cfg: CampaignConfig) -> tuple:
     return cfg.n_values if spec.length == "n" else (spec.length,)
 
 
-def _rows(cfg: CampaignConfig) -> dict:
-    """The selected (spec, n) rows, the deterministic ones under True."""
-    rows = {True: [], False: []}
-    for spec in selected_checks(cfg):
-        rows[spec.deterministic] += [(spec, n) for n in _lengths(spec, cfg)]
-    return rows
-
-
-def _evaluate(cfg, spec: CheckSpec, n, chains, seeds, sides=None) -> list[TrialReport]:
+def _evaluate(cfg, spec: CheckSpec, n, inputs, seeds, sides=None) -> list[TrialReport]:
     """One row's trials on one chunk; ``sides`` holds the comparison sides
-    already evaluated on these chains. A row that raises runs again a trial
-    at a time on that trial's chains, with no stored sides, so errors land
-    on their seeds."""
+    already evaluated on these inputs. A row that raises runs again a trial
+    at a time on that trial's own draw, with no stored sides, as a one-trial
+    campaign runs it, so errors land on their seeds."""
     try:
         if spec.runner is None:
-            return compare(spec.check_id, chains, seed=seeds, sides=sides)
-        return spec.runner(cfg, chains, seeds, sides)
+            return compare(spec.check_id, inputs, seed=seeds, sides=sides)
+        return spec.runner(inputs, seeds, sides)
     except (TraceIneqError, np.linalg.LinAlgError) as exc:
         if len(seeds) == 1:  # an unevaluable trial is a failed trial, not a dead campaign
             return [error_report(spec.check_id, exc, n=n, seed=seeds[0])]
-        return [r for i in range(len(seeds)) for r in _evaluate(
-            cfg, spec, n, None if chains is None else chains[i:i + 1], seeds[i:i + 1])]
+        return [r for seed in seeds
+                for r in _evaluate(cfg, spec, n, _draw(cfg, spec.draw, [seed], n), [seed])]
 
 
-def _draw(cfg, commuting, count, seeds):
-    """The chunk's chains, or its commuting families, of ``count`` matrices;
-    trial i draws from default_rng(seeds[i])."""
-    rngs, lam_range = [np.random.default_rng(seed) for seed in seeds], (cfg.lam_lo, cfg.lam_hi)
-    if commuting:
-        return random_commuting_family(cfg.local_dim, count, rngs, lam_range)
-    return draw_posdef(rngs, cfg.local_dim, lam_range, count=count)
-
-
-def _run_task(cfg, rows, task, index) -> list[tuple]:
-    """The trials of task ``index``, (deterministic, seeds), under rows =
-    _rows(cfg): the deterministic rows once, or every seeded (spec, n) row
-    on one chunk of seeds. Each draw kind (chains or commuting families)
-    is drawn once, at the longest n its rows take, from generators that go
-    once drawn; the stack is decomposed in one eigh, and one sweep of the
-    integral form, to the longest row that reads it, gives each such
-    row's length its value. Each (commuting, n) prefix chains[:, :n],
-    equal to a draw of n, is cut once: the rows at that length share it,
-    the decomposition and the sides evaluated on it, the swept one among
-    them. A decomposition or sweep that raises is not shared: each prefix
-    then decomposes or evaluates on its own, so a matrix past n cannot turn
-    that trial's shorter rows into errors. Per row, from its reports'
-    columns: its key (check_id, n or -1, index), those columns (plain
-    tuples, which a pool sends back faster than reports), trial lines if
-    cfg writes any (see _blocks), failures, and worst |gaps|, NaN as the
-    worst."""
-    deterministic, seeds = task
-    rows = rows[deterministic]
-    chained = [(spec, n) for spec, n in rows if n is not None]
+def _run_task(cfg, rows, seeds, index) -> list[tuple]:
+    """The trials of task ``index``, one chunk of seeds, under the selected
+    (spec, n) rows: every row with a draw on the chunk, and in task 0 the
+    rows without one, on its first seed. Each draw is made once, at the
+    longest n its rows take (None for a draw without a chain). A chain
+    draw's stack is decomposed in one eigh, and one sweep of the integral
+    form, to the longest row that reads it, gives each such row's length
+    its value. Each (draw, n) prefix inputs[:, :n], equal to a draw of n,
+    is cut once: the rows at that length share it, the decomposition and
+    the sides evaluated on it, the swept one among them. A decomposition or
+    sweep that raises is not shared: each prefix then decomposes or
+    evaluates on its own, so a matrix past n cannot turn that trial's
+    shorter rows into errors. Per row, from its reports' columns: its key
+    (check_id, n or -1, index), those columns (plain tuples, which a pool
+    sends back faster than reports), trial lines if cfg writes any (see
+    _blocks), failures, and worst |gaps|, NaN as the worst."""
+    rows = [(spec, n) for spec, n in rows if spec.draw or index == 0]
     prefixes = {}
-    for commuting in {spec.commuting for spec, _ in chained}:
-        kind = [(spec, n) for spec, n in chained if spec.commuting == commuting]
+    for draw in {spec.draw for spec, _ in rows} - {None}:
+        kind = [(spec, n) for spec, n in rows if spec.draw == draw]
+        count = None if kind[0][1] is None else max(n for _, n in kind)
         # the lengths of the rows that read the integral form from the sides
         lengths = sorted({n for spec, n in kind if spec.check_id == "commuting_equality"
                           or "rhs_power_integral" in COMPARISONS.get(spec.check_id, ())})
-        stack = _draw(cfg, commuting, max(n for _, n in kind), seeds)
-        swept = {}
+        inputs, swept = _draw(cfg, draw, seeds, count), {}
         try:  # shared by the prefixes; if either raises, each runs its own
-            stack.spectral
+            if count:
+                inputs.spectral
             if lengths:
-                swept = dict(zip(lengths, rhs_power_integral(stack[:, :lengths[-1]],
+                swept = dict(zip(lengths, rhs_power_integral(inputs[:, :lengths[-1]],
                                                              lengths=lengths)))
         except (TraceIneqError, np.linalg.LinAlgError):
             pass
-        prefixes.update({(commuting, n): (stack[:, :n], {"rhs_power_integral": swept[n]}
-                                          if n in swept else {}) for _, n in kind})
+        prefixes.update({(draw, n): (inputs if n is None else inputs[:, :n],
+                                     {"rhs_power_integral": swept[n]} if n in swept else {})
+                         for _, n in kind})
     groups = []
     for spec, n in rows:
-        chains, sides = prefixes.get((spec.commuting, n), (None, None))
-        reports = _evaluate(cfg, spec, n, chains, seeds, sides)
+        inputs, sides = prefixes.get((spec.draw, n), (None, None))
+        reports = _evaluate(cfg, spec, n, inputs, seeds if spec.draw else seeds[:1], sides)
         columns = dict(zip(TrialReport._fields, zip(*reports)))
         blocks = _blocks(columns, cfg.fmt) if cfg.out else []
         groups.append(((spec.check_id, -1 if n is None else n, index), tuple(columns.values()),
@@ -431,7 +430,7 @@ def _run_task(cfg, rows, task, index) -> list[tuple]:
 def _run_share(cfg, tasks, first, step) -> list[tuple]:
     """The groups of tasks first, first + step, ...: one process's share,
     under rows built from CHECKS as this process sees it."""
-    rows = _rows(cfg)
+    rows = [(spec, n) for spec in selected_checks(cfg) for n in _lengths(spec, cfg)]
     return [group for i in range(first, len(tasks), step)
             for group in _run_task(cfg, rows, tasks[i], i)]
 
@@ -493,14 +492,15 @@ def _chunks(seeds: list, workers: int) -> list[list]:
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     """Validate cfg, run its trials and write its reports when cfg.out is set."""
     cfg = cfg.validate()
+    if cfg.out:  # before the first trial, so a prefix that cannot be written costs no run
+        os.makedirs(os.path.dirname(cfg.out) or ".", exist_ok=True)
     start = time.perf_counter()
-    rows = _rows(cfg)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     workers = cfg.parallel or cores or 1
-    seeds = [cfg.seed + i for i in range(cfg.trials)]
-    tasks = [(True, [cfg.seed])] + [(False, chunk) for chunk in _chunks(seeds, workers)]
-    tasks = [task for task in tasks if rows[task[0]]]  # none without rows
+    # rows without a draw run with the first chunk; alone, they need one seed
+    drawn = any(spec.draw for spec in selected_checks(cfg))
+    tasks = _chunks([cfg.seed + i for i in range(cfg.trials if drawn else 1)], workers)
     workers = min(workers, len(tasks))
     # process w of the workers runs share w; this process runs share 0
     # while the pool forks
@@ -617,7 +617,6 @@ def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
     if made != summary.trial_count:  # the campaign ran without out
         raise ValueError("the summary holds no trial lines; run the campaign with out set")
     base = cfg.out
-    os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
     echo = json.dumps(summary.config, sort_keys=True)
     path = f"{base}.trials.{cfg.fmt}"
     if cfg.fmt == "jsonl":

@@ -8,7 +8,7 @@ Three subcommands:
   perm     print the slot permutation and padding pattern for one n
 
 Exit status: 0 when everything passed, 1 when any trial failed, 2 on
-configuration or usage errors.
+configuration or usage errors and on report paths that cannot be written.
 """
 from __future__ import annotations
 
@@ -99,9 +99,13 @@ def _cmd_explain(args) -> int:
                            f"{', '.join(sorted(CHECKS))}")
     spec = CHECKS[args.check]
     fixed_n = spec.length if isinstance(spec.length, int) else None
+    if spec.length is None and args.n is not None:
+        raise ConfigError(f"{spec.check_id} takes no chain, got --n {args.n}")
     if fixed_n and args.n not in (None, fixed_n):
         raise ConfigError(f"{spec.check_id} runs at the fixed chain length "
                           f"n = {fixed_n}, got --n {args.n}")
+    if spec.length == "n" and args.n is not None and not 3 <= args.n <= MAX_N:
+        raise ConfigError(f"chain lengths must be in [3, {MAX_N}]: {(args.n,)}")
     # the layout the row itself would build, made first so its errors print nothing
     n = fixed_n or (4 if args.n is None else args.n)
     layout = _layout_text(n, args.d, spec.dense) if spec.layout_aware else None
@@ -182,7 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TraceIneqError as exc:
+    except (TraceIneqError, OSError) as exc:  # OSError: a report path that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

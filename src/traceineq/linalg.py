@@ -218,7 +218,11 @@ def real_trace(value, *, context: str = "trace"):
     return float(value.real) if value.ndim == 0 else value.real
 
 
-def _check_lam_range(lam_range) -> tuple[float, float]:
+def _check_draw(dim: int, count: int, lam_range) -> tuple[float, float]:
+    """A draw's eigenvalue range, once its sizes and range are checked."""
+    for name, size in (("dimension", dim), ("count", count)):
+        if size < 1:
+            raise DimensionMismatch(f"{name} must be >= 1, got {size}")
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not (0.0 < lo <= hi < np.inf):
         raise InvalidRange(f"eigenvalue range must satisfy 0 < lo <= hi < inf, "
@@ -234,9 +238,7 @@ def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
     ``rng`` may be a sequence of generators, one per stack entry, and
     with ``count`` each draws that many matrices in turn: the shape is
     ([len(rng),] [count,] dim, dim), in the numbers of lone calls."""
-    lo, hi = _check_lam_range(lam_range)
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
+    lo, hi = _check_draw(dim, 1 if count is None else count, lam_range)
     one = isinstance(rng, np.random.Generator)
     rngs = [rng] if one else list(rng)
     draws = [(r.normal(size=(2, dim, dim)),
@@ -253,7 +255,7 @@ def random_commuting_family(dim: int, count: int, seed, lam_range=(0.1, 10.0)):
     """A simultaneously diagonalizable family sharing one eigenbasis: ``count``
     matrices from default_rng(seed), or from each of a list of generators,
     as one PosDefMatrix (len(seed), count, dim, dim) in the lone numbers."""
-    lo, hi = _check_lam_range(lam_range)
+    lo, hi = _check_draw(dim, count, lam_range)
     one = not isinstance(seed, (list, tuple))
     rngs = [np.random.default_rng(seed)] if one else seed
     gauss = np.array([r.normal(size=(2, dim, dim)) for r in rngs])

@@ -232,7 +232,7 @@ EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5)
 MESSAGE = 'one, "two"\nthree \u00e9\u4e2d'
 
 
-def _edge_runner(cfg, chains, seeds, sides):
+def _edge_runner(inputs, seeds, sides):
     """Reports holding edge values; a chunk holding seed 79 or 82 raises, so
     every trial runs alone and those two error rows sit among the others."""
     if 79 in seeds or 82 in seeds:
@@ -285,7 +285,7 @@ def test_trial_lines_are_the_rows_json_and_csv_write(tmp_path, monkeypatch, fmt)
 
 
 def test_params_json_cannot_hold_fail_the_writer(monkeypatch):
-    def runner(cfg, chains, seeds, sides):
+    def runner(inputs, seeds, sides):
         return [TrialReport("key_identity", "identity", 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, True,
                             3, seed, {"count": np.int64(seed)}) for seed in seeds]
 
@@ -307,13 +307,13 @@ def test_error_trial_recorded_not_fatal(tmp_path, monkeypatch):
     # a runner that raises must yield a failed trial row
     from traceineq import campaign as camp
 
-    def boom(cfg, chains, seeds, sides):
+    def boom(inputs, seeds, sides):
         raise UnknownCheck("synthetic failure")
 
     monkeypatch.setitem(
         camp.CHECKS, "beta_normalization",
         camp.CheckSpec("beta_normalization", "identities", None, boom,
-                       deterministic=True, description="x", formula="y"))
+                       draw=None, description="x", formula="y"))
     out = str(tmp_path / "run")
     summary = run_campaign(_cfg(suite="all", out=out))
     assert not summary.passed and summary.failure_count == 1
@@ -333,10 +333,10 @@ def test_error_trial_keeps_its_row_n(monkeypatch):
 
     spec, bad = CHECKS["power_average_identity"], 78
 
-    def sometimes(cfg, chains, seeds, sides):
+    def sometimes(inputs, seeds, sides):
         if bad in seeds:
             raise UnknownCheck("synthetic failure")
-        return spec.runner(cfg, chains, seeds, sides)
+        return spec.runner(inputs, seeds, sides)
 
     monkeypatch.setitem(camp.CHECKS, spec.check_id, replace(spec, runner=sometimes))
     summary = run_campaign(_cfg(suite="all", trials=3))
@@ -350,7 +350,7 @@ def test_error_trial_keeps_its_row_n(monkeypatch):
 def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
     from traceineq import campaign as camp
 
-    def singular(cfg, chains, seeds, sides):
+    def singular(inputs, seeds, sides):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setitem(
@@ -374,7 +374,7 @@ def test_summary_keeps_nan_gap_as_worst(monkeypatch):
 
     bad = None
 
-    def runner(cfg, chains, seeds, sides):
+    def runner(inputs, seeds, sides):
         return [identity_report("key_identity", math.nan if seed == bad else 1.0,
                                 1.0 + 1e-12, rtol=1e-9, seed=seed) for seed in seeds]
 
@@ -536,6 +536,23 @@ def test_cli_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
         assert named in err and "Traceback" not in err
 
 
+def test_cli_out_that_cannot_be_made_exits_two_before_any_trial(tmp_path, monkeypatch,
+                                                               capsys):
+    # a report prefix under a plain file: one error line and exit 2, the
+    # status of a usage error, before the campaign runs a trial
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(campaign, "_run_share", no_trials)
+    assert main(["verify", "--check", "golden_thompson", "--trials", "2", "--parallel", "1",
+                 "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err
+
+
 def test_cli_tensor_layout_over_cap_exits_two():
     proc = _run("verify", "--check", "tensor_resolvent", "--check",
                 "commuting_equality", "--d", "10", "--n", "5", "--trials", "1",
@@ -588,6 +605,20 @@ def test_cli_explain_fixed_length_row_refuses_other_n(capsys, check_id, other_n)
     assert main(["explain", "--check", check_id]) == 0
     assert capsys.readouterr().out == at_own_n
     assert "layout for n = 4," in at_own_n
+
+
+@pytest.mark.parametrize("check_id, n, message", [
+    ("power_integral", 99, "chain lengths must be in [3, 10]: (99,)"),
+    ("key_identity", 99, "chain lengths must be in [3, 10]: (99,)"),
+    ("power_integral", 2, "chain lengths must be in [3, 10]: (2,)"),
+    ("beta_normalization", 7, "beta_normalization takes no chain, got --n 7"),
+    ("pairing_identity", 3, "pairing_identity takes no chain, got --n 3"),
+    ("golden_thompson", 5, "fixed chain length n = 2, got --n 5")])
+def test_cli_explain_refuses_an_n_the_row_cannot_take(capsys, check_id, n, message):
+    # an n-grid row takes verify's chain lengths, and a row without a chain none
+    assert main(["explain", "--check", check_id, "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_cli_explain_derivative_form_keeps_the_dense_cap(capsys):

@@ -1,6 +1,7 @@
 """The chunked campaign engine: stacked chains agree with single chains,
 reports do not depend on the worker count, and an error in one trial of
 a chunk lands on that trial's seed alone."""
+import ast
 import csv
 import json
 import multiprocessing
@@ -282,21 +283,83 @@ def _poison(monkeypatch, links):
     monkeypatch.setattr(campaign, "draw_posdef", draw)
 
 
-def test_error_in_one_trial_stays_on_its_seed(monkeypatch):
-    cfg = _engine_cfg(checks=("power_integral",), n_values=(3, 4), trials=20)
-    clean = {(r.n, r.seed): r for r in run_campaign(cfg).reports}
+def _fail_pairing(monkeypatch, bad_seed):
+    """campaign.pairing_check, raising NonFinite on a stack that holds bad_seed."""
+    real = campaign.pairing_check
+
+    def pairing_check(x, y, copies, seed):
+        if bad_seed in seed:
+            raise NonFinite("synthetic")
+        return real(x, y, copies=copies, seed=seed)
+
+    monkeypatch.setattr(campaign, "pairing_check", pairing_check)
+
+
+@pytest.mark.parametrize("check_id, lengths, error", [
+    ("power_integral", (3, 4), "NonPositiveEigenvalue:"),
+    ("pairing_identity", (None,), "NonFinite: synthetic")],
+    ids=["power_integral", "pairing_identity"])
+def test_error_in_one_trial_stays_on_its_seed(monkeypatch, check_id, lengths, error):
+    # a row that raises reruns each trial on that trial's own draw: a chain
+    # for power_integral, the pairing row's X and Y stacks for pairing_identity
+    cfg = _engine_cfg(checks=(check_id,), n_values=(3, 4), trials=20)
     bad_seed = cfg.seed + 5
-    _poison(monkeypatch, {bad_seed: 0})  # negative definite A_1
+    clean = [r.to_row() for r in run_campaign(cfg).reports if r.seed != bad_seed]
+    if check_id == "power_integral":
+        _poison(monkeypatch, {bad_seed: 0})  # negative definite A_1
+    else:
+        _fail_pairing(monkeypatch, bad_seed)
     summary = run_campaign(cfg)
     errors = [r for r in summary.reports if r.kind == "error"]
-    assert [(r.n, r.seed) for r in errors] == [(3, bad_seed), (4, bad_seed)]
+    assert [(r.n, r.seed) for r in errors] == [(n, bad_seed) for n in lengths]
     for r in errors:
-        assert r.params["error"].startswith("NonPositiveEigenvalue:")
+        assert r.params["error"].startswith(error)
     # the neighbours ran again one trial at a time, in the bits of the clean chunk
     others = [r for r in summary.reports if r.kind != "error"]
-    assert len(others) == 2 * 19
-    for r in others:
-        assert r.passed and r.to_row() == clean[(r.n, r.seed)].to_row()
+    assert len(others) == 2 * 19 and all(r.passed for r in others)
+    assert [r.to_row() for r in others] == clean
+
+
+def _leaves(inputs):
+    """A draw's arrays, each with the chunk's trials on its first axis."""
+    if isinstance(inputs, tuple):
+        return [leaf for part in inputs for leaf in _leaves(part)]
+    return [inputs.matrix if isinstance(inputs, PosDefMatrix) else inputs]
+
+
+@pytest.mark.parametrize("draw", sorted(campaign.DRAWS))
+def test_a_chunk_draws_its_seeds_lone_draws(draw):
+    # every entry of the draw table: a chunk's inputs are, bit for bit, the
+    # one-seed draws of its seeds, which is what a one-trial campaign draws
+    assert {spec.draw for spec in campaign.CHECKS.values()} - {None} == set(campaign.DRAWS)
+    chained = {spec.length is not None for spec in campaign.CHECKS.values()
+               if spec.draw == draw}
+    count = 4 if chained == {True} else None
+    cfg, seeds = CampaignConfig(local_dim=3), list(range(700, 707))
+    chunk = _leaves(campaign._draw(cfg, draw, seeds, count))
+    lone = [_leaves(campaign._draw(cfg, draw, [seed], count)) for seed in seeds]
+    assert chunk and all(len(one) == len(chunk) for one in lone)
+    for k, stack in enumerate(chunk):
+        assert len(stack) == len(seeds)
+        for i, one in enumerate(lone):
+            assert np.array_equal(stack[i], one[k][0])
+
+
+def test_one_function_makes_the_generators():
+    # every draw of a campaign, the error fallback's redraw too, takes its
+    # generators from one function
+    tree = ast.parse(Path(campaign.__file__).read_text())
+    scopes = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    callers = []
+    for call in ast.walk(tree):
+        if (isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None))
+                == "default_rng"):
+            # the innermost function around the call, or the module itself
+            inner = [node.name for node in scopes
+                     if node.lineno <= call.lineno <= node.end_lineno]
+            callers.append(inner[-1] if inner else "campaign")
+    assert callers == ["_draw"]
 
 
 def test_pool_maps_one_task_per_chunk(monkeypatch):
@@ -321,9 +384,9 @@ def test_pool_maps_one_task_per_chunk(monkeypatch):
 
             return super().submit(share)
 
-    def recording(cfg, rows, task, index):
-        ran.append((index, task, threading.get_ident()))
-        return real_run_task(cfg, rows, task, index)
+    def recording(cfg, rows, seeds, index):
+        ran.append((index, seeds, threading.get_ident()))
+        return real_run_task(cfg, rows, seeds, index)
 
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", ThreadPool)
     monkeypatch.setattr(campaign, "_run_task", recording)
@@ -333,14 +396,14 @@ def test_pool_maps_one_task_per_chunk(monkeypatch):
     main = threading.get_ident()
 
     def tasks(workers):
-        # the deterministic rows as one task, then the chunks of the seeds
-        # in order, one task each, as the chunk rule cuts them
-        return [(True, [4_100])] + [(False, c) for c in campaign._chunks(seeds, workers)]
+        # the chunks of the seeds in order, one task each, as the chunk rule
+        # cuts them; the rows without a draw run with the first
+        return campaign._chunks(seeds, workers)
 
     serial = run_campaign(_engine_cfg(checks=checks, n_values=(3, 4)))
     # a serial run is share 0 of 1: its tasks in order, 3 chunks of at most 16 seeds
     assert pools == [] and ran == [(i, t, main) for i, t in enumerate(tasks(1))]
-    assert len(ran) == 4
+    assert len(ran) == 3
     for workers in (2, 3, 5, 64):
         pools.clear()
         ran.clear()
@@ -349,7 +412,7 @@ def test_pool_maps_one_task_per_chunk(monkeypatch):
         # every task runs once, at least one chunk per worker, and no more
         # workers than tasks; the pool has one worker fewer than the campaign
         assert sorted((i, t) for i, t, _ in ran) == list(enumerate(tasks(workers)))
-        assert len(ran) - 1 >= min(workers, 37)
+        assert len(ran) >= min(workers, 37)
         step = min(workers, len(ran))
         assert pools == [step - 1]
         # this thread runs tasks 0, W, 2W, ...; each pool thread one other
@@ -519,7 +582,7 @@ def test_verdicts_and_json_run_per_row_not_per_trial(tmp_path, monkeypatch):
     assert run_campaign(cfg).passed
     expected = {spec.check_id: 3 * len(campaign._lengths(spec, cfg))
                 * (2 if spec.check_id == "pairing_identity" else 1)
-                for spec in campaign.CHECKS.values() if not spec.deterministic}
+                for spec in campaign.CHECKS.values() if spec.draw is not None}
     assert calls == dict(expected, beta_normalization=1,
                          scalar_power_identity=len(campaign.SCALAR_GRID) ** 2)
 
@@ -600,7 +663,7 @@ def test_a_matrix_past_n_errs_only_the_rows_that_take_it(monkeypatch):
     changed = [(p.check_id, p.n, p.seed, p.kind) for c, p in zip(clean, poisoned)
                if c.to_row() != p.to_row()]
     grid = [cid for cid, spec in campaign.CHECKS.items()
-            if spec.length == "n" and not spec.commuting]
+            if spec.length == "n" and spec.draw == "haar"]
     assert sorted(changed) == sorted((cid, 6, bad_seed, "error") for cid in grid)
     # a sweep that raises is dropped too: each length evaluates its own
     monkeypatch.undo()
@@ -647,7 +710,7 @@ def test_chunk_rule():
 def _trial_rows(cfg):
     """The campaign's seeded trial rows, as (seed, bytes)."""
     return [(r.seed, json.dumps(r.to_row(), sort_keys=True)) for r in run_campaign(cfg).reports
-            if not campaign.CHECKS[r.check_id].deterministic]
+            if campaign.CHECKS[r.check_id].draw is not None]
 
 
 @pytest.mark.parametrize("d, n_values, trials, per_seed, workers",
@@ -684,7 +747,7 @@ def test_one_trial_campaign_reproduces_its_trial_line(tmp_path):
         row = json.loads(line)
         lines.setdefault((row["check_id"], row["n"], row["seed"]), []).append(line)
     seeded = [(spec.check_id, n) for spec in campaign.CHECKS.values()
-              if not spec.deterministic for n in campaign._lengths(spec, cfg)]
+              if spec.draw is not None for n in campaign._lengths(spec, cfg)]
     assert len(seeded) == 34
     for i, (check_id, n) in enumerate(seeded):
         seed = cfg.seed + (7 * i) % cfg.trials

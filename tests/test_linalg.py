@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceineq import (
+    DimensionMismatch,
     ImaginaryResidue,
     InvalidRange,
     NonFinite,
@@ -217,6 +218,21 @@ def test_draws_reject_non_finite_range(rng, lam_range):
         draw_posdef(rng, 2, lam_range)
     with pytest.raises(InvalidRange, match="< inf"):
         random_commuting_family(2, 3, 0, lam_range)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: draw_posdef(rng, 0),
+    lambda rng: draw_posdef(rng, 2, count=0),
+    lambda rng: draw_posdef([rng], 2, count=-1),
+    lambda rng: random_commuting_family(0, 3, 5),
+    lambda rng: random_commuting_family(2, 0, 5),
+    lambda rng: random_commuting_family(2, 0, [rng]),
+])
+def test_draws_reject_empty_sizes(rng, draw):
+    # both draws refuse a dimension or a count below one alike, before any
+    # numpy call can fail on the empty shape or return empty matrices
+    with pytest.raises(DimensionMismatch, match="must be >= 1"):
+        draw(rng)
 
 
 def test_random_posdef_deterministic_in_seed():
