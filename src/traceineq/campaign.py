@@ -127,17 +127,7 @@ class CampaignConfig:
             if repeated:
                 raise ConfigError(f"{name} {repeated[0]!r} is selected more than once")
         for spec in selected_checks(self):
-            if spec.check_id == "pairing_identity" and self.local_dim ** 4 > DIM_CAP:
-                raise ConfigError(f"pairing_identity at d = {self.local_dim}: X (x) Y^T at "
-                                  f"d^2 has dimension d^4 = {self.local_dim ** 4}, which "
-                                  f"exceeds cap {DIM_CAP}")
-            if not spec.layout_aware:
-                continue
-            for n in _lengths(spec, self):
-                try:
-                    build_layout(n, self.local_dim, dense=spec.dense)
-                except DimensionCap as exc:
-                    raise ConfigError(f"{spec.check_id} at n = {n}: {exc}") from exc
+            _check_caps(spec, _lengths(spec, self), self.local_dim)
         return self
 
     def echo(self) -> dict:
@@ -356,6 +346,22 @@ def selected_checks(cfg: CampaignConfig) -> list[CheckSpec]:
 
 
 # ------------------------------------------------------------------ running
+
+def _check_caps(spec: CheckSpec, n_values, local_dim: int) -> None:
+    """Raise ConfigError if the row at these chain lengths and local
+    dimension passes a size cap: the pairing row's d^4, or its tensor
+    layout's. verify and explain both check a row here."""
+    if spec.check_id == "pairing_identity" and local_dim ** 4 > DIM_CAP:
+        raise ConfigError(f"pairing_identity at d = {local_dim}: X (x) Y^T at d^2 has "
+                          f"dimension d^4 = {local_dim ** 4}, which exceeds cap {DIM_CAP}")
+    if not spec.layout_aware:
+        return
+    for n in n_values:
+        try:
+            build_layout(n, local_dim, dense=spec.dense)
+        except DimensionCap as exc:
+            raise ConfigError(f"{spec.check_id} at n = {n}: {exc}") from exc
+
 
 def _lengths(spec: CheckSpec, cfg: CampaignConfig) -> tuple:
     """The chain lengths a check runs at; (None,) when it has no chain."""

@@ -22,6 +22,7 @@ from .campaign import (
     FORMATS,
     SUITES,
     CampaignConfig,
+    _check_caps,
     config_from,
     load_config_file,
     run_campaign,
@@ -106,8 +107,10 @@ def _cmd_explain(args) -> int:
                           f"n = {fixed_n}, got --n {args.n}")
     if spec.length == "n" and args.n is not None and not 3 <= args.n <= MAX_N:
         raise ConfigError(f"chain lengths must be in [3, {MAX_N}]: {(args.n,)}")
-    # the layout the row itself would build, made first so its errors print nothing
+    # the caps verify checks and the layout the row builds, first, so their
+    # errors print nothing
     n = fixed_n or (4 if args.n is None else args.n)
+    _check_caps(spec, (n,), args.d)
     layout = _layout_text(n, args.d, spec.dense) if spec.layout_aware else None
     print(f"{spec.check_id}  (suite: {spec.suite})")
     print()

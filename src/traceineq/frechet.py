@@ -31,7 +31,7 @@ from .linalg import (
     logarithmic_ratio,
     stack_slices,
 )
-from .quadrature import beta_density, half_line_rule, real_line_rule
+from .quadrature import _node_powers, beta_density, half_line_rule, real_line_rule
 from .report import identity_report
 
 FD_STEP_SCALE = 1e-5
@@ -163,21 +163,22 @@ def conjugated_power_average(a1, a2) -> np.ndarray:
     In the eigenbasis V of A2 the node t scales entry (i, j) of V* A1 V by
     lam_i^z conj(lam_j^z), z = (1+it)/2, so the average is V* A1 V times
     the weighted sum of those factors, entrywise. Stacks of one shape
-    (..., d, d) pair up matrix by matrix; the (T, d) factors are formed
+    (..., d, d) pair up matrix by matrix; the (d, T) factors are formed
     for a stack_slices slice of the stack at a time.
     """
     a2 = as_posdef(a2)
     a1 = _conformable(a2, a1)
     rule = real_line_rule()
-    z, weights = 0.5 * (1.0 + 1j * rule.nodes), rule.weights * beta_density(rule.nodes)
+    weights = rule.weights * beta_density(rule.nodes)
     lam, vec = a2.spectral.eigenvalues, a2.spectral.eigenvectors
     vec_h = vec.conj().swapaxes(-1, -2)
-    logs = np.log(lam).reshape(-1, a2.dim)
+    flat = lam.reshape(-1, a2.dim)
 
     def factors(s):
-        p = np.exp(logs[s, None, :] * z[:, None])
-        return (p * weights[:, None]).swapaxes(-1, -2) @ p.conj()
-    weighted = np.concatenate([factors(s) for s in stack_slices(len(logs), z.size * a2.dim)])
+        p = _node_powers(flat[s], rule.nodes)(...)
+        return (p * weights) @ p.conj().swapaxes(-1, -2)
+    weighted = np.concatenate([factors(s) for s in stack_slices(len(flat),
+                                                                rule.nodes.size * a2.dim)])
     return vec @ ((vec_h @ a1 @ vec) * weighted.reshape(a1.shape)) @ vec_h
 
 

@@ -95,6 +95,56 @@ def _read_only(nodes, weights) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
+_PHASE_BLOCK = 16  # nodes per angle-sum block of real_line_rule()
+
+
+@cache
+def _phase_grid():
+    """real_line_rule()'s nodes, its first node of each block of
+    _PHASE_BLOCK, and the offsets of a block's nodes from its first."""
+    nodes = real_line_rule().nodes
+    return nodes, nodes[::_PHASE_BLOCK], nodes[:_PHASE_BLOCK] - nodes[0]
+
+
+def _cis(theta, scale):
+    """scale * exp(i theta), from real cos and sin."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.multiply(scale, np.cos(theta), out=out.real)
+    np.multiply(scale, np.sin(theta), out=out.imag)
+    return out
+
+
+def _node_powers(lam, t):
+    """lam^{(1+it)/2} = sqrt(lam) exp(i t log(lam) / 2) for eigenvalues
+    lam > 0 at the nodes t (T,), from real cos and sin, as a function of
+    an index into lam: powers(index) holds those of lam[index], shape
+    lam[index].shape + (T,). On real_line_rule()'s own nodes, which are
+    equispaced, node B b + r (B = _PHASE_BLOCK) is node B b plus r steps,
+    and its phase is the product of those two phases. Their cos and sin
+    are taken here for all of lam, ceil(T / B) + B per eigenvalue instead
+    of T, and each call forms the products of one index only, so a caller
+    holds the powers of one index at a time."""
+    half_log = 0.5 * np.log(lam)[..., None]
+    root = np.sqrt(lam)[..., None]
+    nodes, starts, offsets = _phase_grid()
+    if t is not nodes:
+        table = _cis(half_log * t, root)
+        return lambda index: table[index]
+    blocks = t.size // _PHASE_BLOCK
+    cut = blocks * _PHASE_BLOCK
+    start = _cis(half_log * starts, root)
+    step = _cis(half_log * offsets, 1.0)
+
+    def powers(index):
+        head, tail = start[index], step[index]
+        out = np.empty(head.shape[:-1] + t.shape, dtype=complex)
+        np.multiply(head[..., :blocks, None], tail[..., None, :],
+                    out=out[..., :cut].reshape(head.shape[:-1] + (blocks, _PHASE_BLOCK)))
+        np.multiply(head[..., blocks:], tail[..., :t.size - cut], out=out[..., cut:])
+        return out
+    return powers
+
+
 def beta_normalization_gap() -> float:
     rule = real_line_rule()
     return abs(float(np.dot(rule.weights, beta_density(rule.nodes))) - 1.0)
@@ -105,9 +155,7 @@ def scalar_power_average(x: float, y: float) -> float:
     if x <= 0 or y <= 0:
         raise InvalidRange(f"scalar arguments must be positive, got ({x}, {y})")
     rule = real_line_rule()
-    root = np.sqrt(x * y)
-    phase = 0.5 * np.log(x / y)
-    vals = root * np.exp(1j * phase * rule.nodes)
+    vals = y * _node_powers(np.float64(x / y), rule.nodes)(...)  # x^z y^conj(z) = (x/y)^z y
     return real_trace(np.dot(rule.weights * beta_density(rule.nodes), vals),
                       context="scalar power average")
 

@@ -631,6 +631,18 @@ def test_cli_explain_derivative_form_keeps_the_dense_cap(capsys):
     assert "total one-side dimension = 484" in capsys.readouterr().out
 
 
+def test_cli_explain_keeps_the_pairing_cap(capsys):
+    # explain checks a row's caps where verify does: X (x) Y^T at d^2 = 100
+    # has dimension 10,000 > DIM_CAP, though the row builds no layout
+    assert main(["verify", "--check", "pairing_identity", "--d", "10"]) == 2
+    verify_err = capsys.readouterr().err
+    assert main(["explain", "--check", "pairing_identity", "--d", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds cap 6561" in err and err == verify_err
+    assert main(["explain", "--check", "pairing_identity", "--d", "9"]) == 0
+
+
 def test_cli_perm_frozen_rows():
     proc = _run("perm", "--n", "7")
     assert proc.returncode == 0

@@ -4,6 +4,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from traceineq import (
 from traceineq.quadrature import (
     BETA_HALF_WIDTH,
     BETA_NODE_COUNT,
+    _node_powers,
     _trapezoid_rule,
     beta_normalization_gap,
     scalar_log_kernel,
@@ -138,24 +140,59 @@ def test_rules_are_built_once_and_read_only():
 RULE_PARAMETERS = {"rule", "beta_rule", "half_rule", "half_width", "node_count"}
 
 
-def test_one_function_calls_the_half_line_rule():
-    # every half-line route takes its nodes through the resolvent helper, so
-    # a rule that depends on the matrix changes one function
+def _callers(name):
+    """module.function for each top-level function of the package that
+    calls ``name`` (a class for its methods), or the module itself for a
+    call outside any."""
     callers = set()
     for path in sorted(Path(traceineq.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        scopes = [(node, f"{path.stem}.{node.name}") for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        tops = [node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         for call in ast.walk(tree):
             if not (isinstance(call, ast.Call)
-                    and getattr(call.func, "id", getattr(call.func, "attr", None))
-                    == "half_line_rule"):
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == name):
                 continue
-            # the innermost function around the call, or the module itself
-            inner = [name for node, name in scopes
+            outer = [f"{path.stem}.{node.name}" for node in tops
                      if node.lineno <= call.lineno <= node.end_lineno]
-            callers.add(inner[-1] if inner else path.stem)
-    assert callers == {"frechet._half_line_resolvents"}
+            callers.add(outer[0] if outer else path.stem)
+    return callers
+
+
+def test_one_function_calls_the_half_line_rule():
+    # every half-line route takes its nodes through the resolvent helper, so
+    # a rule that depends on the matrix changes one function
+    assert _callers("half_line_rule") == {"frechet._half_line_resolvents"}
+
+
+def test_the_beta_averages_take_their_powers_from_one_helper():
+    # the integral form, the matrix beta-average (power_average_identity,
+    # commutator_chain) and the scalar one form lam^{(1+it)/2} in one helper.
+    # The tensor pairing forms its own, so key_identity compares two
+    # independent evaluations of lam^z
+    callers = _callers("_node_powers")
+    assert callers == {"inequalities._power_traces", "frechet.conjugated_power_average",
+                       "quadrature.scalar_power_average"}
+    assert "inequalities.tensor_pair_trace" not in callers
+
+
+def test_node_powers_match_mpmath():
+    # on the rule's own nodes the phases come from angle sums over blocks of
+    # _PHASE_BLOCK nodes, elsewhere from cos and sin of t log(lam) / 2. Either
+    # phase is off by a few ulp of its argument, |t log(lam) / 2| <= 83 here;
+    # 8 eps * 83 = 1.5e-13 bounds both (seen: 3.1e-14 and 1.0e-14)
+    lam = np.array([[1e-6, 0.1], [1.0, 1e6]])
+    nodes = real_line_rule().nodes
+    with mpmath.workdps(30):
+        exact = np.array([[[complex(mpmath.mpf(x) ** (mpmath.mpc(1, t) / 2)) for t in nodes]
+                           for x in row] for row in lam])
+    bound = 8 * np.finfo(float).eps * np.abs(0.5 * np.log(lam)).max() * BETA_HALF_WIDTH
+    for t in (nodes, nodes.copy()):  # the rule's own nodes, and equal ones
+        powers = _node_powers(lam, t)
+        assert powers(...).shape == (2, 2, nodes.size)
+        assert powers(1).tobytes() == powers(...)[1].tobytes()
+        assert (np.abs(powers(...) - exact) <= bound * np.abs(exact)).all()
+    assert (_node_powers(lam, nodes)(...)[1, 0] == 1.0).all()  # lam = 1: exactly
 
 
 def test_no_public_function_takes_a_rule(make_chain):
