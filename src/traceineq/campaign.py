@@ -13,8 +13,9 @@ adding one row, and a new kind of input one entry of the DRAWS table.
 A chunk of consecutive seeds is the unit of work: it makes each draw
 its rows name once, and the rows of one draw at one chain length share
 its prefix and the sides evaluated on it. The prefixes share one
-decomposition of the stack, and one sweep of the integral form gives
-each length its value; if either raises, each prefix runs on its own.
+decomposition of the stack, and one sweep each of the left side and the
+integral form gives each length its value; if one raises, each prefix
+runs that part on its own.
 A campaign cuts its seeds into equal chunks of at most MAX_CHUNK, at
 least one per worker. A trial's numbers depend on its seed and the
 configuration alone, never on its chunk: every stacked evaluation sums
@@ -379,41 +380,59 @@ def _evaluate(cfg, spec: CheckSpec, n, inputs, seeds, sides=None) -> list[TrialR
                 for r in _evaluate(cfg, spec, n, _draw(cfg, spec.draw, [seed], n), [seed])]
 
 
+# the sides one sweep of the longest prefix evaluates at every chain length
+SWEPT = ("lhs_exp_sum_log", "rhs_power_integral")
+
+
+def _sweeps(inputs, kind) -> dict:
+    """{side: {n: values}}: for each SWEPT side that rows of ``kind`` read
+    from the sides, one sweep to the longest of them gives each length its
+    value. A sweep that raises is left out, and its lengths evaluate their own."""
+    sweeps = {}
+    for name in SWEPT:
+        lengths = sorted({n for spec, n in kind if spec.check_id == "commuting_equality"
+                          or name in COMPARISONS.get(spec.check_id, ())})
+        if lengths:
+            try:
+                sweeps[name] = dict(zip(lengths, globals()[name](inputs[:, :lengths[-1]],
+                                                                 lengths=lengths)))
+            except (TraceIneqError, np.linalg.LinAlgError):
+                pass
+    return sweeps
+
+
 def _run_task(cfg, rows, seeds, index) -> list[tuple]:
     """The trials of task ``index``, one chunk of seeds, under the selected
     (spec, n) rows: every row with a draw on the chunk, and in task 0 the
     rows without one, on its first seed. Each draw is made once, at the
     longest n its rows take (None for a draw without a chain). A chain
-    draw's stack is decomposed in one eigh, and one sweep of the integral
-    form, to the longest row that reads it, gives each such row's length
-    its value. Each (draw, n) prefix inputs[:, :n], equal to a draw of n,
-    is cut once: the rows at that length share it, the decomposition and
-    the sides evaluated on it, the swept one among them. A decomposition or
-    sweep that raises is not shared: each prefix then decomposes or
-    evaluates on its own, so a matrix past n cannot turn that trial's
-    shorter rows into errors. Per row, from its reports' columns: its key
-    (check_id, n or -1, index), those columns (plain tuples, which a pool
-    sends back faster than reports), trial lines if cfg writes any (see
-    _blocks), failures, and worst |gaps|, NaN as the worst."""
+    draw's stack is decomposed in one eigh, and one sweep each of the left
+    side and the integral form, to the longest row that reads it, gives
+    each such row's length its value. Each (draw, n) prefix inputs[:, :n],
+    equal to a draw of n, is cut once: the rows at that length share it,
+    the decomposition and the sides evaluated on it, the swept ones among
+    them. A decomposition or sweep that raises is not shared: each prefix
+    then decomposes or evaluates on its own, so a matrix past n cannot
+    turn that trial's shorter rows into errors. Per row, from its reports'
+    columns: its key (check_id, n or -1, index), those columns (plain
+    tuples, which a pool sends back faster than reports), trial lines if
+    cfg writes any (see _blocks), failures, and worst |gaps|, NaN as the
+    worst."""
     rows = [(spec, n) for spec, n in rows if spec.draw or index == 0]
     prefixes = {}
     for draw in {spec.draw for spec, _ in rows} - {None}:
         kind = [(spec, n) for spec, n in rows if spec.draw == draw]
         count = None if kind[0][1] is None else max(n for _, n in kind)
-        # the lengths of the rows that read the integral form from the sides
-        lengths = sorted({n for spec, n in kind if spec.check_id == "commuting_equality"
-                          or "rhs_power_integral" in COMPARISONS.get(spec.check_id, ())})
-        inputs, swept = _draw(cfg, draw, seeds, count), {}
-        try:  # shared by the prefixes; if either raises, each runs its own
+        inputs, sweeps = _draw(cfg, draw, seeds, count), {}
+        try:  # shared by the prefixes; if it raises, each decomposes its own
             if count:
                 inputs.spectral
-            if lengths:
-                swept = dict(zip(lengths, rhs_power_integral(inputs[:, :lengths[-1]],
-                                                             lengths=lengths)))
+                sweeps = _sweeps(inputs, kind)
         except (TraceIneqError, np.linalg.LinAlgError):
             pass
         prefixes.update({(draw, n): (inputs if n is None else inputs[:, :n],
-                                     {"rhs_power_integral": swept[n]} if n in swept else {})
+                                     {name: values[n] for name, values in sweeps.items()
+                                      if n in values})
                          for _, n in kind})
     groups = []
     for spec, n in rows:

@@ -72,12 +72,34 @@ def _sliced(fn, chain, entries):
 
 # ---------------------------------------------------------------- left side
 
-def lhs_exp_sum_log(mats):
-    """Tr exp(sum_k log A_k); the sum of logs is Hermitian, not positive."""
+def _wanted(n, lengths, least):
+    """The chain lengths a sweep evaluates, (n,) when none are given."""
+    wanted = (n,) if lengths is None else tuple(lengths)
+    if not wanted or not all(least <= m <= n for m in wanted):
+        raise DimensionMismatch(f"need lengths in [{least}, {n}], got {lengths}")
+    return wanted
+
+
+def _per_length(values, single, lengths, context):
+    """A sweep's values (K, L): the one length's, or lengths first."""
+    if lengths is None:
+        return _result(values[:, 0], single, context)
+    return np.moveaxis(_result(values, single, context), -1, 0)
+
+
+def lhs_exp_sum_log(mats, lengths=None):
+    """Tr exp(sum_k log A_k); the sum of logs is Hermitian, not positive.
+    Given chain ``lengths`` m in [2, n], the logs taken once and one
+    stacked exp give each prefix chain[:, :m] its value, in the bits of a
+    call on it, as an array whose first axis is the lengths."""
     chain, single = _coerce_chain(mats, min_len=2)
-    total = chain.log().sum(axis=1)
-    return _result(np.einsum("kii->k", hermitian_fn(total, np.exp)), single,
-                   "exp-sum-log trace")
+    wanted = _wanted(chain.matrix.shape[1], lengths, 2)
+    logs = chain.log()
+    # a sum per length: np.cumsum runs along a middle axis an entry at a
+    # time, several times slower than these sums at n <= 10
+    totals = np.stack([logs[:, :m].sum(axis=1) for m in wanted], axis=1)
+    traces = np.einsum("kii->k", hermitian_fn(totals.reshape(-1, chain.dim, chain.dim), np.exp))
+    return _per_length(traces.reshape(len(totals), -1), single, lengths, "exp-sum-log trace")
 
 
 def scaled_exponential_lhs(mats):
@@ -113,18 +135,13 @@ def rhs_power_integral(mats, lengths=None):
     the prefix chain[:, :m] in the bits of a call on it, as an array whose
     first axis is the lengths."""
     chain, single = _coerce_chain(mats)
-    n = chain.matrix.shape[1]
-    wanted = (n,) if lengths is None else tuple(lengths)
-    if not wanted or not all(3 <= m <= n for m in wanted):
-        raise DimensionMismatch(f"need lengths in [3, {n}], got {lengths}")
+    wanted = _wanted(chain.matrix.shape[1], lengths, 3)
     rule = real_line_rule()
     weights = rule.weights * beta_density(rule.nodes)
     # a sum per row, not a product with the stack: its order is one chain's
     values = _sliced(lambda c: (_power_traces(c, rule.nodes, wanted) * weights).sum(axis=-1),
                      chain, rule.nodes.size * chain.dim ** 2)
-    if lengths is None:
-        return _result(values[:, 0], single, "power-integral form")
-    return np.moveaxis(_result(values, single, "power-integral form"), -1, 0)
+    return _per_length(values, single, lengths, "power-integral form")
 
 
 def _power_traces(chain, t, lengths):
@@ -240,11 +257,18 @@ def _tensor_resolvent(chain):
     eigenvector I, so phi does not depend on its index: past slot 2 its
     axis is summed out of y, and in slot 2 it becomes a column axis of y,
     contracted once through C_2 = conj(A_n). phi is then the Loewner kernel
-    of the d^(n-2) products of the live slots' eigenvalues, made by rows,
-    2 STACK_BUDGET float entries (the bytes of STACK_BUDGET complex ones)
-    at a time. Each block leaves one value per chain and row, and each
-    chain's rows are summed once at the end, so a chain's value does not
-    depend on the blocks, nor on the other chains of the stack."""
+    of the d^(n-2) products of the live slots' eigenvalues, made a block of
+    rows at a time and laid out (k, b, i, s), b the column block of C, so
+    that its product with the rows it meets is one real matmul per chain
+    and b, on their real and imaginary parts at once. A block holds
+    2 STACK_BUDGET floats (the bytes of STACK_BUDGET complex entries). Its
+    rows are sized from one chain's size alone, and the stack is split into
+    as many chains as fit: BLAS sums in an order that follows the shapes it
+    is given, so rows sized from the whole stack would give a chain bits
+    that depend on the stack. Each block leaves one value per chain and
+    row, and each chain's rows are summed once at the end, so a chain's
+    value is its value alone, bit for bit, whatever the stack, its chunk
+    or the worker count."""
     layout, lam, slots = _slot_spectra(chain)
     vec_h = slots.eigenvectors.conj().swapaxes(-1, -2)
     count, d, factors = lam.shape[0], chain.dim, layout.factor_count
@@ -265,14 +289,18 @@ def _tensor_resolvent(chain):
     size, pair = mu.shape[1], c.shape[-1]
     rest = size // pair
     index = np.arange(size) // rest  # a_i
-    right = right.reshape(count, pair, rest, -1)
-    step = max(1, 2 * STACK_BUDGET // (count * size))
+    right = right.reshape(count, pair, rest, -1).view(float)  # (k, b, s, 2e): re, im columns
+    rows = min(size, max(1, 2 * STACK_BUDGET // size))
+    chains = max(1, 2 * STACK_BUDGET // (rows * size))
     terms = np.empty((count, size), dtype=complex)
-    for i in range(0, size, step):
-        rows = slice(i, i + step)
-        phi = logarithmic_ratio(mu[:, rows, None], mu[:, None, :])
-        z = np.einsum("kibs,kbse->kibe", phi.reshape(count, -1, pair, rest), right)
-        terms[:, rows] = np.einsum("kie,kib,kibe->ki", y[:, rows].conj(), c[:, index[rows]], z)
+    for k in range(0, count, chains):
+        ks = slice(k, k + chains)
+        for i in range(0, size, rows):
+            block = slice(i, i + rows)
+            phi = logarithmic_ratio(mu[ks, None, block, None], mu[ks].reshape(-1, pair, 1, rest))
+            z = np.matmul(phi, right[ks]).view(complex)
+            terms[ks, block] = np.einsum("kie,kib,kbie->ki", y[ks, block].conj(),
+                                         c[ks][:, index[block]], z)
     return terms.sum(axis=-1)
 
 

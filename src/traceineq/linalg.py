@@ -171,36 +171,22 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-# An absolute error e in h = (log a - log b) / 2 moves h / sinh(h) by
-# e (coth h - 1/h) relative, and h / ((a - b) / 2) by e / h: they cross
-# near |h| = 1.9, where a - b no longer cancels.
-LOG_RATIO_FAR = 2.0
-
-
 def logarithmic_ratio(a, b):
     """The divided difference (log a - log b) / (a - b) for a, b > 0.
 
-    With h = (log a - log b) / 2 it is h / (sinh(h) sqrt(a) sqrt(b)),
-    which does not cancel, and is exactly symmetric in a and b. Where
-    |h| > LOG_RATIO_FAR the denominator is (a - b) / 2 instead, and where
-    h == 0 the quotient is the limit 2 / (a + b). Logs and roots are
-    taken before a and b broadcast, so they cost O(len a + len b) on an
-    outer pair, and the broadcast shape holds two arrays. Broadcasts
-    over arrays.
+    With x = |log a - log b| and M = max(a, b) it is x / (M (1 - e^-x)),
+    evaluated as x / -expm1(-x) over M, and 1 / M where x == 0. It is
+    exactly symmetric in a and b, and it neither cancels nor overflows:
+    expm1 sees only arguments <= 0, and x / (1 - e^-x) lies in [1, 1 + x].
+    Its relative error is within eps (2.5 + (|log a| + |log b|) / 2): the
+    logs' rounding carried through x, and four roundings more. The logs
+    are taken before a and b broadcast, so they cost O(len a + len b) on
+    an outer pair. Broadcasts over arrays.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    log_a, log_b, half_a, half_b = 0.5 * np.log(a), 0.5 * np.log(b), 0.5 * a, 0.5 * b
-    h = np.asarray(log_a - log_b)
-    den = np.asarray(np.abs(h))
-    far, zero = den > LOG_RATIO_FAR, h == 0
-    np.multiply(np.sqrt(a), np.sqrt(b), out=den)
-    with np.errstate(over="ignore"):  # only far entries overflow sinh
-        den *= np.sinh(h, out=h)
-    np.putmask(den, far, np.subtract(half_a, half_b, out=h))
-    np.putmask(den, zero, np.add(half_a, half_b, out=h))
-    np.subtract(log_a, log_b, out=h)
-    np.putmask(h, zero, 1.0)
-    out = np.divide(h, den, out=den)
+    x = np.abs(np.log(a) - np.log(b))
+    out = np.divide(x, -np.expm1(-x), out=np.ones(np.shape(x)), where=x != 0)
+    out /= np.maximum(a, b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -221,7 +207,7 @@ def real_trace(value, *, context: str = "trace"):
 
 
 def _check_draw(dim: int, count: int, lam_range) -> tuple[float, float]:
-    """A draw's eigenvalue range, once its sizes and range are checked."""
+    """The logs of a draw's eigenvalue range, once its sizes and range are checked."""
     for name, size in (("dimension", dim), ("count", count)):
         if size < 1:
             raise DimensionMismatch(f"{name} must be >= 1, got {size}")
@@ -229,7 +215,7 @@ def _check_draw(dim: int, count: int, lam_range) -> tuple[float, float]:
     if not (0.0 < lo <= hi < np.inf):
         raise InvalidRange(f"eigenvalue range must satisfy 0 < lo <= hi < inf, "
                            f"got ({lo}, {hi})")
-    return lo, hi
+    return np.log(lo), np.log(hi)
 
 
 def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
@@ -240,11 +226,10 @@ def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
     ``rng`` may be a sequence of generators, one per stack entry, and
     with ``count`` each draws that many matrices in turn: the shape is
     ([len(rng),] [count,] dim, dim), in the numbers of lone calls."""
-    lo, hi = _check_draw(dim, 1 if count is None else count, lam_range)
+    log_lo, log_hi = _check_draw(dim, 1 if count is None else count, lam_range)
     one = isinstance(rng, np.random.Generator)
     rngs = [rng] if one else list(rng)
-    draws = [(r.normal(size=(2, dim, dim)),
-              r.uniform(np.log(lo), np.log(hi), size=dim))
+    draws = [(r.normal(size=(2, dim, dim)), r.uniform(log_lo, log_hi, size=dim))
              for r in rngs for _ in range(count or 1)]
     gauss = np.array([pair[0] for pair in draws])
     q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
@@ -257,12 +242,11 @@ def random_commuting_family(dim: int, count: int, seed, lam_range=(0.1, 10.0)):
     """A simultaneously diagonalizable family sharing one eigenbasis: ``count``
     matrices from default_rng(seed), or from each of a list of generators,
     as one PosDefMatrix (len(seed), count, dim, dim) in the lone numbers."""
-    lo, hi = _check_draw(dim, count, lam_range)
+    log_lo, log_hi = _check_draw(dim, count, lam_range)
     one = not isinstance(seed, (list, tuple))
     rngs = [np.random.default_rng(seed)] if one else seed
     gauss = np.array([r.normal(size=(2, dim, dim)) for r in rngs])
-    lams = np.exp(np.array([r.uniform(np.log(lo), np.log(hi), size=(count, dim))
-                            for r in rngs]))
+    lams = np.exp(np.array([r.uniform(log_lo, log_hi, size=(count, dim)) for r in rngs]))
     q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
     fam = PosDefMatrix((q[:, None] * lams[..., None, :]) @ _adjoint(q)[:, None])
     return [fam[0, k] for k in range(count)] if one else fam

@@ -125,24 +125,27 @@ def test_power_integral_matches_explicit_power_stacks(n, beta_rule, spectral_pow
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_swept_lengths_equal_separate_calls(d):
-    # one sweep to MAX_N gives each prefix's integral form in the bits of a
-    # separate call on that prefix, for a stack and for one chain, in the
-    # order the lengths are asked for; chain_product_trace on a prefix is
-    # the sweep's pointwise traces at that length
+    # one sweep to MAX_N gives each prefix's left side and integral form in
+    # the bits of a separate call on that prefix, for a stack and for one
+    # chain, in the order the lengths are asked for; chain_product_trace on
+    # a prefix is the sweep's pointwise traces at that length
     stack = _stack(930 + d, 5, MAX_N, d)
-    lengths = range(3, MAX_N + 1)
-    swept = rhs_power_integral(stack, lengths=lengths)
-    assert swept.shape == (len(lengths), 5)
-    for m, values in zip(lengths, swept):
-        assert values.tobytes() == rhs_power_integral(stack[:, :m]).tobytes()
-    one = rhs_power_integral(stack[2], lengths=(MAX_N, 3))
-    assert one.tolist() == [rhs_power_integral(stack[2][:m]) for m in (MAX_N, 3)]
-    t = np.array([-1.5, 0.0, 0.4])
+    for side, least in ((lhs_exp_sum_log, 2), (rhs_power_integral, 3)):
+        lengths = range(least, MAX_N + 1)
+        swept = side(stack, lengths=lengths)
+        assert swept.shape == (len(lengths), 5)
+        for m, values in zip(lengths, swept):
+            assert values.tobytes() == side(stack[:, :m]).tobytes()
+        one = side(stack[2], lengths=(MAX_N, least))
+        assert one.tobytes() == np.array([side(stack[2][:m]) for m in (MAX_N, least)]).tobytes()
+        with pytest.raises(DimensionMismatch, match=rf"lengths in \[{least}, 5\]"):
+            side(stack[:, :5], lengths=(least, 6))
+        with pytest.raises(DimensionMismatch, match=rf"lengths in \[{least}, 5\]"):
+            side(stack[:, :5], lengths=(least - 1,))
+    t, lengths = np.array([-1.5, 0.0, 0.4]), range(3, MAX_N + 1)
     traces = inequalities._power_traces(stack, t, lengths)
     for m, pointwise in zip(lengths, traces.swapaxes(0, 1)):
         assert chain_product_trace(stack[:, :m], t).tobytes() == pointwise.tobytes()
-    with pytest.raises(DimensionMismatch, match=r"lengths in \[3, 5\]"):
-        rhs_power_integral(stack[:, :5], lengths=(3, 6))
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
@@ -160,6 +163,16 @@ def test_stacked_sides_equal_single_chain_calls(d, n):
             single = side(mats)
             assert isinstance(single, float)
             assert _close(value, single)
+
+
+@pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 11)] + [(3, n) for n in range(3, 8)])
+def test_tensor_form_of_a_chain_does_not_depend_on_its_stack(d, n):
+    # each chain's kernel blocks and BLAS shapes are sized from that chain
+    # alone, so its value in a 17-chain stack is its value alone, bit for bit
+    stack = _stack(2000 * d + n, 17, n, d)
+    stacked = rhs_tensor_resolvent(stack)
+    alone = np.array([rhs_tensor_resolvent(stack[i]) for i in range(17)])
+    assert stacked.tobytes() == alone.tobytes()
 
 
 def _lone_commuting_equality(fam, seed):
@@ -504,13 +517,13 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
         return call
 
     # rows per attribute: key_identity at two n; both commutator rows; the
-    # pairing row once per dimension, d and d^2; one integral-form sweep
-    # per draw kind, chains and commuting families
+    # pairing row once per dimension, d and d^2; one left-side sweep and
+    # one integral-form sweep per draw kind, chains and commuting families
     per_chunk = {"draw_posdef": 1, "random_commuting_family": 1,
                  "check_key_identity": 2, "check_commutator_chain": 2,
                  "check_derivative_form": 1, "power_average_identity_check": 1,
                  "pairing_check": 2, "check_penalized_trace_limit": 1,
-                 "rhs_power_integral": 2}
+                 "lhs_exp_sum_log": 2, "rhs_power_integral": 2}
     for name in per_chunk:
         monkeypatch.setattr(campaign, name, counting(name))
     stacks = _recorded_eighs(monkeypatch)
@@ -521,9 +534,9 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
     assert sorted(stacks) == sorted([(size, 4, 2, 2) for size in sizes] * 2)
 
     # the comparison rows at one chain length share its sides: on one chunk
-    # the left side and the tensor form are evaluated once per chain length
-    # they are compared at, and the integral form is one sweep of the n = 6
-    # prefix that gives every length its value
+    # the tensor form is evaluated once per chain length it is compared at,
+    # and the left side and the integral form are each one sweep of the
+    # n = 6 prefix that gives every length its value
     lengths = {}
 
     def recording(name):
@@ -536,12 +549,13 @@ def test_identity_rows_make_one_call_per_chunk(monkeypatch):
 
     for name in ("lhs_exp_sum_log", "rhs_power_integral", "rhs_tensor_resolvent"):
         monkeypatch.setattr(inequalities, name, recording(name))
-    monkeypatch.setattr(campaign, "rhs_power_integral", inequalities.rhs_power_integral)
+    for name in campaign.SWEPT:
+        monkeypatch.setattr(campaign, name, getattr(inequalities, name))
     stacks.clear()
     cfg = _engine_cfg(suite="inequalities", checks=None, trials=16)  # one chunk
     assert run_campaign(cfg).passed
     assert {name: sorted(n) for name, n in lengths.items()} == {
-        "lhs_exp_sum_log": [(2,), (3,), (4,), (5,), (6,)],
+        "lhs_exp_sum_log": [(6, [2, 3, 4, 5, 6])],
         "rhs_power_integral": [(6, [3, 4, 5, 6])],
         "rhs_tensor_resolvent": [(3,), (4,), (5,), (6,)]}
     assert stacks == [(16, 6, 2, 2)]
@@ -666,16 +680,17 @@ def test_a_matrix_past_n_errs_only_the_rows_that_take_it(monkeypatch):
             if spec.length == "n" and spec.draw == "haar"]
     assert sorted(changed) == sorted((cid, 6, bad_seed, "error") for cid in grid)
     # a sweep that raises is dropped too: each length evaluates its own
-    monkeypatch.undo()
-    real = campaign.rhs_power_integral
+    for name in campaign.SWEPT:
+        monkeypatch.undo()
+        real = getattr(campaign, name)
 
-    def no_sweep(chain, lengths=None):
-        if lengths is not None:
-            raise NonFinite("sweep")
-        return real(chain)
+        def no_sweep(chain, lengths=None, real=real):
+            if lengths is not None:
+                raise NonFinite("sweep")
+            return real(chain)
 
-    monkeypatch.setattr(campaign, "rhs_power_integral", no_sweep)
-    assert [r.to_row() for r in run_campaign(cfg).reports] == [r.to_row() for r in clean]
+        monkeypatch.setattr(campaign, name, no_sweep)
+        assert [r.to_row() for r in run_campaign(cfg).reports] == [r.to_row() for r in clean]
 
 
 def test_comparison_table_is_the_runnerless_checks():

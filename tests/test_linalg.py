@@ -74,10 +74,12 @@ def test_hermitian_fn_indefinite_exponent():
 
 
 def test_logarithmic_ratio_symmetric_and_limit():
-    assert logarithmic_ratio(2.0, 3.0) == pytest.approx(logarithmic_ratio(3.0, 2.0))
-    assert logarithmic_ratio(2.0, 2.0) == pytest.approx(0.5)
-    # (log a - log b)/(a - b) against direct evaluation
-    assert logarithmic_ratio(1.0, np.e) == pytest.approx(1.0 / (np.e - 1.0))
+    assert logarithmic_ratio(2.0, 3.0) == logarithmic_ratio(3.0, 2.0)
+    assert logarithmic_ratio(2.0, 2.0) == 0.5
+    # (log a - log b)/(a - b) against direct evaluation, within the bound
+    # of test_logarithmic_ratio_within_its_error_bound at |log a| + |log b| = 1
+    assert logarithmic_ratio(1.0, np.e) == pytest.approx(1.0 / (np.e - 1.0),
+                                                         rel=3 * np.finfo(float).eps)
 
 
 def test_logarithmic_ratio_near_degenerate_stable():
@@ -151,15 +153,53 @@ def test_hermitize_checks_each_matrix_of_a_stack():
 def test_logarithmic_ratio_far_apart():
     assert logarithmic_ratio(1e16, 1.0) == pytest.approx(36.841361487904734e-16, rel=1e-14)
     assert logarithmic_ratio(1.0, 1e-300) == pytest.approx(690.7755278982137, rel=1e-14)
-    # sinh(709) overflows: the far branch must not warn on it
+    # the widest pair of normal floats: expm1 sees only -x <= 0, so nothing
+    # overflows or warns
     assert logarithmic_ratio(1e308, 1e-308) == pytest.approx(
         616 * np.log(10.0) / 1e308, rel=1e-14)
-    # every branch at once, with no warning from the branches not taken
+    # ties, near ties and far pairs at once, with no warning from the ties
     a = np.array([1.0, 1.0, 1.0 + 1e-13, 1.5, 1e16])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = logarithmic_ratio(a[:, None], a[None, :])
-    assert np.all(np.isfinite(out)) and np.allclose(out, out.T, rtol=1e-15)
+    assert np.all(np.isfinite(out)) and (out == out.T).all()
+
+
+def _kernel_pairs(rng, count=3000):
+    """Wide pairs on [1e-12, 1e12], near-equal pairs on [0.1, 10] and
+    near-equal pairs on [1e-12, 1e12], b = a (1 + r) at relative
+    separations |r| from 1e-15 to 1, both signs."""
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), count))
+
+    def near(lo, hi):
+        a = log_uniform(lo, hi)
+        return a, a * (1 + 10.0 ** rng.uniform(-15, 0, count) * rng.choice([-0.5, 1.0], count))
+
+    return {"wide": (log_uniform(1e-12, 1e12), log_uniform(1e-12, 1e12)),
+            "near": near(0.1, 10.0), "scaled near": near(1e-12, 1e12)}
+
+
+@pytest.mark.parametrize("kind", ["wide", "near", "scaled near"])
+def test_logarithmic_ratio_within_its_error_bound(kind):
+    a, b = _kernel_pairs(np.random.default_rng(28))[kind]
+    out = logarithmic_ratio(a, b)
+    assert out.tobytes() == logarithmic_ratio(b, a).tobytes()
+    with mpmath.workdps(50):
+        exact = np.array([float(1 / mpmath.mpf(x) if x == y else
+                                (mpmath.log(x) - mpmath.log(y)) / (mpmath.mpf(x) - mpmath.mpf(y)))
+                          for x, y in zip(a, b)])
+    # With u = eps / 2, and log and expm1 within one ulp (relative 2u):
+    # - the logs err by 2u |log a| and 2u |log b|, and the subtraction by
+    #   u x, so x = |log a - log b| errs by 2u (|log a| + |log b|) + u x;
+    # - g(x) = x / (1 - e^-x) has d log g / dx = 1/x - 1/(e^x - 1), in
+    #   (0, 1/2], so g errs by u (|log a| + |log b|) + u relative;
+    # - expm1 (2u) and the two divisions (u each) add 4u, and the
+    #   correctly rounded reference u more.
+    # In all: eps (3 + (|log a| + |log b|) / 2), a bound independent of
+    # how close a and b are: near-equal pairs cancel nowhere.
+    bound = np.finfo(float).eps * (3 + (np.abs(np.log(a)) + np.abs(np.log(b))) / 2)
+    assert (np.abs(out / exact - 1) <= bound).all()
 
 
 @pytest.mark.parametrize("lam_range", [(0.1, 10.0), (1e-6, 1e6)])
