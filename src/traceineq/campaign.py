@@ -388,10 +388,10 @@ def _sweeps(inputs, kind) -> dict:
     """{side: {n: values}}: for each SWEPT side that rows of ``kind`` read
     from the sides, one sweep to the longest of them gives each length its
     value. A sweep that raises is left out, and its lengths evaluate their own."""
-    sweeps = {}
+    sweeps, sides = {}, {cid: (row.lhs, row.rhs) for cid, row in COMPARISONS.items()}
     for name in SWEPT:
         lengths = sorted({n for spec, n in kind if spec.check_id == "commuting_equality"
-                          or name in COMPARISONS.get(spec.check_id, ())})
+                          or name in sides.get(spec.check_id, ())})
         if lengths:
             try:
                 sweeps[name] = dict(zip(lengths, globals()[name](inputs[:, :lengths[-1]],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .combinatorics import shape_params, slot_sources, thue_morse
 from .errors import DimensionCap, DimensionMismatch
-from .linalg import kron_all, stack_norm, stack_slices
+from .linalg import kron_all, stack_slices
 from .report import identity_report
 
 DIM_CAP = 3 ** 8  # total dimension ceiling of the factored tensor routes and pairing_check
@@ -75,7 +75,8 @@ def pairing_check(x, y, copies: int = 1, atol: float = 1e-12, seed=None):
                              @ om[:, None] for s in stack_slices(len(xs), dim ** 4)])
     gaps = np.trace(xs @ ys, axis1=-2, axis2=-1) - paired[:, 0, 0]
     gaps = np.hypot(gaps.real, gaps.imag)  # as abs() of one complex number
-    scales = np.maximum(1.0, stack_norm(xs) * stack_norm(ys))
+    scales = np.maximum(1.0, np.linalg.norm(xs, axis=(-2, -1))
+                        * np.linalg.norm(ys, axis=(-2, -1)))
     return identity_report("pairing_identity", gaps, 0.0, atol=0.0, rtol=atol, scale=scales,
                            seed=seed, params={"copies": copies, "dim": dim})
 

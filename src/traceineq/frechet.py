@@ -131,30 +131,28 @@ def log_derivative_quadrature(x, y) -> np.ndarray:
 
 
 def log_derivative_finite_difference(x, y, step: float | None = None) -> np.ndarray:
-    """Central difference (log(X + rY) - log(X - rY)) / 2r.
+    """Central difference (log(X + rY) - log(X - rY)) / 2r; stacks of X
+    and Y of one shape (..., d, d) pair up matrix by matrix.
 
-    The default step is FD_STEP_SCALE * ||X|| / ||Y||. Steps that push
-    X - rY out of the positive cone (margin one half of the smallest
-    eigenvalue) raise StepTooLarge instead of silently producing NaNs.
+    The default step is FD_STEP_SCALE * ||X|| / ||Y|| per matrix, and a
+    zero direction gives zero. Steps that push any X - rY out of the
+    positive cone (margin one half of the smallest eigenvalue) raise
+    StepTooLarge instead of silently producing NaNs.
     """
     x = as_posdef(x)
     y = _conformable(x, y)
-    if y.ndim != 2:
-        raise DimensionMismatch(f"the finite-difference route takes one matrix, "
-                                f"not a stack of shape {y.shape}")
-    norm_y = float(np.linalg.norm(y, 2))
-    if norm_y == 0.0:
-        return np.zeros_like(y)
+    norm_y = np.linalg.norm(y, 2, axis=(-2, -1))
     if step is None:
-        step = FD_STEP_SCALE * float(np.linalg.norm(x.matrix, 2)) / norm_y
-    lam_min = float(x.spectral.eigenvalues[0])
-    if step * norm_y >= 0.5 * lam_min:
-        raise StepTooLarge(
-            f"step {step:.3e} times ||Y|| {norm_y:.3e} is not well inside "
-            f"the smallest eigenvalue {lam_min:.3e}")
-    plus = PosDefMatrix(x.matrix + step * y).log()
-    minus = PosDefMatrix(x.matrix - step * y).log()
-    return (plus - minus) / (2.0 * step)
+        step = np.divide(FD_STEP_SCALE * np.linalg.norm(x.matrix, 2, axis=(-2, -1)), norm_y,
+                         out=np.ones_like(norm_y), where=norm_y != 0.0)
+    step, norm_y, lam_min = np.broadcast_arrays(step, norm_y, x.spectral.eigenvalues[..., 0])
+    bad = step * norm_y >= 0.5 * lam_min
+    if bad.any():
+        raise StepTooLarge(f"step {step[bad][0]:.3e} times ||Y|| {norm_y[bad][0]:.3e} is not "
+                           f"well inside the smallest eigenvalue {lam_min[bad][0]:.3e}")
+    r = np.where(norm_y != 0.0, step, 1.0)[..., None, None]  # Y = 0: (X - X) / 2
+    plus, minus = PosDefMatrix(np.stack([x.matrix + r * y, x.matrix - r * y])).log()
+    return (plus - minus) / (2.0 * r)
 
 
 def conjugated_power_average(a1, a2) -> np.ndarray:

@@ -26,7 +26,6 @@ from .linalg import (
     hermitian_fn,
     hermitize,
     real_trace,
-    stack_norm,
 )
 from .report import TrialReport, identity_report
 
@@ -136,7 +135,7 @@ def penalized_trace_gaps(a, v=None, dps: int | None = None):
             raise DimensionMismatch(f"vector shape {v.shape} does not "
                                     f"match matrix shape {a.shape}")
         v = v.reshape(-1, dim)
-        nv = stack_norm(v)
+        nv = np.linalg.norm(v, axis=-1)
         if not nv.all():
             raise DimensionMismatch("direction vector must be nonzero")
         v = v / nv[:, None]

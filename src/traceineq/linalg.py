@@ -151,14 +151,6 @@ def hermitian_fn(h, f) -> np.ndarray:
     return SpectralDecomposition(lam, vec).apply(f)
 
 
-def stack_norm(a) -> np.ndarray:
-    """np.linalg.norm(a[k]) for each k, in its bits: the square root of the
-    dot products of the real and imaginary parts, each a[k] flattened."""
-    flat = np.asarray(a, dtype=complex).reshape(len(a), 1, -1)
-    return np.sqrt((flat.real @ flat.real.swapaxes(-1, -2)
-                    + flat.imag @ flat.imag.swapaxes(-1, -2))[:, 0, 0])
-
-
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence, leftmost factor slowest; leading
     stack axes broadcast, and each stacked product is formed on its own."""
@@ -240,8 +232,8 @@ def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
 
 def random_commuting_family(dim: int, count: int, seed, lam_range=(0.1, 10.0)):
     """A simultaneously diagonalizable family sharing one eigenbasis: ``count``
-    matrices from default_rng(seed), or from each of a list of generators,
-    as one PosDefMatrix (len(seed), count, dim, dim) in the lone numbers."""
+    matrices from default_rng(seed) as one PosDefMatrix (count, dim, dim), or
+    (len(seed), count, dim, dim) from a list of generators, in the lone numbers."""
     log_lo, log_hi = _check_draw(dim, count, lam_range)
     one = not isinstance(seed, (list, tuple))
     rngs = [np.random.default_rng(seed)] if one else seed
@@ -249,4 +241,4 @@ def random_commuting_family(dim: int, count: int, seed, lam_range=(0.1, 10.0)):
     lams = np.exp(np.array([r.uniform(log_lo, log_hi, size=(count, dim)) for r in rngs]))
     q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
     fam = PosDefMatrix((q[:, None] * lams[..., None, :]) @ _adjoint(q)[:, None])
-    return [fam[0, k] for k in range(count)] if one else fam
+    return fam[0] if one else fam

@@ -527,8 +527,16 @@ def test_cli_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--config", str(bad)]) == 2
     wide = tmp_path / "wide.cfg"
     wide.write_text("half_width = inf\n")
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("suite identities\n")
     capsys.readouterr()
     for args, named in [(("--seed", "-1"), "seed"),
+                        (("--parallel", "-1"), "parallel must be >= 0"),
+                        (("--suite", "identities", "--check", "golden_thompson"),
+                         "no checks selected"),
+                        (("--config", str(bare)), "expected key = value"),
+                        (("--config", str(tmp_path / "missing.cfg")),
+                         "cannot read config file"),
                         (("--lam-max", "inf"), "lam_hi"),
                         (("--suite", "all", "--lam-min", "1e-7", "--lam-max", "1e7"),
                          "POSITIVITY_FLOOR"),
@@ -536,10 +544,12 @@ def test_cli_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
                         (("--check", "golden_thompson", "--check", "golden_thompson"),
                          "'golden_thompson'"),
                         (("--check", "power_integral", "--n", "3", "3"), "chain length 3")]:
-        code = main(["verify", *args, "--trials", "1", "--parallel", "1"])
+        code = main(["verify", "--trials", "1", "--parallel", "1", *args])
         err = capsys.readouterr().err
         assert code == 2, (args, err)
         assert named in err and "Traceback" not in err
+    with pytest.raises(ConfigError, match="bad configuration"):
+        config_from({"bogus": 1}, {})
 
 
 def test_cli_out_that_cannot_be_made_exits_two_before_any_trial(tmp_path, monkeypatch,

@@ -86,9 +86,8 @@ def test_stacked_commuting_families_match_lone_calls():
     assert isinstance(stack, PosDefMatrix) and stack.matrix.shape == (5, 4, 3, 3)
     for i in range(5):
         lone = random_commuting_family(3, 4, 930 + i, (0.01, 100.0))
-        assert len(lone) == 4
-        for k, member in enumerate(lone):
-            assert np.allclose(stack.matrix[i, k], member.matrix, rtol=1e-14, atol=1e-14)
+        assert isinstance(lone, PosDefMatrix) and lone.matrix.shape == (4, 3, 3)
+        assert np.allclose(stack.matrix[i], lone.matrix, rtol=1e-14, atol=1e-14)
     longer, shorter = (random_commuting_family(
         2, count, [np.random.default_rng(930 + i) for i in range(5)]) for count in (6, 3))
     assert np.array_equal(longer[:, :3].matrix, shorter.matrix)

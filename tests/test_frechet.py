@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from traceineq import (
-    DimensionMismatch,
     NonPositiveEigenvalue,
     PosDefMatrix,
     StepTooLarge,
@@ -141,10 +140,21 @@ def test_elimination_raises_on_a_non_positive_pivot(x):
         list(_half_line_resolvents(np.array([np.eye(2), x], dtype=complex)))
 
 
-def test_finite_difference_takes_one_matrix():
-    x, y = _stacked_pairs(2, (0.1, 10.0), 3)
-    with pytest.raises(DimensionMismatch, match="one matrix"):
-        log_derivative_finite_difference(x, y)
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_finite_difference_stack_equals_lone_calls(dim):
+    # each pair at its own default step, a zero direction among them
+    x, y = _stacked_pairs(dim, (0.1, 10.0), 4)
+    y[2] = 0.0
+    stacked = log_derivative_finite_difference(x, y)
+    assert stacked.shape == y.shape and not stacked[2].any()
+    for i in range(len(y)):
+        assert np.array_equal(stacked[i], log_derivative_finite_difference(x.matrix[i], y[i]))
+    # a step too large for one pair alone refuses the whole stack; on
+    # [0.1, 10], ||Y|| <= 10 and the margin 0.5 lam_min(X) >= 0.05
+    assert not log_derivative_finite_difference(x, y, step=1e-3)[2].any()
+    y[0] *= 1e6
+    with pytest.raises(StepTooLarge):
+        log_derivative_finite_difference(x, y, step=1e-3)
 
 
 def test_finite_difference_step_guard():
