@@ -22,6 +22,7 @@ from .report import identity_report
 
 DIM_CAP = 3 ** 8  # total dimension ceiling of the factored tensor routes and pairing_check
 DENSE_CAP = 512  # the same with dense=True, for the derivative form's D x D operands
+PAIRING_RTOL = 1e-12  # pairing_check's gap per unit of max(1, ||X|| ||Y||)
 
 
 def omega_vector(local_dim: int, copies: int) -> np.ndarray:
@@ -47,14 +48,14 @@ def pairing_cap(dim: int) -> None:
                            f"exceeds cap {DIM_CAP}")
 
 
-def pairing_check(x, y, copies: int = 1, atol: float = 1e-12, seed=None):
+def pairing_check(x, y, copies: int = 1, seed=None):
     """Tr[X Y] against <Omega| X (x) Y^T |Omega>, reported as a residual:
     lhs is the complex gap |Tr XY - <Omega| X (x) Y^T |Omega>|, rhs is 0,
-    and rtol = atol applies per unit of max(1, ||X|| ||Y||) (Frobenius).
-    Stacks (K, dim, dim) of pairs give one report per pair, given a list
-    of K seeds; X (x) Y^T, of dimension dim^2 <= DIM_CAP, is formed for
-    a stack_slices slice at a time, and each pair's sums run as for that
-    pair alone."""
+    and rtol = PAIRING_RTOL applies per unit of max(1, ||X|| ||Y||)
+    (Frobenius). Stacks (K, dim, dim) of pairs give one report per pair,
+    given a list of K seeds; X (x) Y^T, of dimension dim^2 <= DIM_CAP, is
+    formed for a stack_slices slice at a time, and each pair's sums run as
+    for that pair alone."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != y.shape or x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
@@ -77,8 +78,8 @@ def pairing_check(x, y, copies: int = 1, atol: float = 1e-12, seed=None):
     gaps = np.hypot(gaps.real, gaps.imag)  # as abs() of one complex number
     scales = np.maximum(1.0, np.linalg.norm(xs, axis=(-2, -1))
                         * np.linalg.norm(ys, axis=(-2, -1)))
-    return identity_report("pairing_identity", gaps, 0.0, atol=0.0, rtol=atol, scale=scales,
-                           seed=seed, params={"copies": copies, "dim": dim})
+    return identity_report("pairing_identity", gaps, 0.0, atol=0.0, rtol=PAIRING_RTOL,
+                           scale=scales, seed=seed, params={"copies": copies, "dim": dim})
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,9 @@ def _power_traces(chain, t, lengths):
 
 
 def _slot_spectra(chain, dense=False):
-    """(layout, lam, slots): the F middle slots' spectra of K chains, shapes
+    """(layout, slots): the F middle slots' spectra of K chains, shapes
     (K, F, d) and (K, F, d, d), conj(V) on conjugated slots, (1, I) on pads;
-    lam (K, D) is that of their Kronecker product W = A^-1 (Van Loan 2000)."""
+    W = A^-1, their Kronecker product, has theirs (Van Loan 2000)."""
     count, n, d = chain.matrix.shape[:3]
     layout = build_layout(n, d, dense=dense)
     dec = chain.spectral
@@ -203,10 +203,7 @@ def _slot_spectra(chain, dense=False):
     index = [n if s.source is None else s.source - 1 for s in layout.mid_slots]
     conj = np.array([s.conjugate for s in layout.mid_slots])[:, None, None]
     vals, vecs = vals[:, index], vecs[:, index]
-    lam = np.ones((count, 1))
-    for v in vals.swapaxes(0, 1):
-        lam = (lam[:, :, None] * v[:, None, :]).reshape(count, -1)
-    return layout, lam, SpectralDecomposition(vals, np.where(conj, vecs.conj(), vecs))
+    return layout, SpectralDecomposition(vals, np.where(conj, vecs.conj(), vecs))
 
 
 def _paired(factors, first, copies):
@@ -227,7 +224,8 @@ def tensor_operands(mats):
     permutation places the matrices, so Tr[P (T_A(B))] reproduces the
     integral form on the same ordered chain."""
     chain, single = _coerce_chain(mats)
-    layout, lam, slots = _slot_spectra(chain, dense=True)
+    layout, slots = _slot_spectra(chain, dense=True)
+    lam = kron_all(slots.eigenvalues[:, :, None].swapaxes(0, 1))[:, 0].real
     order = np.argsort(1.0 / lam, axis=-1)
     vec = kron_all(slots.eigenvectors.swapaxes(0, 1))
     dec = SpectralDecomposition(1.0 / np.take_along_axis(lam, order, axis=-1),
@@ -269,9 +267,9 @@ def _tensor_resolvent(chain):
     row, and each chain's rows are summed once at the end, so a chain's
     value is its value alone, bit for bit, whatever the stack, its chunk
     or the worker count."""
-    layout, lam, slots = _slot_spectra(chain)
+    layout, slots = _slot_spectra(chain)
     vec_h = slots.eigenvectors.conj().swapaxes(-1, -2)
-    count, d, factors = lam.shape[0], chain.dim, layout.factor_count
+    count, d, factors = chain.matrix.shape[0], chain.dim, layout.factor_count
     pads = [s.source is None for s in layout.mid_slots]
     ends = np.stack([chain.matrix[:, 0], chain.matrix[:, -1].conj()], axis=1)
     c = vec_h[:, :2] @ ends @ slots.eigenvectors[:, :2]
@@ -284,8 +282,10 @@ def _tensor_resolvent(chain):
     else:
         y = y.reshape(count, -1, 1)
         c, right = kron_all(c.swapaxes(0, 1)), y
-    live = (slice(None),) + tuple(0 if p else slice(None) for p in pads)
-    mu = 1.0 / lam.reshape((count,) + (d,) * factors)[live].reshape(count, -1)
+    lam = np.ones((count, 1))
+    for v in slots.eigenvalues[:, [not p for p in pads]].swapaxes(0, 1):
+        lam = (lam[:, :, None] * v[:, None, :]).reshape(count, -1)
+    mu = 1.0 / lam
     size, pair = mu.shape[1], c.shape[-1]
     rest = size // pair
     index = np.arange(size) // rest  # a_i
@@ -318,22 +318,21 @@ def chain_product_trace(mats, t):
 
 def tensor_pair_trace(mats, t):
     """<Omega| W^{(1+it)/2} B W^{(1-it)/2} |Omega> at t, or at each t of an
-    array, W = A^-1, with W^z Omega = flatten(kron_k S_k^z (S_{k+F/2}^z)^T)
-    for the slot matrices S_k (conj(S)^z from conj(V)); each pairing block
-    of B contracts its Omega_m, leaving w* (A_1 (x) conj(A_n)) w. Equals
+    array, W = A^-1. Omega pairing factors k and k + m of the slot powers
+    S_k^z (conj(S)^z from conj(V)) is one d x d product, X_k X_{k+m}^T, so
+    the outer Omega, then B's pairing blocks widest first, halve the factors
+    down to one w per t, and w* (A_1 (x) conj(A_n)) w is the value. Equals
     chain_product_trace for every t: the pointwise doubling identity."""
     chain, single = _coerce_chain(mats)
-    layout, _, slots = _slot_spectra(chain)
+    layout, slots = _slot_spectra(chain)
     z = 0.5 * (1.0 - 1j * np.asarray(t, dtype=float))
-    count, d = chain.matrix.shape[0], chain.dim
     powers = SpectralDecomposition(slots.eigenvalues[:, None], slots.eigenvectors[:, None]
                                    ).apply(lambda x: np.exp(z.reshape(-1, 1, 1) * np.log(x)))
-    u = _paired(powers.reshape((-1,) + powers.shape[2:]), 0, layout.factor_count // 2)
-    for m in reversed(layout.pair_copies):
-        u = np.einsum("kxii->kx", u.reshape(len(u), -1, d ** m, d ** m))
-    w = u.reshape(count, -1, d, d)
+    for m in (layout.outer_copies,) + layout.pair_copies[::-1]:  # (K, T, 2m, d, d) -> m
+        powers = powers[:, :, :m] @ powers[:, :, m:].swapaxes(-1, -2)
+    w = powers[:, :, 0]
     ends = chain.matrix[:, None, 0] @ w @ chain.matrix[:, None, -1]
-    return _result(np.einsum("ktij,ktij->kt", w.conj(), ends).reshape((count,) + z.shape),
+    return _result(np.einsum("ktij,ktij->kt", w.conj(), ends).reshape((-1,) + z.shape),
                    single, "tensor pair trace")
 
 

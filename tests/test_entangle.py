@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from traceineq import DIM_CAP, DimensionCap, DimensionMismatch, pairing_check
+from traceineq import entangle
 from traceineq.combinatorics import thue_morse
 from traceineq.entangle import build_layout, omega_vector, projector
 
@@ -34,7 +35,7 @@ def test_pairing_reproduces_trace(rng):
 
 
 @pytest.mark.parametrize("copies", [1, 2])
-def test_pairing_report_is_a_residual_with_the_same_verdict(copies):
+def test_pairing_report_is_a_residual_with_the_same_verdict(monkeypatch, copies):
     rng = np.random.default_rng(40 + copies)
     dim = 2 ** copies
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -43,10 +44,12 @@ def test_pairing_report_is_a_residual_with_the_same_verdict(copies):
     gap = abs(np.trace(x @ y) - w @ np.kron(x, y.T) @ w)
     scale = max(1.0, np.linalg.norm(x) * np.linalg.norm(y))
     assert gap > 0.0
-    for atol in (1e-12, 0.5 * gap / scale, 0.0):
-        rep = pairing_check(x, y, copies=copies, atol=atol)
-        assert rep.passed == (gap <= atol * scale) == (atol == 1e-12)
-        assert (rep.lhs, rep.rhs, rep.atol, rep.rtol) == (gap, 0.0, 0.0, atol)
+    assert entangle.PAIRING_RTOL == 1e-12
+    for rtol in (1e-12, 0.5 * gap / scale, 0.0):
+        monkeypatch.setattr(entangle, "PAIRING_RTOL", rtol)  # the default first
+        rep = pairing_check(x, y, copies=copies)
+        assert rep.passed == (gap <= rtol * scale) == (rtol == 1e-12)
+        assert (rep.lhs, rep.rhs, rep.atol, rep.rtol) == (gap, 0.0, 0.0, rtol)
         assert rep.rel_gap == pytest.approx(gap / scale)
 
 

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -33,6 +34,7 @@ from traceineq import (
     tensor_pair_trace,
 )
 from traceineq import inequalities, limits
+from traceineq.campaign import MAX_CHUNK
 from traceineq.combinatorics import MAX_N
 from traceineq.entangle import build_layout
 from traceineq.inequalities import tensor_operands
@@ -150,6 +152,46 @@ def test_factored_operand_matches_dense_eigh(make_chain, d, n):
         # A (up to 1e-10 here); the factored one meets the integral form
         # to 1e-13 (test_tensor_form_matches_integral_at_d256)
         assert rhs_tensor_resolvent(mats) == pytest.approx(dense.real, rel=1e-9)
+
+
+def _dense_pairing(mats, t):
+    """Test-only reference: Omega* W^z B W^conj(z) Omega, z = (1+it)/2,
+    with W^conj(z) = V diag(a^-conj(z)) V* from the decomposition (a, V)
+    attached to the dense A = W^-1."""
+    big_a, big_b, outer = tensor_operands(mats)
+    a, vec = big_a.spectral.eigenvalues, big_a.spectral.eigenvectors
+    ket = vec @ (np.exp(-0.5 * (1.0 - 1j * t) * np.log(a)) * (vec.conj().T @ outer))
+    return ket.conj() @ big_b @ ket
+
+
+@pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 11)]
+                         + [(3, n) for n in range(3, 7)])
+def test_pairwise_contraction_matches_the_dense_pairing(make_chain, d, n):
+    # the operator the paper writes, formed whole; chain_product_trace
+    # plays no part (worst gap seen: 1.7e-15)
+    mats = make_chain(1000 + n, n, d)
+    for t in (0.0, 0.7, -2.0):
+        assert tensor_pair_trace(mats, t) == pytest.approx(_dense_pairing(mats, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(3, 8), (2, 10)])
+def test_pointwise_traces_stay_within_the_budget(d, n):
+    # a full chunk on the whole t grid: each side holds a few arrays of
+    # T d^2 (the sweep) or T F d^2 (the slot powers) entries per chain, not
+    # a d^F vector, which took 40 MiB here at d = 3, n = 8 (seen: 0.86 MiB)
+    rngs = [np.random.default_rng(9000 + k) for k in range(MAX_CHUNK)]
+    chain = draw_posdef(rngs, d, count=n)
+    chain.spectral  # shared by both sides, and decomposed before tracing
+    t = np.array(inequalities.KEY_T_GRID)
+    for fn in (lambda: chain_product_trace(chain, t), lambda: tensor_pair_trace(chain, t),
+               lambda: check_key_identity(chain, seed=list(range(MAX_CHUNK)))):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
 
 
 def test_tensor_form_matches_integral_at_d256(make_chain):

@@ -176,6 +176,19 @@ def test_the_beta_averages_take_their_powers_from_one_helper():
     assert "inequalities.tensor_pair_trace" not in callers
 
 
+def test_the_key_identity_sides_share_only_the_chain_decomposition():
+    # chain_product_trace takes the integral form's sweep and
+    # tensor_pair_trace the slot spectra, and neither calls the other's
+    # helpers: past the chain's eigenpairs, key_identity compares two
+    # independent evaluations, which a later speed-up cannot merge quietly
+    assert _callers("_paired") == {"inequalities._tensor_resolvent"}
+    assert _callers("_slot_spectra") == {"inequalities.tensor_operands",
+                                         "inequalities._tensor_resolvent",
+                                         "inequalities.tensor_pair_trace"}
+    assert _callers("_power_traces") == {"inequalities.rhs_power_integral",
+                                         "inequalities.chain_product_trace"}
+
+
 def test_node_powers_match_mpmath():
     # on the rule's own nodes the phases come from angle sums over blocks of
     # _PHASE_BLOCK nodes, elsewhere from cos and sin of t log(lam) / 2. Either
