@@ -413,11 +413,10 @@ def _run_task(cfg, rows, seeds, index) -> list[tuple]:
     the decomposition and the sides evaluated on it, the swept ones among
     them. A decomposition or sweep that raises is not shared: each prefix
     then decomposes or evaluates on its own, so a matrix past n cannot
-    turn that trial's shorter rows into errors. Per row, from its reports'
-    columns: its key (check_id, n or -1, index), those columns (plain
-    tuples, which a pool sends back faster than reports), trial lines if
-    cfg writes any (see _blocks), failures, and worst |gaps|, NaN as the
-    worst."""
+    turn that trial's shorter rows into errors. Per row: its key
+    (check_id, n or -1, index), its reports' columns (plain tuples, which
+    a pool sends back faster than reports) and, if cfg writes reports,
+    their cells (see _blocks)."""
     rows = [(spec, n) for spec, n in rows if spec.draw or index == 0]
     prefixes = {}
     for draw in {spec.draw for spec, _ in rows} - {None}:
@@ -439,11 +438,8 @@ def _run_task(cfg, rows, seeds, index) -> list[tuple]:
         inputs, sides = prefixes.get((spec.draw, n), (None, None))
         reports = _evaluate(cfg, spec, n, inputs, seeds if spec.draw else seeds[:1], sides)
         columns = dict(zip(TrialReport._fields, zip(*reports)))
-        blocks = _blocks(columns, cfg.fmt) if cfg.out else []
         groups.append(((spec.check_id, -1 if n is None else n, index), tuple(columns.values()),
-                       _json_lines(blocks) if cfg.fmt == "jsonl" else blocks,
-                       sum(map(operator.not_, columns["passed"])),
-                       np.abs([columns["abs_gap"], columns["rel_gap"]]).max(axis=1)))
+                       _blocks(columns, cfg.fmt) if cfg.out else []))
     return groups
 
 
@@ -466,7 +462,7 @@ class CampaignSummary:
     config: dict
     runtime_s: float
     reports: list[TrialReport] = field(repr=False, default_factory=list)
-    lines: list = field(repr=False, default_factory=list)  # jsonl lines, or csv _blocks
+    lines: list[str] = field(repr=False, default_factory=list)  # trial file after its config line
 
     def to_text(self) -> str:
         lines = [f"{'check':32s} {'trials':>7s} {'fail':>5s} "
@@ -483,21 +479,23 @@ class CampaignSummary:
 
 def _summarize(cfg, groups, runtime_s) -> CampaignSummary:
     """Join the groups in (check, n, task) order, which is (check, n, seed)
-    order, and merge their partials; np.maximum keeps NaN as the worst gap."""
-    reports, lines, per = [], [], {}
-    for (check_id, _, _), columns, group_lines, fails, worst in sorted(groups):
+    order, total each check from its joined rows, NaN as the worst gap,
+    and make the trial file's lines from the groups' cells."""
+    reports, blocks, per_check = [], [], []
+    for _, columns, cells in sorted(groups):
         reports += as_reports(zip(*columns))
-        lines += group_lines
-        trials, failures, so_far = per.get(check_id, (0, 0, worst))
-        per[check_id] = (trials + len(columns[0]), failures + fails,
-                         np.maximum(so_far, worst))
-    per_rows = [{"check_id": check_id, "trials": trials, "failures": failures,
-                 "worst_abs_gap": float(worst[0]), "worst_rel_gap": float(worst[1])}
-                for check_id, (trials, failures, worst) in per.items()]
-    failures = sum(row["failures"] for row in per_rows)
+        blocks += cells
+    for check_id, rows in itertools.groupby(reports, operator.attrgetter("check_id")):
+        rows = list(rows)
+        worst = np.abs([[r.abs_gap, r.rel_gap] for r in rows]).max(axis=0)
+        per_check.append({"check_id": check_id, "trials": len(rows),
+                          "failures": sum(not r.passed for r in rows),
+                          "worst_abs_gap": float(worst[0]), "worst_rel_gap": float(worst[1])})
+    failures = sum(row["failures"] for row in per_check)
     return CampaignSummary(passed=failures == 0, trial_count=len(reports),
-                           failure_count=failures, per_check=per_rows, config=cfg.echo(),
-                           runtime_s=runtime_s, reports=reports, lines=lines)
+                           failure_count=failures, per_check=per_check, config=cfg.echo(),
+                           runtime_s=runtime_s, reports=reports,
+                           lines=_lines(blocks, cfg.fmt) if cfg.out else [])
 
 
 def _chunks(seeds: list, workers: int) -> list[list]:
@@ -535,11 +533,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
 
 # ------------------------------------------------------------- trial lines
-# A row's trial lines are those of json.dumps({"record": "trial",
-# **r.to_row()}, sort_keys=True) and of _csv_cell on each cell of
-# r.to_row(), but made column by column: a cell every trial shares is
-# written once, the others a column at a time, and each line fills a
-# template with its own cells.
+# The trial lines are those of json.dumps({"record": "trial", **r.to_row()},
+# sort_keys=True) and of _csv_cell on each cell of r.to_row(), but made
+# column by column: a cell every trial shares is written once, the others
+# a column at a time, and each line fills a template with its own cells.
 
 _JSON = json.JSONEncoder(sort_keys=True).encode  # json.dumps(value, sort_keys=True)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
@@ -599,29 +596,28 @@ def _slot(cell) -> str:
     return "%s" if cell is None else cell.replace("%", "%%")
 
 
-def _json_lines(blocks) -> list[str]:
-    """Each trial's jsonl line."""
-    lines = []
+def _lines(blocks, fmt) -> list[str]:
+    """The trial file's lines after its config line, from the rows' _blocks:
+    for jsonl each trial's line; for csv the header under the sorted union
+    of columns, then each trial's cells under it, empty where it has none."""
+    fieldnames = sorted(set().union(*(shared for shared, _ in blocks)))
+    lines = [] if fmt == "jsonl" else [",".join(map(_csv_cell, fieldnames)) + "\r\n"]
     for shared, rows in blocks:
-        template = "{" + ", ".join(f"{encode_basestring_ascii(key)}: {_slot(cell)}"
-                                   for key, cell in shared.items()) + "}\n"
+        if fmt == "jsonl":
+            template = "{" + ", ".join(f"{encode_basestring_ascii(key)}: {_slot(cell)}"
+                                       for key, cell in shared.items()) + "}\n"
+        else:
+            template = ",".join(_slot(shared.get(key, "")) for key in fieldnames) + "\r\n"
         lines += map(template.__mod__, rows)
     return lines
 
 
-def _csv_lines(blocks, fieldnames):
-    """Each trial's cells under the fieldnames, empty where it has none."""
-    return itertools.chain.from_iterable(
-        map((",".join(_slot(shared.get(key, "")) for key in fieldnames) + "\r\n").__mod__, rows)
-        for shared, rows in blocks)
-
-
 # ------------------------------------------------------------------ writers
 
-def _write_csv(path, echo, fieldnames, lines):
-    """Config echo line, header, then the lines."""
+def _write(path, head, lines):
+    """The head line, then the lines."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config {echo}\n" + ",".join(map(_csv_cell, fieldnames)) + "\r\n")
+        fh.write(head + "\n")
         fh.writelines(lines)
 
 
@@ -632,24 +628,21 @@ def write_reports(cfg: CampaignConfig, summary: CampaignSummary) -> list[str]:
     formatted. Bodies are deterministic functions of the configuration:
     trials are sorted, floats use repr, and no timestamps or durations appear.
     """
-    made = (len(summary.lines) if cfg.fmt == "jsonl"
-            else sum(len(rows) for _, rows in summary.lines))
-    if made != summary.trial_count:  # the campaign ran without out
+    if not cfg.out:
+        raise ValueError("cfg.out is unset: it names the report files")
+    fmt = summary.config.get("fmt")
+    if cfg.fmt != fmt:
+        raise ValueError(f"the summary's trial lines are {fmt}, not the {cfg.fmt} "
+                         f"that cfg asks for")
+    if not summary.lines:  # the campaign ran without out
         raise ValueError("the summary holds no trial lines; run the campaign with out set")
-    base = cfg.out
-    echo = json.dumps(summary.config, sort_keys=True)
-    path = f"{base}.trials.{cfg.fmt}"
-    if cfg.fmt == "jsonl":
-        with open(path, "w") as fh:
-            fh.writelines([json.dumps({"record": "config", "config": summary.config},
-                                      sort_keys=True) + "\n", *summary.lines])
-    else:
-        fieldnames = sorted(set().union(*(shared for shared, _ in summary.lines)))
-        _write_csv(path, echo, fieldnames, _csv_lines(summary.lines, fieldnames))
-    spath = base + ".summary.csv"
+    echo = f"# config {json.dumps(summary.config, sort_keys=True)}"
+    path, spath = f"{cfg.out}.trials.{cfg.fmt}", f"{cfg.out}.summary.csv"
+    _write(path, json.dumps({"record": "config", "config": summary.config}, sort_keys=True)
+           if cfg.fmt == "jsonl" else echo, summary.lines)
     fieldnames = ["check_id", "trials", "failures", "worst_abs_gap", "worst_rel_gap"]
-    _write_csv(spath, echo, fieldnames, [",".join(_csv_cell(row[k]) for k in fieldnames)
-                                         + "\r\n" for row in summary.per_check])
+    rows = [fieldnames] + [[row[k] for k in fieldnames] for row in summary.per_check]
+    _write(spath, echo, [",".join(map(_csv_cell, row)) + "\r\n" for row in rows])
     return [path, spath]
 
 

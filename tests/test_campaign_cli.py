@@ -210,6 +210,24 @@ def test_write_reports_needs_the_lines_the_tasks_made(tmp_path):
         write_reports(replace(cfg, out=str(tmp_path / "run")), run_campaign(cfg))
 
 
+@pytest.mark.parametrize("cfg_fmt, summary_fmt, out", [
+    ("jsonl", "jsonl", None), ("csv", "jsonl", "run"), ("jsonl", "csv", "run")])
+def test_write_reports_checks_its_arguments_before_writing(tmp_path, monkeypatch, cfg_fmt,
+                                                           summary_fmt, out):
+    # a cfg without out, or of the other format, raises before a file opens
+    from traceineq.campaign import write_reports
+
+    cfg = _cfg(checks=("pairing_identity",), fmt=summary_fmt, out=str(tmp_path / "run"))
+    summary = run_campaign(cfg)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    match = "out is unset" if out is None else f"{summary_fmt}.*{cfg_fmt}"
+    with pytest.raises(ValueError, match=match):
+        write_reports(replace(cfg, fmt=cfg_fmt, out=out), summary)
+    assert list(work.iterdir()) == []
+
+
 def test_jsonl_structure(tmp_path):
     out = str(tmp_path / "run")
     run_campaign(_cfg(checks=("beta_normalization", "scalar_power_identity"),
@@ -286,8 +304,7 @@ def test_trial_lines_are_the_rows_json_and_csv_write(tmp_path, monkeypatch, fmt)
         head, body = Path(f"{out}.trials.{fmt}").read_bytes().decode().split("\n", 1)
         assert "config" in head
         assert body == "".join(_reference_lines(summary.reports, fmt))
-        if fmt == "jsonl":
-            assert summary.lines == _reference_lines(summary.reports, fmt)
+        assert summary.lines == _reference_lines(summary.reports, fmt)
 
 
 def test_params_json_cannot_hold_fail_the_writer(monkeypatch):
@@ -373,8 +390,8 @@ def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
 
 
 def test_summary_keeps_nan_gap_as_worst(monkeypatch):
-    # each task summarizes its own rows; a NaN gap first or last in its
-    # group, in either task's partial, stays the check's worst gap
+    # the summary totals each check over its joined rows; a NaN gap first
+    # or last in either task's rows stays the check's worst gap
     from traceineq import campaign as camp
     from traceineq import identity_report
 

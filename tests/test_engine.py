@@ -769,3 +769,36 @@ def test_one_trial_campaign_reproduces_its_trial_line(tmp_path):
                                    n_values=(n,) if n in cfg.n_values else (3,),
                                    out=str(tmp_path / "one")))
         assert one.lines == lines[(check_id, n, seed)]
+
+
+# The verifier can say FAIL. One side scaled by 1 - delta, wherever its
+# callers look it up, fails suite all at d = 2, 200 trials, seed 50000.
+# The rows that catch it, with their failures:
+#   lhs_exp_sum_log       1e-8  commuting_equality (446)
+#   rhs_power_integral    1e-8  commuting_equality (454), lieb_equivalence (126)
+#   rhs_tensor_resolvent  1e-8  commuting_equality (417)
+#   rhs_lieb_three        1e-8  commuting_equality (109), lieb_equivalence (92)
+#   rhs_golden_thompson   1e-7  golden_thompson (1)
+# No side is caught at 1e-9, nor rhs_golden_thompson at 1e-8.
+SCALED_SIDES = {"lhs_exp_sum_log": 1e-8, "rhs_power_integral": 1e-8,
+                "rhs_tensor_resolvent": 1e-8, "rhs_lieb_three": 1e-8,
+                "rhs_golden_thompson": 1e-7}
+MUTATION_CFG = CampaignConfig(suite="all", local_dim=2, trials=200, seed=50_000, parallel=1)
+
+
+def test_the_mutation_campaign_passes_unscaled():
+    assert run_campaign(MUTATION_CFG).passed
+
+
+@pytest.mark.parametrize("side", SCALED_SIDES)
+def test_a_side_scaled_by_one_minus_delta_fails_the_campaign(monkeypatch, side):
+    real, delta = getattr(inequalities, side), SCALED_SIDES[side]
+
+    def scaled(*args, **kwargs):  # the sweeps pass lengths=
+        return real(*args, **kwargs) * (1 - delta)
+
+    for module in (inequalities, campaign, limits):
+        if hasattr(module, side):
+            monkeypatch.setattr(module, side, scaled)
+    summary = run_campaign(MUTATION_CFG)
+    assert not summary.passed, summary.to_text()
