@@ -37,6 +37,7 @@ import types
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import get_args, get_origin, get_type_hints
 
@@ -149,30 +150,30 @@ class CampaignConfig:
 
 # ------------------------------------------------------------------ checks
 # A draw maps (cfg, rngs, count) to one chunk's inputs as a stack, trial i's
-# drawn from rngs[i] = default_rng(seeds[i]) in the order a lone trial draws
-# them; count is the chain length for a chain draw and None otherwise.
+# drawn from rngs[i], in default_rng(seeds[i])'s state, in the order a lone
+# trial draws them; count is the chain length for a chain draw and None otherwise.
 # Library functions are looked up as module globals at call time, never
 # captured when a table is built.
 
 def _draw_pairing(cfg, rngs, count):
-    """Per trial, X then Y at dimension d, then at d^2: the (X, Y) stacks
-    at d and at d^2."""
+    """Per trial, X then Y at dimension d, then at d^2, each real then
+    imaginary part, in one normal call: the (X, Y) stacks at d and at d^2."""
     dims = (cfg.local_dim, cfg.local_dim ** 2)
-    drawn = [[rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-              for dim in dims for _ in "XY"] for rng in rngs]
-    x1, y1, x2, y2 = map(np.array, zip(*drawn))
-    return (x1, y1), (x2, y2)
+    z = np.array([rng.normal(size=4 * (dims[0] ** 2 + dims[1] ** 2)) for rng in rngs])
+    # per dimension: trial, then X or Y, then real or imaginary part
+    xy = [part.reshape(len(rngs), 2, 2, dim, dim)
+          for dim, part in zip(dims, np.split(z, [4 * dims[0] ** 2], axis=1))]
+    return tuple((p[:, 0, 0] + 1j * p[:, 0, 1], p[:, 1, 0] + 1j * p[:, 1, 1]) for p in xy)
 
 
 def _draw_penalized(cfg, rngs, count):
-    """Per trial, a Hermitian 3 x 3 A of spectral norm at most 1, then v."""
-    a, v = [], []
-    for rng in rngs:
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a.append(0.5 * (g + g.conj().T))
-        v.append(rng.normal(size=3) + 1j * rng.normal(size=3))
-    a = np.array(a)
-    return a / np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None], np.array(v)
+    """Per trial, in one normal call, G then v, each real then imaginary part:
+    A = (G + G*) / 2 scaled to spectral norm at most 1, and v."""
+    z = np.array([rng.normal(size=24) for rng in rngs])
+    g = z[:, :9].reshape(-1, 3, 3) + 1j * z[:, 9:18].reshape(-1, 3, 3)
+    a = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    v = z[:, 18:21] + 1j * z[:, 21:]
+    return a / np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None], v
 
 
 DRAWS = {
@@ -185,9 +186,18 @@ DRAWS = {
 }
 
 
-def _draw(cfg, draw: str, seeds, count):
-    """DRAWS[draw]'s inputs for the seeds, trial i's from default_rng(seeds[i])."""
-    return DRAWS[draw](cfg, [np.random.default_rng(seed) for seed in seeds], count)
+def _draw(cfg, draw: str, seeds, count, seeded=None):
+    """DRAWS[draw]'s inputs for the seeds, trial i's from default_rng(seeds[i]).
+    A task's draws share ``seeded``, a list it starts empty: the first fills
+    it with (default_rng(seed), its seeded state) per seed, and each later
+    one rewinds them to that state, so a task seeds each generator once."""
+    seeded = [] if seeded is None else seeded
+    for rng, state in seeded:  # a later draw of the task
+        rng.bit_generator.state = state
+    if not seeded:
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        seeded += [(rng, rng.bit_generator.state) for rng in rngs]
+    return DRAWS[draw](cfg, [rng for rng, _ in seeded], count)
 
 
 # A runner maps (inputs, seeds, sides) to a list of TrialReports, where seeds
@@ -253,8 +263,9 @@ CHECKS: dict[str, CheckSpec] = {spec.check_id: spec for spec in (
         description="The hyperbolic weight integrates to one on the truncated line.",
         formula="integral beta(t) dt = 1,  beta(t) = (pi/2) / (1 + cosh(pi t))"),
     CheckSpec("scalar_power_identity", "identities", None,
-        lambda inputs, seeds, sides: [scalar_identity_check(x, y)
-                                      for x in SCALAR_GRID for y in SCALAR_GRID], draw=None,
+        lambda inputs, seeds, sides: scalar_identity_check(
+            *np.array(list(itertools.product(SCALAR_GRID, repeat=2))).T,
+            seed=[None] * len(SCALAR_GRID) ** 2), draw=None,
         description="Scalar conjugated-power average equals the inverse log kernel "
                     "on a fixed grid.",
         formula="avg_t x^{(1+it)/2} y^{(1-it)/2} = x y log(y/x) / (y - x)"),
@@ -415,14 +426,14 @@ def _run_task(cfg, rows, seeds, index) -> list[tuple]:
     then decomposes or evaluates on its own, so a matrix past n cannot
     turn that trial's shorter rows into errors. Per row: its key
     (check_id, n or -1, index), its reports' columns (plain tuples, which
-    a pool sends back faster than reports) and, if cfg writes reports,
-    their cells (see _blocks)."""
+    a pool sends back faster than reports), their cells if cfg writes
+    reports (see _blocks), and (trials, failures, worst |gaps|), NaN worst."""
     rows = [(spec, n) for spec, n in rows if spec.draw or index == 0]
-    prefixes = {}
+    prefixes, seeded = {}, []
     for draw in {spec.draw for spec, _ in rows} - {None}:
         kind = [(spec, n) for spec, n in rows if spec.draw == draw]
         count = None if kind[0][1] is None else max(n for _, n in kind)
-        inputs, sweeps = _draw(cfg, draw, seeds, count), {}
+        inputs, sweeps = _draw(cfg, draw, seeds, count, seeded), {}
         try:  # shared by the prefixes; if it raises, each decomposes its own
             if count:
                 inputs.spectral
@@ -438,8 +449,10 @@ def _run_task(cfg, rows, seeds, index) -> list[tuple]:
         inputs, sides = prefixes.get((spec.draw, n), (None, None))
         reports = _evaluate(cfg, spec, n, inputs, seeds if spec.draw else seeds[:1], sides)
         columns = dict(zip(TrialReport._fields, zip(*reports)))
+        worst = np.abs([columns["abs_gap"], columns["rel_gap"]]).max(axis=1)
         groups.append(((spec.check_id, -1 if n is None else n, index), tuple(columns.values()),
-                       _blocks(columns, cfg.fmt) if cfg.out else []))
+                       _blocks(columns, cfg.fmt) if cfg.out else [],
+                       (len(reports), columns["passed"].count(False), worst)))
     return groups
 
 
@@ -461,8 +474,13 @@ class CampaignSummary:
     per_check: list[dict]
     config: dict
     runtime_s: float
-    reports: list[TrialReport] = field(repr=False, default_factory=list)
+    columns: list[tuple] = field(repr=False, default_factory=list)  # per group, see _run_task
     lines: list[str] = field(repr=False, default_factory=list)  # trial file after its config line
+
+    @cached_property
+    def reports(self) -> list[TrialReport]:
+        """Every trial's report in (check, n, seed) order, built on first access."""
+        return as_reports(itertools.chain.from_iterable(zip(*group) for group in self.columns))
 
     def to_text(self) -> str:
         lines = [f"{'check':32s} {'trials':>7s} {'fail':>5s} "
@@ -479,22 +497,19 @@ class CampaignSummary:
 
 def _summarize(cfg, groups, runtime_s) -> CampaignSummary:
     """Join the groups in (check, n, task) order, which is (check, n, seed)
-    order, total each check from its joined rows, NaN as the worst gap,
+    order, total each check from its groups' totals, NaN as the worst gap,
     and make the trial file's lines from the groups' cells."""
-    reports, blocks, per_check = [], [], []
-    for _, columns, cells in sorted(groups):
-        reports += as_reports(zip(*columns))
-        blocks += cells
-    for check_id, rows in itertools.groupby(reports, operator.attrgetter("check_id")):
-        rows = list(rows)
-        worst = np.abs([[r.abs_gap, r.rel_gap] for r in rows]).max(axis=0)
-        per_check.append({"check_id": check_id, "trials": len(rows),
-                          "failures": sum(not r.passed for r in rows),
-                          "worst_abs_gap": float(worst[0]), "worst_rel_gap": float(worst[1])})
+    groups, per_check = sorted(groups), []
+    for check_id, rows in itertools.groupby(groups, lambda group: group[0][0]):
+        trials, failures, worst = zip(*(totals for *_, totals in rows))
+        abs_gap, rel_gap = np.max(worst, axis=0).tolist()
+        per_check.append({"check_id": check_id, "trials": sum(trials), "failures": sum(failures),
+                          "worst_abs_gap": abs_gap, "worst_rel_gap": rel_gap})
     failures = sum(row["failures"] for row in per_check)
-    return CampaignSummary(passed=failures == 0, trial_count=len(reports),
+    blocks = [block for _, _, cells, _ in groups for block in cells]
+    return CampaignSummary(passed=failures == 0, trial_count=sum(r["trials"] for r in per_check),
                            failure_count=failures, per_check=per_check, config=cfg.echo(),
-                           runtime_s=runtime_s, reports=reports,
+                           runtime_s=runtime_s, columns=[columns for _, columns, *_ in groups],
                            lines=_lines(blocks, cfg.fmt) if cfg.out else [])
 
 

@@ -198,9 +198,10 @@ def real_trace(value, *, context: str = "trace"):
     return float(value.real) if value.ndim == 0 else value.real
 
 
-def _check_draw(dim: int, count: int, lam_range) -> tuple[float, float]:
+def _check_draw(dim: int, count: int, rngs, lam_range) -> tuple[float, float]:
     """The logs of a draw's eigenvalue range, once its sizes and range are checked."""
-    for name, size in (("dimension", dim), ("count", count)):
+    for name, size in (("dimension", dim), ("count", count),
+                       ("generators in the stack", len(rngs))):
         if size < 1:
             raise DimensionMismatch(f"{name} must be >= 1, got {size}")
     lo, hi = float(lam_range[0]), float(lam_range[1])
@@ -218,9 +219,9 @@ def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
     ``rng`` may be a sequence of generators, one per stack entry, and
     with ``count`` each draws that many matrices in turn: the shape is
     ([len(rng),] [count,] dim, dim), in the numbers of lone calls."""
-    log_lo, log_hi = _check_draw(dim, 1 if count is None else count, lam_range)
     one = isinstance(rng, np.random.Generator)
     rngs = [rng] if one else list(rng)
+    log_lo, log_hi = _check_draw(dim, 1 if count is None else count, rngs, lam_range)
     draws = [(r.normal(size=(2, dim, dim)), r.uniform(log_lo, log_hi, size=dim))
              for r in rngs for _ in range(count or 1)]
     gauss = np.array([pair[0] for pair in draws])
@@ -234,9 +235,9 @@ def random_commuting_family(dim: int, count: int, seed, lam_range=(0.1, 10.0)):
     """A simultaneously diagonalizable family sharing one eigenbasis: ``count``
     matrices from default_rng(seed) as one PosDefMatrix (count, dim, dim), or
     (len(seed), count, dim, dim) from a list of generators, in the lone numbers."""
-    log_lo, log_hi = _check_draw(dim, count, lam_range)
     one = not isinstance(seed, (list, tuple))
     rngs = [np.random.default_rng(seed)] if one else seed
+    log_lo, log_hi = _check_draw(dim, count, rngs, lam_range)
     gauss = np.array([r.normal(size=(2, dim, dim)) for r in rngs])
     lams = np.exp(np.array([r.uniform(log_lo, log_hi, size=(count, dim)) for r in rngs]))
     q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])

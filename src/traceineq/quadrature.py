@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidRange
 from .linalg import logarithmic_ratio, real_trace
-from .report import TrialReport, identity_report
+from .report import identity_report
 
 BETA_HALF_WIDTH = 12.0
 BETA_NODE_COUNT = 161
@@ -150,28 +150,32 @@ def beta_normalization_gap() -> float:
     return abs(float(np.dot(rule.weights, beta_density(rule.nodes))) - 1.0)
 
 
-def scalar_power_average(x: float, y: float) -> float:
-    """The beta-average of x^{(1+it)/2} y^{(1-it)/2} for scalars x, y > 0."""
-    if x <= 0 or y <= 0:
+def scalar_power_average(x, y):
+    """The beta-average of x^{(1+it)/2} y^{(1-it)/2} for x, y > 0, numbers or
+    arrays of one shape, a stack of pairs: one table of powers, and each
+    pair's own dot product over the nodes, so it has its lone call's bits."""
+    if np.min([x, y]) <= 0:
         raise InvalidRange(f"scalar arguments must be positive, got ({x}, {y})")
     rule = real_line_rule()
-    vals = y * _node_powers(np.float64(x / y), rule.nodes)(...)  # x^z y^conj(z) = (x/y)^z y
-    return real_trace(np.dot(rule.weights * beta_density(rule.nodes), vals),
-                      context="scalar power average")
+    vals = np.expand_dims(y, -1) * _node_powers(np.divide(x, y), rule.nodes)(...)  # (x/y)^z y
+    weights = rule.weights * beta_density(rule.nodes)
+    sums = [np.dot(weights, row) for row in vals.reshape(-1, rule.nodes.size)]
+    return real_trace(np.reshape(sums, vals.shape[:-1]), context="scalar power average")
 
 
-def scalar_log_kernel(x: float, y: float) -> float:
+def scalar_log_kernel(x, y):
     """Closed form of the same average: x y log(y/x) / (y - x), with the
-    diagonal limit x at y = x. Equals the divided difference of log at
-    the inverse arguments."""
-    if x <= 0 or y <= 0:
+    diagonal limit x at y = x, for numbers or a stack as above. Equals the
+    divided difference of log at the inverse arguments."""
+    if np.min([x, y]) <= 0:
         raise InvalidRange(f"scalar arguments must be positive, got ({x}, {y})")
-    return float(logarithmic_ratio(1.0 / x, 1.0 / y))
+    return logarithmic_ratio(1.0 / np.asarray(x), 1.0 / np.asarray(y))
 
 
-def scalar_identity_check(x: float, y: float) -> TrialReport:
-    """Quadrature vs closed form for the scalar conjugated-power average."""
-    lhs = scalar_power_average(x, y)
-    rhs = scalar_log_kernel(x, y)
-    return identity_report("scalar_power_identity", lhs, rhs, atol=1e-8,
-                           params={"x": x, "y": y})
+def scalar_identity_check(x, y, seed=None):
+    """Quadrature vs closed form for the scalar conjugated-power average,
+    on a pair or, given a list of seeds, on a stack of pairs."""
+    pairs = zip(np.ravel(x).tolist(), np.ravel(y).tolist())
+    return identity_report("scalar_power_identity", scalar_power_average(x, y),
+                           scalar_log_kernel(x, y), atol=1e-8, seed=seed,
+                           params=[{"x": a, "y": b} for a, b in pairs])

@@ -285,6 +285,22 @@ def _reference_lines(reports, fmt):
         ",".join(row.get(k, "") for k in fields) + "\r\n" for row in rows]
 
 
+def _reference_totals(reports):
+    """Each check's totals as a loop over its reports writes them: trials,
+    failures and the worst gaps, NaN as the worst."""
+    per_check = {}
+    for r in reports:
+        row = per_check.setdefault(r.check_id, {"check_id": r.check_id, "trials": 0,
+                                                "failures": 0, "worst_abs_gap": 0.0,
+                                                "worst_rel_gap": 0.0})
+        row["trials"] += 1
+        row["failures"] += not r.passed
+        for key, gap in (("worst_abs_gap", r.abs_gap), ("worst_rel_gap", r.rel_gap)):
+            if not math.isnan(row[key]) and (math.isnan(gap) or abs(gap) > row[key]):
+                row[key] = abs(gap)
+    return list(per_check.values())
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_trial_lines_are_the_rows_json_and_csv_write(tmp_path, monkeypatch, fmt):
     # formatted a column at a time, the lines are still those of each report
@@ -305,6 +321,11 @@ def test_trial_lines_are_the_rows_json_and_csv_write(tmp_path, monkeypatch, fmt)
         assert "config" in head
         assert body == "".join(_reference_lines(summary.reports, fmt))
         assert summary.lines == _reference_lines(summary.reports, fmt)
+        # the totals made from each group's columns are those of the reports
+        assert type(summary.reports) is list and summary.reports is summary.reports
+        assert repr(summary.per_check) == repr(_reference_totals(summary.reports))
+        assert summary.trial_count == len(summary.reports)
+        assert summary.failure_count == sum(not r.passed for r in summary.reports)
 
 
 def test_params_json_cannot_hold_fail_the_writer(monkeypatch):
@@ -390,8 +411,8 @@ def test_linalg_error_trial_recorded_not_fatal(monkeypatch):
 
 
 def test_summary_keeps_nan_gap_as_worst(monkeypatch):
-    # the summary totals each check over its joined rows; a NaN gap first
-    # or last in either task's rows stays the check's worst gap
+    # each group totals its rows and the summary sums the groups; a NaN gap
+    # first or last in either task's rows stays the check's worst gap
     from traceineq import campaign as camp
     from traceineq import identity_report
 

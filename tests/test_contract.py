@@ -40,7 +40,7 @@ from traceineq.entangle import build_layout
 from traceineq.inequalities import tensor_operands
 from traceineq.limits import derivative_form_value, penalized_trace_gaps
 from traceineq.linalg import hermitize
-from traceineq.quadrature import scalar_log_kernel
+from traceineq.quadrature import scalar_identity_check, scalar_log_kernel, scalar_power_average
 
 SEEDS = [41, 42, 43]
 T = np.array([0.0, 0.7])  # two nodes of the power-integral integrand
@@ -78,6 +78,14 @@ def _penalized(i):
     return PENALIZED if i is None else tuple(part[i] for part in PENALIZED)
 
 
+SCALAR_PAIRS = (np.array([0.1, 2.0, 7.0]), np.array([3.0, 2.0, 0.3]))  # one on the diagonal
+
+
+def _scalars(i):
+    """(x, y): the three scalar pairs as arrays, or pair i as floats."""
+    return SCALAR_PAIRS if i is None else tuple(float(part[i]) for part in SCALAR_PAIRS)
+
+
 # Each route called on the stack of three (i None) or on entry i alone;
 # draws take ``count`` on both sides, checks take seeds.
 MATRIX_ROUTES = {
@@ -109,9 +117,15 @@ MATRIX_ROUTES = {
     "check_penalized_trace_limit": lambda i: check_penalized_trace_limit(*_penalized(i),
                                                                         seed=_seed(i)),
 }
+# the scalar routes take a stack of pairs as two arrays
+SCALAR_ROUTES = {
+    "scalar_power_average": lambda i: scalar_power_average(*_scalars(i)),
+    "scalar_log_kernel": lambda i: scalar_log_kernel(*_scalars(i)),
+    "scalar_identity_check": lambda i: scalar_identity_check(*_scalars(i), seed=_seed(i)),
+}
+ROUTES = MATRIX_ROUTES | SCALAR_ROUTES
 
-# classes, errors, constants, rules, verdict builders, the campaign API,
-# and the one scalar check
+# classes, errors, constants, rules, verdict builders and the campaign API
 REST = {
     "PosDefMatrix", "TrialReport",
     "ConfigError", "DimensionCap", "DimensionMismatch", "ImaginaryResidue", "InvalidRange",
@@ -121,7 +135,6 @@ REST = {
     "beta_density", "half_line_rule", "real_line_rule",
     "identity_report", "inequality_report",
     "CHECKS", "CampaignConfig", "CampaignSummary", "run_campaign",
-    "scalar_identity_check",
 }
 
 
@@ -146,15 +159,17 @@ def _entry(stacked, i):
 
 
 def test_every_public_name_is_placed():
-    # a new public name must be sorted here; a matrix route then meets
-    # the stack contract below
-    assert set(MATRIX_ROUTES).isdisjoint(REST)
-    assert set(MATRIX_ROUTES) | REST == set(traceineq.__all__)
+    # a new public name must be sorted here; a route then meets the stack
+    # contract below
+    public = set(traceineq.__all__)
+    assert set(ROUTES).isdisjoint(REST)
+    assert set(MATRIX_ROUTES) <= public
+    assert (set(ROUTES) & public) | REST == public
 
 
-@pytest.mark.parametrize("name", sorted(MATRIX_ROUTES))
+@pytest.mark.parametrize("name", sorted(ROUTES))
 def test_route_stack_equals_lone_calls(name):
-    route = MATRIX_ROUTES[name]
+    route = ROUTES[name]
     stacked = route(None)
     for i in range(len(SEEDS)):
         assert _bits(_entry(stacked, i)) == _bits(route(i)), (name, i)
@@ -182,10 +197,18 @@ def _indexed(index):
     (lambda: build_layout(4, 1), DimensionMismatch),
     (lambda: log_derivative_closed(np.eye(2), np.eye(3)), DimensionMismatch),
     (_derivative_form_past_the_cone, StepTooLarge),
+    (lambda: draw_posdef([], 2), DimensionMismatch),
+    (lambda: random_commuting_family(2, 3, []), DimensionMismatch),
+    (lambda: scalar_power_average(np.array([1.0, 0.0, 2.0]), np.ones(3)), InvalidRange),
+    (lambda: scalar_log_kernel(np.ones(3), np.array([4.0, 5.0, -6.0])), InvalidRange),
+    (lambda: scalar_identity_check(np.array([-1.0, 2.0, 3.0]), np.ones(3), seed=SEEDS),
+     InvalidRange),
 ], ids=["pairing-shapes", "pairing-copies", "commutator-shapes", "penalized-zero-direction",
         "hermitize-shape", "index-ellipsis", "index-past-stack", "scalar-kernel-zero",
         "doubling-level-zero", "layout-local-dim", "closed-direction-shape",
-        "derivative-form-step"])
+        "derivative-form-step", "draw-empty-stack", "commuting-empty-stack",
+        "scalar-average-stack-zero", "scalar-kernel-stack-negative",
+        "scalar-check-stack-negative"])
 def test_library_guard_raises(call, error):
     with pytest.raises(error):
         call()

@@ -3,6 +3,7 @@ reports do not depend on the worker count, and an error in one trial of
 a chunk lands on that trial's seed alone."""
 import ast
 import csv
+import itertools
 import json
 import multiprocessing
 import os
@@ -339,14 +340,19 @@ def _leaves(inputs):
     return [inputs.matrix if isinstance(inputs, PosDefMatrix) else inputs]
 
 
+def _count(draw):
+    """The count a draw takes in these tests: 4 for a chain draw, else None."""
+    chained = {spec.length is not None for spec in campaign.CHECKS.values()
+               if spec.draw == draw}
+    return 4 if chained == {True} else None
+
+
 @pytest.mark.parametrize("draw", sorted(campaign.DRAWS))
 def test_a_chunk_draws_its_seeds_lone_draws(draw):
     # every entry of the draw table: a chunk's inputs are, bit for bit, the
     # one-seed draws of its seeds, which is what a one-trial campaign draws
     assert {spec.draw for spec in campaign.CHECKS.values()} - {None} == set(campaign.DRAWS)
-    chained = {spec.length is not None for spec in campaign.CHECKS.values()
-               if spec.draw == draw}
-    count = 4 if chained == {True} else None
+    count = _count(draw)
     cfg, seeds = CampaignConfig(local_dim=3), list(range(700, 707))
     chunk = _leaves(campaign._draw(cfg, draw, seeds, count))
     lone = [_leaves(campaign._draw(cfg, draw, [seed], count)) for seed in seeds]
@@ -355,6 +361,52 @@ def test_a_chunk_draws_its_seeds_lone_draws(draw):
         assert len(stack) == len(seeds)
         for i, one in enumerate(lone):
             assert np.array_equal(stack[i], one[k][0])
+
+
+@pytest.mark.parametrize("first, then", itertools.permutations(sorted(campaign.DRAWS), 2))
+def test_a_task_draws_through_rewound_generators(first, then):
+    # a task seeds one generator per seed for all its draws and rewinds it
+    # for each later kind: in either order, each kind's inputs are, bit for
+    # bit, those of fresh default_rng generators
+    cfg, seeds, seeded = CampaignConfig(local_dim=3), list(range(700, 707)), []
+    for draw in (first, then, first):
+        task = _leaves(campaign._draw(cfg, draw, seeds, _count(draw), seeded))
+        fresh = _leaves(campaign._draw(cfg, draw, seeds, _count(draw)))
+        assert len(task) == len(fresh) and len(seeded) == len(seeds)
+        assert all(np.array_equal(a, b) for a, b in zip(task, fresh))
+
+
+def _split_pairing(cfg, rngs):
+    """The pairing draw as one normal call per real or imaginary part."""
+    dims = (cfg.local_dim, cfg.local_dim ** 2)
+    drawn = [[rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+              for dim in dims for _ in "XY"] for rng in rngs]
+    x1, y1, x2, y2 = map(np.array, zip(*drawn))
+    return (x1, y1), (x2, y2)
+
+
+def _split_penalized(cfg, rngs):
+    """The penalized draw as one normal call per real or imaginary part."""
+    a, v = [], []
+    for rng in rngs:
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a.append(0.5 * (g + g.conj().T))
+        v.append(rng.normal(size=3) + 1j * rng.normal(size=3))
+    a = np.array(a)
+    return a / np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None], np.array(v)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("draw, split", [("pairing", _split_pairing),
+                                         ("penalized", _split_penalized)])
+def test_merged_draws_equal_split_calls(draw, split, d):
+    # a generator fills its values in sequence, so one normal call per trial,
+    # sliced, gives the numbers of one call per matrix part
+    cfg, seeds = CampaignConfig(local_dim=d), list(range(50_000, 50_200))
+    merged = _leaves(campaign._draw(cfg, draw, seeds, None))
+    reference = _leaves(split(cfg, [np.random.default_rng(seed) for seed in seeds]))
+    assert len(merged) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(merged, reference))
 
 
 def test_one_function_makes_the_generators():
@@ -596,8 +648,7 @@ def test_verdicts_and_json_run_per_row_not_per_trial(tmp_path, monkeypatch):
     expected = {spec.check_id: 3 * len(campaign._lengths(spec, cfg))
                 * (2 if spec.check_id == "pairing_identity" else 1)
                 for spec in campaign.CHECKS.values() if spec.draw is not None}
-    assert calls == dict(expected, beta_normalization=1,
-                         scalar_power_identity=len(campaign.SCALAR_GRID) ** 2)
+    assert calls == dict(expected, beta_normalization=1, scalar_power_identity=1)
 
     monkeypatch.setattr(json, "dumps", counting(json.dumps, lambda args: "json"))
     monkeypatch.setattr(campaign, "_JSON", counting(campaign._JSON, lambda args: "json"))
