@@ -18,6 +18,7 @@ two-sided check is a row of COMPARISONS, evaluated by compare.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -206,12 +207,24 @@ def _slot_spectra(chain, dense=False):
     return layout, SpectralDecomposition(vals, np.where(conj, vecs.conj(), vecs))
 
 
-def _paired(factors, first, copies):
-    """(kron_j X_j) Omega = flatten(kron_k X_{first+k} X_{first+copies+k}^T),
-    X_j = factors[:, j], for Omega pairing ``copies`` factors at ``first``."""
-    mid = first + copies
-    block = factors[:, first:mid] @ factors[:, mid:mid + copies].swapaxes(-1, -2)
-    return kron_all(block.swapaxes(0, 1)).reshape(len(factors), -1)
+@lru_cache(maxsize=None)
+def _pairing_plan(layout):
+    """(left, right, subscripts) for the F - 1 pairing blocks of a layout,
+    X_l (X_r)^T over the factor pairs (l, r): the outer Omega's (k, F/2 + k),
+    then each of B's blocks' (2m + k, 3m + k). The einsum multiplies the
+    blocks into one vector whose axes are the factors, in order but for a
+    pad in slot 2, which goes last; a pad past slot 2 has no output axis,
+    so it is summed inside the einsum."""
+    pads = [s.source is None for s in layout.mid_slots]
+    pairs = [(first + k, first + m + k) for first, m in
+             [(0, layout.outer_copies)] + [(2 * m, m) for m in layout.pair_copies]
+             for k in range(m)]
+    left, right = map(list, zip(*pairs))
+    live = [j for j in range(2, layout.factor_count) if not pads[j]]
+    out = [0] + live + [1] if pads[1] else [0, 1] + live
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    operands = ",".join(f"...{letters[l]}{letters[r]}" for l, r in zip(left, right))
+    return left, right, operands + "->..." + "".join(letters[j] for j in out)
 
 
 def tensor_operands(mats):
@@ -251,36 +264,38 @@ def _tensor_resolvent(chain):
     """V* B V = C (x) kron_m u_m u_m*, C = C_1 (x) C_2 with C_1 = V_1* A_1 V_1,
     C_2 = V_2* conj(A_n) V_2, and u_m = V_block* Omega_m, so the form is
     sum_ij conj(y_i) C[a_i, a_j] phi_ij y_j, y = (V* Omega) conj(kron_m u_m),
-    a_i the index into C. An identity pad has eigenvalue exactly 1 and
-    eigenvector I, so phi does not depend on its index: past slot 2 its
-    axis is summed out of y, and in slot 2 it becomes a column axis of y,
-    contracted once through C_2 = conj(A_n). phi is then the Loewner kernel
-    of the d^(n-2) products of the live slots' eigenvalues, made a block of
-    rows at a time and laid out (k, b, i, s), b the column block of C, so
-    that its product with the rows it meets is one real matmul per chain
-    and b, on their real and imaginary parts at once. A block holds
-    2 STACK_BUDGET floats (the bytes of STACK_BUDGET complex entries). Its
-    rows are sized from one chain's size alone, and the stack is split into
-    as many chains as fit: BLAS sums in an order that follows the shapes it
-    is given, so rows sized from the whole stack would give a chain bits
-    that depend on the stack. Each block leaves one value per chain and
-    row, and each chain's rows are summed once at the end, so a chain's
-    value is its value alone, bit for bit, whatever the stack, its chunk
-    or the worker count."""
+    a_i the index into C. Each Omega pairs factors k and k + m, so y is a
+    product of F - 1 d x d pairing blocks V*_k (V*_{k+m})^T, B's conjugated:
+    one batched matmul forms them and one einsum, planned once per layout
+    (_pairing_plan), multiplies them out. An identity pad has eigenvalue
+    exactly 1 and eigenvector I, so phi does not depend on its index: past
+    slot 2 its axis is summed inside the einsum, and in slot 2 it becomes a
+    column axis of y, contracted once through C_2 = conj(A_n). phi is then
+    the Loewner kernel of the d^(n-2) products of the live slots'
+    eigenvalues, made a block of rows at a time and laid out (k, b, i, s),
+    b the column block of C, so that its product with the rows it meets is
+    one real matmul per chain and b, on their real and imaginary parts at
+    once. A block holds 2 STACK_BUDGET floats (the bytes of STACK_BUDGET
+    complex entries). Its rows are sized from one chain's size alone, and
+    the stack is split into as many chains as fit: BLAS sums in an order
+    that follows the shapes it is given, so rows sized from the whole stack
+    would give a chain bits that depend on the stack. Each block leaves one
+    value per chain and row, and each chain's rows are summed once at the
+    end, so a chain's value is its value alone, bit for bit, whatever the
+    stack, its chunk or the worker count."""
     layout, slots = _slot_spectra(chain)
     vec_h = slots.eigenvectors.conj().swapaxes(-1, -2)
-    count, d, factors = chain.matrix.shape[0], chain.dim, layout.factor_count
+    count, d = chain.matrix.shape[0], chain.dim
     pads = [s.source is None for s in layout.mid_slots]
     ends = np.stack([chain.matrix[:, 0], chain.matrix[:, -1].conj()], axis=1)
     c = vec_h[:, :2] @ ends @ slots.eigenvectors[:, :2]
-    u = kron_all([_paired(vec_h, 2 * m, m)[:, None, :] for m in layout.pair_copies])
-    y = (_paired(vec_h, 0, factors // 2).reshape(count, d * d, -1) * u.conj()).reshape(
-        (count,) + (d,) * factors).sum(axis=tuple(1 + j for j in range(2, factors) if pads[j]))
+    lefts, rights, subscripts = _pairing_plan(layout)
+    blocks = vec_h[:, lefts] @ vec_h[:, rights].swapaxes(-1, -2)
+    np.conjugate(blocks[:, layout.outer_copies:], out=blocks[:, layout.outer_copies:])
+    y = np.einsum(subscripts, *blocks.swapaxes(0, 1)).reshape(count, -1, d if pads[1] else 1)
     if pads[1]:
-        y = np.moveaxis(y, 2, -1).reshape(count, -1, d)
         c, right = c[:, 0], y @ c[:, 1].swapaxes(-1, -2)
     else:
-        y = y.reshape(count, -1, 1)
         c, right = kron_all(c.swapaxes(0, 1)), y
     lam = np.ones((count, 1))
     for v in slots.eigenvalues[:, [not p for p in pads]].swapaxes(0, 1):

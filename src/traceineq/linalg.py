@@ -211,6 +211,23 @@ def _check_draw(dim: int, count: int, rngs, lam_range) -> tuple[float, float]:
     return np.log(lo), np.log(hi)
 
 
+def _drawn_factors(rngs, draws: int, dim: int, lam_shape, logs):
+    """(q, lam): each generator in turn makes ``draws`` Ginibre-QR unitaries
+    (dim x dim) and log-uniform arrays of lam_shape on the range whose logs
+    are given, stacked (len(rngs) draws, ...). Its numbers are those of
+    alternating normal(size=(2, dim, dim)) and uniform(*logs, lam_shape)
+    calls: both are filled in place, and 0.0 is added to the normals, as
+    normal(0, 1) computes 0.0 + 1.0 z and so never returns -0.0."""
+    gauss = np.empty((len(rngs) * draws, 2, dim, dim))
+    unif = np.empty((len(rngs) * draws,) + lam_shape)
+    for j, r in enumerate(r for r in rngs for _ in range(draws)):
+        r.standard_normal(out=gauss[j])
+        r.random(out=unif[j])
+    gauss += 0.0
+    q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
+    return q, np.exp(logs[0] + (logs[1] - logs[0]) * unif)
+
+
 def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
                 count: int | None = None) -> PosDefMatrix:
     """Draw Q diag(lam) Q* with Ginibre-QR Q and log-uniform eigenvalues;
@@ -221,12 +238,8 @@ def draw_posdef(rng, dim: int, lam_range=(0.1, 10.0),
     ([len(rng),] [count,] dim, dim), in the numbers of lone calls."""
     one = isinstance(rng, np.random.Generator)
     rngs = [rng] if one else list(rng)
-    log_lo, log_hi = _check_draw(dim, 1 if count is None else count, rngs, lam_range)
-    draws = [(r.normal(size=(2, dim, dim)), r.uniform(log_lo, log_hi, size=dim))
-             for r in rngs for _ in range(count or 1)]
-    gauss = np.array([pair[0] for pair in draws])
-    q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
-    lam = np.exp(np.array([pair[1] for pair in draws]))
+    logs = _check_draw(dim, 1 if count is None else count, rngs, lam_range)
+    q, lam = _drawn_factors(rngs, count or 1, dim, (dim,), logs)
     shape = (() if one else (len(rngs),)) + (() if count is None else (count,))
     return PosDefMatrix(((q * lam[:, None, :]) @ _adjoint(q)).reshape(shape + (dim, dim)))
 
@@ -237,9 +250,7 @@ def random_commuting_family(dim: int, count: int, seed, lam_range=(0.1, 10.0)):
     (len(seed), count, dim, dim) from a list of generators, in the lone numbers."""
     one = not isinstance(seed, (list, tuple))
     rngs = [np.random.default_rng(seed)] if one else seed
-    log_lo, log_hi = _check_draw(dim, count, rngs, lam_range)
-    gauss = np.array([r.normal(size=(2, dim, dim)) for r in rngs])
-    lams = np.exp(np.array([r.uniform(log_lo, log_hi, size=(count, dim)) for r in rngs]))
-    q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
+    logs = _check_draw(dim, count, rngs, lam_range)
+    q, lams = _drawn_factors(rngs, 1, dim, (count, dim), logs)
     fam = PosDefMatrix((q[:, None] * lams[..., None, :]) @ _adjoint(q)[:, None])
     return fam[0] if one else fam

@@ -154,6 +154,31 @@ def test_factored_operand_matches_dense_eigh(make_chain, d, n):
         assert rhs_tensor_resolvent(mats) == pytest.approx(dense.real, rel=1e-9)
 
 
+def _factored_dense_form(mats):
+    """Test-only reference: proj* ((V* B V) * phi(lam, lam)) proj, proj = V* Omega,
+    formed densely from tensor_operands' factored decomposition (lam, V) of A,
+    with no dense eigh."""
+    big_a, big_b, outer = tensor_operands(mats)
+    lam, vec = big_a.spectral.eigenvalues, big_a.spectral.eigenvectors
+    proj = vec.conj().T @ outer
+    kernel = logarithmic_ratio(lam[:, None], lam[None, :])
+    return (proj.conj() @ ((vec.conj().T @ big_b @ vec) * kernel) @ proj).real
+
+
+@pytest.mark.parametrize("d, n, commuting", [(2, n, False) for n in range(3, 11)]
+                         + [(3, n, False) for n in range(3, 7)]
+                         + [(2, 5, True), (2, 7, True), (2, 8, True), (3, 5, True)])
+def test_tensor_form_matches_the_dense_form_on_its_own_spectrum(make_chain, d, n, commuting):
+    # the same eigenpairs both ways, so only the contraction differs, and it
+    # holds to roundoff: the dense-eigh reference above holds 1e-9, loose
+    # enough to let a wrong pairing pass. n = 3, 5, 7, 8 pad slot 2, which
+    # saturates on commuting chains (worst gap seen: 8.0e-16)
+    for seed in (1000 + n, 2000 + n):
+        mats = random_commuting_family(d, n, seed) if commuting else make_chain(seed, n, d)
+        assert rhs_tensor_resolvent(mats) == pytest.approx(_factored_dense_form(mats),
+                                                           rel=1e-12)
+
+
 def _dense_pairing(mats, t):
     """Test-only reference: Omega* W^z B W^conj(z) Omega, z = (1+it)/2,
     with W^conj(z) = V diag(a^-conj(z)) V* from the decomposition (a, V)

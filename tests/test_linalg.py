@@ -335,6 +335,51 @@ def test_draws_have_the_haar_conjugated_law(dim):
             assert _rel(member.matrix, _haar_conjugated(gauss, lam)) <= 1e-14
 
 
+def _reference_draws(rngs, dim, lam_range, count, family):
+    """Reference numbers: draw_posdef (family=False) and random_commuting_family
+    as one normal and one uniform call per draw, in the generator's order."""
+    log_lo, log_hi = np.log(lam_range[0]), np.log(lam_range[1])
+    if family:
+        gauss = np.array([r.normal(size=(2, dim, dim)) for r in rngs])
+        lam = np.exp(np.array([r.uniform(log_lo, log_hi, size=(count, dim)) for r in rngs]))
+    else:
+        draws = [(r.normal(size=(2, dim, dim)), r.uniform(log_lo, log_hi, size=dim))
+                 for r in rngs for _ in range(count or 1)]
+        gauss = np.array([pair[0] for pair in draws])
+        lam = np.exp(np.array([pair[1] for pair in draws]))
+    q, _ = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
+    if family:
+        return PosDefMatrix((q[:, None] * lam[..., None, :]) @ q.conj().swapaxes(-1, -2)[:, None])
+    shape = (len(rngs),) + (() if count is None else (count,)) + (dim, dim)
+    return PosDefMatrix(((q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)).reshape(shape))
+
+
+@pytest.mark.parametrize("lam_range", [(0.1, 10.0), (1e-5, 1e5), (2.5, 2.5)])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_draws_reproduce_the_normal_and_uniform_calls_bit_for_bit(dim, lam_range):
+    # the draws fill their normals and uniforms in place, in the numbers of
+    # the calls above; a fused multiply-add in uniform's lo + (hi - lo) u
+    # would move bits here (the [c, c] range pins hi - lo = 0)
+    seeds = range(300)
+    for count in (None, 1, 6):
+        drawn = draw_posdef([np.random.default_rng(s) for s in seeds], dim, lam_range, count)
+        ref = _reference_draws([np.random.default_rng(s) for s in seeds], dim, lam_range,
+                               count, family=False)
+        assert drawn.matrix.tobytes() == ref.matrix.tobytes()
+        for s in seeds[:20]:
+            lone = draw_posdef(np.random.default_rng(s), dim, lam_range, count)
+            assert lone.matrix.tobytes() == ref.matrix[s].tobytes()
+    for count in (1, 6):
+        fam = random_commuting_family(dim, count, [np.random.default_rng(s) for s in seeds],
+                                      lam_range)
+        ref = _reference_draws([np.random.default_rng(s) for s in seeds], dim, lam_range,
+                               count, family=True)
+        assert fam.matrix.tobytes() == ref.matrix.tobytes()
+        for s in seeds[:20]:
+            lone = random_commuting_family(dim, count, s, lam_range)
+            assert lone.matrix.tobytes() == ref.matrix[s].tobytes()
+
+
 def test_commuting_family_commutes():
     fam = random_commuting_family(3, 4, seed=9)
     for i in range(4):

@@ -181,7 +181,7 @@ def test_the_key_identity_sides_share_only_the_chain_decomposition():
     # tensor_pair_trace the slot spectra, and neither calls the other's
     # helpers: past the chain's eigenpairs, key_identity compares two
     # independent evaluations, which a later speed-up cannot merge quietly
-    assert _callers("_paired") == {"inequalities._tensor_resolvent"}
+    assert _callers("_pairing_plan") == {"inequalities._tensor_resolvent"}
     assert _callers("_slot_spectra") == {"inequalities.tensor_operands",
                                          "inequalities._tensor_resolvent",
                                          "inequalities.tensor_pair_trace"}
