@@ -255,7 +255,7 @@ def rhs_tensor_resolvent(mats):
     """<Omega| T_A(B) |Omega> with the operands above: the divided-difference
     kernel on A's factored spectrum, contracted factor by factor."""
     chain, single = _coerce_chain(mats)
-    size = build_layout(chain.matrix.shape[1], chain.dim).total_dim
+    size = chain.dim ** (chain.matrix.shape[1] - 1)  # y's entries, and conj(y) C_2's
     return _result(_sliced(_tensor_resolvent, chain, size), single,
                    "tensor-resolvent form")
 
@@ -267,44 +267,43 @@ def _tensor_resolvent(chain):
     a_i the index into C. Each Omega pairs factors k and k + m, so y is a
     product of F - 1 d x d pairing blocks V*_k (V*_{k+m})^T, B's conjugated:
     one batched matmul forms them and one einsum, planned once per layout
-    (_pairing_plan), multiplies them out. An identity pad has eigenvalue
-    exactly 1 and eigenvector I, so phi does not depend on its index: past
-    slot 2 its axis is summed inside the einsum, and in slot 2 it becomes a
-    column axis of y, contracted once through C_2 = conj(A_n). phi is then
-    the Loewner kernel of the d^(n-2) products of the live slots'
-    eigenvalues, made a block of rows at a time and laid out (k, b, i, s),
-    b the column block of C, so that its product with the rows it meets is
-    one real matmul per chain and b, on their real and imaginary parts at
-    once. A block holds 2 STACK_BUDGET floats (the bytes of STACK_BUDGET
-    complex entries). Its rows are sized from one chain's size alone, and
-    the stack is split into as many chains as fit: BLAS sums in an order
-    that follows the shapes it is given, so rows sized from the whole stack
-    would give a chain bits that depend on the stack. Each block leaves one
-    value per chain and row, and each chain's rows are summed once at the
-    end, so a chain's value is its value alone, bit for bit, whatever the
-    stack, its chunk or the worker count."""
+    (_pairing_plan), multiplies them out. An identity pad has eigenvalue 1
+    and eigenvector I, so phi does not depend on its index: past slot 2 the
+    einsum sums its axis, and in slot 2 it is a column of y. C is never
+    formed: C_2 meets y once, on the row side, as conj(y) C_2, and slot 2
+    spans ``width`` = d of phi's columns when live, 1 when a pad. phi, the
+    Loewner kernel of the d^(n-2) products of the live slots' eigenvalues,
+    is made a block of rows at a time, laid out (k, bw, i, s) so that its
+    product with y is one real matmul per chain and column block (b, w), on
+    real and imaginary parts at once, and one einsum meets it with the rows
+    of conj(y) C_2 and C_1. A block holds 2 STACK_BUDGET floats. Its rows
+    are sized from one chain alone, and the stack is split into as many
+    chains as fit: BLAS sums in an order that follows its shapes, so rows
+    sized from the stack would make a chain's bits depend on it. A block
+    leaves one value per chain and row, and a chain's rows are summed once
+    at the end: its value is its own, bit for bit, whatever the stack."""
     layout, slots = _slot_spectra(chain)
     vec_h = slots.eigenvectors.conj().swapaxes(-1, -2)
     count, d = chain.matrix.shape[0], chain.dim
     pads = [s.source is None for s in layout.mid_slots]
+    width, column = (1, d) if pads[1] else (d, 1)  # slot 2 in phi's columns, or in y's
     ends = np.stack([chain.matrix[:, 0], chain.matrix[:, -1].conj()], axis=1)
     c = vec_h[:, :2] @ ends @ slots.eigenvectors[:, :2]
     lefts, rights, subscripts = _pairing_plan(layout)
     blocks = vec_h[:, lefts] @ vec_h[:, rights].swapaxes(-1, -2)
     np.conjugate(blocks[:, layout.outer_copies:], out=blocks[:, layout.outer_copies:])
-    y = np.einsum(subscripts, *blocks.swapaxes(0, 1)).reshape(count, -1, d if pads[1] else 1)
-    if pads[1]:
-        c, right = c[:, 0], y @ c[:, 1].swapaxes(-1, -2)
-    else:
-        c, right = kron_all(c.swapaxes(0, 1)), y
+    # (k, b, w, s, e): C_1's index, slot 2's if live, the rest, slot 2's if a pad
+    y = np.einsum(subscripts, *blocks.swapaxes(0, 1)).reshape(count, d, width, -1, column)
+    # conj(y) C_2, a product per (b, w) when live; past a pad b joins the rows
+    left = (y.reshape(count, width, width, -1, column).conj()
+            @ c[:, 1].reshape(count, 1, width, column, d)).reshape(count, -1, width, column)
     lam = np.ones((count, 1))
     for v in slots.eigenvalues[:, [not p for p in pads]].swapaxes(0, 1):
         lam = (lam[:, :, None] * v[:, None, :]).reshape(count, -1)
     mu = 1.0 / lam
-    size, pair = mu.shape[1], c.shape[-1]
-    rest = size // pair
-    index = np.arange(size) // rest  # a_i
-    right = right.reshape(count, pair, rest, -1).view(float)  # (k, b, s, 2e): re, im columns
+    size, pair, rest = mu.shape[1], d * width, y.shape[3]
+    index = np.arange(size) // (size // d)  # a_i, the row of C_1
+    right = y.reshape(count, pair, rest, -1).view(float)  # (k, bw, s, 2e): re, im columns
     rows = min(size, max(1, 2 * STACK_BUDGET // size))
     chains = max(1, 2 * STACK_BUDGET // (rows * size))
     terms = np.empty((count, size), dtype=complex)
@@ -314,8 +313,9 @@ def _tensor_resolvent(chain):
             block = slice(i, i + rows)
             phi = logarithmic_ratio(mu[ks, None, block, None], mu[ks].reshape(-1, pair, 1, rest))
             z = np.matmul(phi, right[ks]).view(complex)
-            terms[ks, block] = np.einsum("kie,kib,kbie->ki", y[ks, block].conj(),
-                                         c[ks][:, index[block]], z)
+            terms[ks, block] = np.einsum("kiwe,kib,kbwie->ki", left[ks, block],
+                                         c[ks, 0][:, index[block]],
+                                         z.reshape(-1, d, width, *z.shape[2:]))
     return terms.sum(axis=-1)
 
 

@@ -165,10 +165,12 @@ def test_stacked_sides_equal_single_chain_calls(d, n):
             assert _close(value, single)
 
 
-@pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 11)] + [(3, n) for n in range(3, 8)])
+@pytest.mark.parametrize("d, n", [(2, n) for n in range(3, 11)] + [(3, n) for n in range(3, 8)]
+                         + [(4, 3), (4, 4), (9, 4)])
 def test_tensor_form_of_a_chain_does_not_depend_on_its_stack(d, n):
     # each chain's kernel blocks and BLAS shapes are sized from that chain
-    # alone, so its value in a 17-chain stack is its value alone, bit for bit
+    # alone, so its value in a 17-chain stack is its value alone, bit for bit;
+    # at d = 4 and 9 slot 2's width and conj(y) C_2 span more than 2 x 2
     stack = _stack(2000 * d + n, 17, n, d)
     stacked = rhs_tensor_resolvent(stack)
     alone = np.array([rhs_tensor_resolvent(stack[i]) for i in range(17)])

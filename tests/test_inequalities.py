@@ -167,12 +167,14 @@ def _factored_dense_form(mats):
 
 @pytest.mark.parametrize("d, n, commuting", [(2, n, False) for n in range(3, 11)]
                          + [(3, n, False) for n in range(3, 7)]
+                         + [(4, 3, False), (4, 4, False), (9, 4, False)]
                          + [(2, 5, True), (2, 7, True), (2, 8, True), (3, 5, True)])
 def test_tensor_form_matches_the_dense_form_on_its_own_spectrum(make_chain, d, n, commuting):
     # the same eigenpairs both ways, so only the contraction differs, and it
     # holds to roundoff: the dense-eigh reference above holds 1e-9, loose
     # enough to let a wrong pairing pass. n = 3, 5, 7, 8 pad slot 2, which
-    # saturates on commuting chains (worst gap seen: 8.0e-16)
+    # saturates on commuting chains (worst gap seen: 8.0e-16); d = 4 and 9
+    # give slot 2's C_2 more than 2 x 2 entries to meet, live and padded
     for seed in (1000 + n, 2000 + n):
         mats = random_commuting_family(d, n, seed) if commuting else make_chain(seed, n, d)
         assert rhs_tensor_resolvent(mats) == pytest.approx(_factored_dense_form(mats),
@@ -217,6 +219,24 @@ def test_pointwise_traces_stay_within_the_budget(d, n):
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("d, n", [(40, 4), (9, 5)])
+def test_tensor_form_stays_within_its_budget(d, n):
+    # one chain, slot 2 live at n = 4 and a pad at n = 5. The largest arrays
+    # are y, its conjugate and conj(y) C_2, d^(n-1) complex entries each
+    # (1.0 MB at d = 40), and a kernel block of 2 STACK_BUDGET floats
+    # (64 KiB): 8 MiB holds them with room. A d^2 x d^2 C took 40 MiB at
+    # d = 40 (seen: 1.8 MiB at d = 40, 0.63 MiB at d = 9)
+    chain = draw_posdef([np.random.default_rng(9100)], d, count=n)
+    chain.spectral  # decomposed before tracing
+    tracemalloc.start()
+    try:
+        rhs_tensor_resolvent(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_tensor_form_matches_integral_at_d256(make_chain):
