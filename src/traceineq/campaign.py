@@ -76,6 +76,8 @@ FORMATS = ("jsonl", "csv")
 SCALAR_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 OUT_ENV = "TRACEINEQ_OUT"
 MAX_CHUNK = 64  # trials per chunk, at most
+# what an evaluation may raise: its trial errs, or its shared work runs per prefix
+EVAL_ERRORS = (TraceIneqError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,7 @@ def _evaluate(cfg, spec: CheckSpec, n, inputs, seeds, sides=None) -> list[TrialR
         if spec.runner is None:
             return compare(spec.check_id, inputs, seed=seeds, sides=sides)
         return spec.runner(inputs, seeds, sides)
-    except (TraceIneqError, np.linalg.LinAlgError) as exc:
+    except EVAL_ERRORS as exc:
         if len(seeds) == 1:  # an unevaluable trial is a failed trial, not a dead campaign
             return [error_report(spec.check_id, exc, n=n, seed=seeds[0])]
         return [r for seed in seeds
@@ -407,7 +409,7 @@ def _sweeps(inputs, kind) -> dict:
             try:
                 sweeps[name] = dict(zip(lengths, globals()[name](inputs[:, :lengths[-1]],
                                                                  lengths=lengths)))
-            except (TraceIneqError, np.linalg.LinAlgError):
+            except EVAL_ERRORS:
                 pass
     return sweeps
 
@@ -438,7 +440,7 @@ def _run_task(cfg, rows, seeds, index) -> list[tuple]:
             if count:
                 inputs.spectral
                 sweeps = _sweeps(inputs, kind)
-        except (TraceIneqError, np.linalg.LinAlgError):
+        except EVAL_ERRORS:
             pass
         prefixes.update({(draw, n): (inputs if n is None else inputs[:, :n],
                                      {name: values[n] for name, values in sweeps.items()

@@ -30,7 +30,7 @@ from .linalg import (
     STACK_BUDGET,
     PosDefMatrix,
     SpectralDecomposition,
-    hermitian_fn,
+    hermitize,
     kron_all,
     logarithmic_ratio,
     real_trace,
@@ -89,18 +89,19 @@ def _per_length(values, single, lengths, context):
 
 
 def lhs_exp_sum_log(mats, lengths=None):
-    """Tr exp(sum_k log A_k); the sum of logs is Hermitian, not positive.
-    Given chain ``lengths`` m in [2, n], the logs taken once and one
-    stacked exp give each prefix chain[:, :m] its value, in the bits of a
-    call on it, as an array whose first axis is the lengths."""
+    """Tr exp(sum_k log A_k), the sum of exp over the eigenvalues of the
+    sum of logs, which is Hermitian, not positive. Given chain
+    ``lengths`` m in [2, n], the logs taken once and one stacked eigvalsh
+    give each prefix chain[:, :m] its value, in the bits of a call on it,
+    as an array whose first axis is the lengths."""
     chain, single = _coerce_chain(mats, min_len=2)
     wanted = _wanted(chain.matrix.shape[1], lengths, 2)
     logs = chain.log()
     # a sum per length: np.cumsum runs along a middle axis an entry at a
     # time, several times slower than these sums at n <= 10
     totals = np.stack([logs[:, :m].sum(axis=1) for m in wanted], axis=1)
-    traces = np.einsum("kii->k", hermitian_fn(totals.reshape(-1, chain.dim, chain.dim), np.exp))
-    return _per_length(traces.reshape(len(totals), -1), single, lengths, "exp-sum-log trace")
+    traces = np.exp(np.linalg.eigvalsh(hermitize(totals))).sum(axis=-1)
+    return _per_length(traces, single, lengths, "exp-sum-log trace")
 
 
 def scaled_exponential_lhs(mats):

@@ -143,14 +143,6 @@ def as_posdef(a) -> PosDefMatrix:
     return a if isinstance(a, PosDefMatrix) else PosDefMatrix(a)
 
 
-def hermitian_fn(h, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian (not necessarily positive)
-    matrix. Used for exponentials of logarithm sums, which are Hermitian
-    but usually indefinite."""
-    lam, vec = np.linalg.eigh(hermitize(h))
-    return SpectralDecomposition(lam, vec).apply(f)
-
-
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence, leftmost factor slowest; leading
     stack axes broadcast, and each stacked product is formed on its own."""

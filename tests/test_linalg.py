@@ -19,7 +19,6 @@ from traceineq import (
 )
 from traceineq.linalg import (
     as_posdef,
-    hermitian_fn,
     hermitize,
     kron_all,
     logarithmic_ratio,
@@ -66,11 +65,6 @@ def test_log_inverse_consistency(rng):
     a = draw_posdef(rng, 3)
     assert np.allclose(a.log() + PosDefMatrix(a.inverse()).log(),
                        np.zeros((3, 3)), atol=1e-12)
-
-
-def test_hermitian_fn_indefinite_exponent():
-    h = np.diag([1.0, -2.0])
-    assert np.allclose(hermitian_fn(h, np.exp), np.diag(np.exp([1.0, -2.0])))
 
 
 def test_logarithmic_ratio_symmetric_and_limit():
